@@ -21,6 +21,7 @@ __all__ = [
     "check_same_length",
     "check_index",
     "check_finite",
+    "check_mechanism_inputs",
 ]
 
 
@@ -92,6 +93,44 @@ def check_same_length(name_a: str, a: Sequence | np.ndarray, name_b: str, b: Seq
         raise ValueError(
             f"{name_a} and {name_b} must have the same length, got {len(a)} and {len(b)}"
         )
+
+
+def check_mechanism_inputs(
+    bids,
+    arrival_rate: float,
+    execution_values=None,
+    true_values=None,
+) -> tuple[np.ndarray, float, np.ndarray, np.ndarray | None]:
+    """Boundary checks shared by every mechanism's ``run``.
+
+    Vectors must be finite, strictly positive and of one length, the
+    rate finite and positive, and ``t̃_i >= t_i`` (Section 3: no machine
+    executes faster than its capacity).  Execution values default to a
+    copy of the bids.  Returns the four inputs, validated.
+    """
+    bids = as_float_array(bids, "bids")
+    check_positive(bids, "bids")
+    arrival_rate = check_positive_scalar(arrival_rate, "arrival_rate")
+
+    if execution_values is None:
+        execution_values = bids.copy()
+    else:
+        execution_values = as_float_array(execution_values, "execution_values")
+        check_positive(execution_values, "execution_values")
+        check_same_length("bids", bids, "execution_values", execution_values)
+
+    if true_values is not None:
+        true_values = as_float_array(true_values, "true_values")
+        check_positive(true_values, "true_values")
+        check_same_length("bids", bids, "true_values", true_values)
+        if np.any(execution_values < true_values - 1e-12):
+            bad = int(np.argmax(execution_values < true_values - 1e-12))
+            raise ValueError(
+                f"execution value {execution_values[bad]:g} at machine {bad} "
+                f"is below its true value {true_values[bad]:g}; machines "
+                "cannot execute faster than their capacity"
+            )
+    return bids, arrival_rate, execution_values, true_values
 
 
 def check_index(index: int, size: int, name: str = "index") -> int:

@@ -99,7 +99,6 @@ from repro._validation import (
 __all__ = [
     "best_response_fast",
     "best_response_given_stats",
-    "compensation_mode_of",
     "grid_argmax",
     "grid_argmax_units",
     "kernel_mode_of",
@@ -114,9 +113,6 @@ __all__ = [
 ]
 
 _KERNEL_MODES = ("observed", "declared", "vcg", "archer_tardos")
-# Historical name for the first two entries, kept for readability at the
-# call sites that only deal with the verification mechanism.
-_COMPENSATION_MODES = _KERNEL_MODES[:2]
 
 
 def supports(mechanism) -> bool:
@@ -169,25 +165,10 @@ def kernel_mode_of(mechanism) -> str:
     )
 
 
-def compensation_mode_of(mechanism) -> str:
-    """Alias of :func:`kernel_mode_of` (the pre-1.8 name)."""
-    return kernel_mode_of(mechanism)
-
-
-def _resolve_mode(mode: str | None, compensation: str | None) -> str:
-    """Fold the legacy ``compensation=`` spelling into ``mode=``."""
-    if compensation is not None:
-        if mode is not None and mode != compensation:
-            raise ValueError(
-                "pass either mode= or its alias compensation=, not both"
-            )
-        mode = compensation
-    if mode is None:
-        mode = "observed"
+def _check_mode(mode: str) -> str:
     if mode not in _KERNEL_MODES:
         raise ValueError(
-            f"kernel mode (compensation) must be one of {_KERNEL_MODES}, "
-            f"got {mode!r}"
+            f"kernel mode must be one of {_KERNEL_MODES}, got {mode!r}"
         )
     return mode
 
@@ -316,8 +297,7 @@ def utility_kernel(
     q_minus,
     arrival_rate,
     *,
-    mode: str | None = None,
-    compensation: str | None = None,
+    mode: str = "observed",
 ) -> np.ndarray:
     """Closed-form ``U_i(b, e)`` given the aggregates — broadcastable.
 
@@ -333,8 +313,7 @@ def utility_kernel(
     ``mode`` selects the payment rule: ``"observed"`` (default) /
     ``"declared"`` for the verification mechanism, ``"vcg"`` for the
     Clarke pivot, ``"archer_tardos"`` for the one-parameter baseline
-    (derivations in the module docstring).  ``compensation=`` is the
-    pre-1.8 spelling, kept as an alias.  The VCG and Archer–Tardos
+    (derivations in the module docstring).  The VCG and Archer–Tardos
     forms do not read ``q_minus`` — neither mechanism can see the
     others' execution values — but the uniform signature keeps the two
     aggregates flowing through every call site unchanged.
@@ -347,7 +326,7 @@ def utility_kernel(
     >>> bool(u[0] > u[1])
     True
     """
-    mode = _resolve_mode(mode, compensation)
+    mode = _check_mode(mode)
     b = np.asarray(bids, dtype=np.float64)
     e = np.asarray(executions, dtype=np.float64)
     total = s_minus + 1.0 / b                       # S = S_{-i} + 1/b
@@ -372,8 +351,7 @@ def utility_grid(
     q_minus: float,
     arrival_rate: float,
     *,
-    mode: str | None = None,
-    compensation: str | None = None,
+    mode: str = "observed",
 ) -> np.ndarray:
     """The full candidate surface in one broadcast.
 
@@ -389,7 +367,7 @@ def utility_grid(
         s_minus,
         q_minus,
         arrival_rate,
-        mode=_resolve_mode(mode, compensation),
+        mode=mode,
     )
 
 
@@ -522,8 +500,7 @@ def best_response_given_stats(
     true_value: float,
     arrival_rate: float,
     *,
-    mode: str | None = None,
-    compensation: str | None = None,
+    mode: str = "observed",
     bid_bounds_factor: tuple[float, float] = (0.05, 20.0),
     execution_cap_factor: float = 4.0,
     scan_points: int = 48,
@@ -534,12 +511,11 @@ def best_response_given_stats(
 
     The core of :func:`best_response_fast`, usable directly when the
     caller already maintains ``(S_{-i}, Q_{-i})`` incrementally (the
-    dynamics loop).  ``mode`` is any kernel mode (``compensation=`` is
-    the pre-1.8 alias).  Returns ``(bid, execution, utility,
-    truthful_utility)``; the truth is kept whenever the search does not
-    strictly beat it.
+    dynamics loop).  ``mode`` is any kernel mode.  Returns ``(bid,
+    execution, utility, truthful_utility)``; the truth is kept whenever
+    the search does not strictly beat it.
     """
-    mode = _resolve_mode(mode, compensation)
+    mode = _check_mode(mode)
     t_i = true_value
     truthful = float(
         utility_kernel(t_i, t_i, s_minus, q_minus, arrival_rate, mode=mode)

@@ -28,15 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro._validation import (
-    as_float_array,
-    check_positive,
-    check_positive_scalar,
-    check_same_length,
-)
+from repro._validation import check_mechanism_inputs
 from repro.distributed.aggregation import AggregationStats, tree_sum
 from repro.distributed.privacy import SecureSumAggregation
 from repro.distributed.topology import Overlay, tree_overlay
+from repro.mechanism import pricing
 from repro.types import AllocationResult, MechanismOutcome, PaymentResult
 
 __all__ = ["DistributedOutcome", "DistributedVerificationMechanism"]
@@ -119,18 +115,16 @@ class DistributedVerificationMechanism:
         *,
         true_values: np.ndarray | None = None,
     ) -> DistributedOutcome:
-        """Execute the two-round distributed protocol."""
-        bids = as_float_array(bids, "bids")
-        check_positive(bids, "bids")
-        arrival_rate = check_positive_scalar(arrival_rate, "arrival_rate")
+        """Execute the two-round distributed protocol.
+
+        Inputs are checked exactly as :meth:`Mechanism.run
+        <repro.mechanism.Mechanism.run>` checks them.
+        """
+        bids, arrival_rate, execution_values, true_values = check_mechanism_inputs(
+            bids, arrival_rate, execution_values, true_values
+        )
         if bids.size < 2:
             raise ValueError("the distributed mechanism needs at least two machines")
-        if execution_values is None:
-            execution_values = bids.copy()
-        else:
-            execution_values = as_float_array(execution_values, "execution_values")
-            check_positive(execution_values, "execution_values")
-            check_same_length("bids", bids, "execution_values", execution_values)
 
         overlay = self.overlay or tree_overlay(bids.size)
         if overlay.n_machines != bids.size:
@@ -139,29 +133,28 @@ class DistributedVerificationMechanism:
             )
 
         # --- Round 1: aggregate S = sum 1/b_j; every node learns it. ---
-        inverse_bids = 1.0 / bids
-        total_inverse, stats1, shares1 = self._aggregate(overlay, inverse_bids)
+        total_inverse, stats1, shares1 = self._aggregate(overlay, 1.0 / bids)
 
         # Each machine now computes its own load locally.
-        loads = arrival_rate * inverse_bids / total_inverse
+        _, loads = pricing.allocate(bids, arrival_rate, total_inverse)
+        loads_sq = loads**2
 
-        # --- Execution happens; each machine knows t̃_i x_i^2 locally. ---
-        local_costs = execution_values * loads**2
-
-        # --- Round 2: aggregate L = sum t̃_j x_j^2. ---
-        realised_latency, stats2, shares2 = self._aggregate(overlay, local_costs)
+        # --- Round 2: aggregate L = sum t̃_j x_j^2 (each t̃_i x_i^2 is local). ---
+        realised_latency, stats2, shares2 = self._aggregate(
+            overlay, execution_values * loads_sq
+        )
 
         # --- Local payment computation at every machine. ---
-        excluded = arrival_rate**2 / (total_inverse - inverse_bids)
-        compensation = local_costs
-        bonus = excluded - realised_latency
-        valuation = -local_costs
+        compensation, bonus, valuation = pricing.price_members(
+            "observed", bids, execution_values, loads_sq, total_inverse,
+            realised_latency, arrival_rate,
+        )
 
         allocation = AllocationResult(
             loads=loads,
             arrival_rate=arrival_rate,
             bids=bids,
-            total_latency=float(np.dot(bids, loads**2)),
+            total_latency=arrival_rate**2 / total_inverse,
         )
         payments = PaymentResult(
             compensation=compensation, bonus=bonus, valuation=valuation

@@ -34,6 +34,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.agents.base import Agent
+from repro.mechanism import pricing
 from repro.protocol.coordinator import ProtocolPhase
 from repro.protocol.execution import dispatch_batched
 from repro.protocol.monitoring import CusumSlowdownDetector
@@ -260,10 +261,6 @@ class CoordinatorShard:
         )
         return self._bids_cache.copy()
 
-    def inverse_bids(self) -> np.ndarray:
-        """``1/b_i`` per member — the shard's contribution to ``S``."""
-        return 1.0 / self.bids_vector()
-
     # -------------------------------------------------------- allocation
 
     def apply_allocation(self, loads: np.ndarray) -> np.ndarray:
@@ -285,7 +282,9 @@ class CoordinatorShard:
         own bid plus the one global scalar, so allocation never leaves
         the shard.
         """
-        loads = self.arrival_rate * self.inverse_bids() / float(total_inverse)
+        _, loads = pricing.allocate(
+            self.bids_vector(), self.arrival_rate, float(total_inverse)
+        )
         return self.apply_allocation(loads)
 
     # --------------------------------------------------------- execution
@@ -430,24 +429,22 @@ class CoordinatorShard:
     ) -> dict[str, tuple[float, float, float]]:
         """Per-member payments from the two global scalars (scalar mode).
 
-        With ``S`` and ``Q`` broadcast down the tree, each member's
-        amounts follow from its own bid and estimate alone:
-
-        * load ``x_i = R (1/b_i) / S``,
-        * realised latency ``L = (R/S)^2 Q``,
-        * leave-one-out optimum ``L_{-i} = R^2 / (S - 1/b_i)``,
-        * compensation ``C_i = t̂_i x_i^2``, bonus ``B_i = L_{-i} - L``.
+        With ``S`` and ``Q`` broadcast down the tree, the realised
+        latency is ``L = (R/S)^2 Q`` and each member's amounts follow
+        from its own bid and estimate alone, through the same per-agent
+        step as every other pricing path
+        (:func:`repro.mechanism.pricing.price_members`).
         """
         if self._estimates is None:
             raise RuntimeError("no execution reports yet")
         bids = self.bids_vector()
-        inv = 1.0 / bids
         rate = self.arrival_rate
-        loads = rate * inv / total_inverse
+        _, loads = pricing.allocate(bids, rate, total_inverse)
         realised = (rate / total_inverse) ** 2 * total_quotient
-        excluded = rate**2 / (total_inverse - inv)
-        compensation = self._estimates * loads**2
-        bonus = excluded - realised
+        compensation, bonus, _ = pricing.price_members(
+            "observed", bids, self._estimates, loads**2, total_inverse,
+            realised, rate,
+        )
         payment = compensation + bonus
         return {
             name: (float(payment[k]), float(compensation[k]), float(bonus[k]))

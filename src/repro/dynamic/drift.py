@@ -255,12 +255,12 @@ def drift_sweep(
         bids_block, trajectory
     )
     factors = np.geomspace(0.25, 4.0, scan_points)
-    candidates = trajectory[:, :, None] * factors[None, None, :]
+    candidates = trajectory[..., None] * factors[None, None, :]
     utilities = kernels.utility_kernel(
         candidates,
-        trajectory[:, :, None],
-        s_minus[:, :, None],
-        q_minus[:, :, None],
+        trajectory[..., None],
+        s_minus[..., None],
+        q_minus[..., None],
         rates[:, None, None],
         mode=mode,
     )  # (rounds, n, K)

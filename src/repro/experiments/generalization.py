@@ -94,7 +94,7 @@ def _evaluate_one(true_values: np.ndarray, arrival_rate: float) -> dict[str, boo
         execs_m / bids_m**2 + q_minus
     )
     scenario_utilities = utility_kernel(
-        bids_m, execs_m, s_minus, q_minus, arrival_rate, compensation="observed"
+        bids_m, execs_m, s_minus, q_minus, arrival_rate, mode="observed"
     )
     names = [s.name for s in PAPER_SCENARIOS]
     latencies = dict(zip(names, (float(v) for v in scenario_latencies)))
@@ -158,7 +158,7 @@ def _evaluate_cohort(
         execs_m / bids_m**2 + q_minus
     )                                              # (G, 8)
     utilities = utility_kernel(
-        bids_m, execs_m, s_minus, q_minus, arrival_rate, compensation="observed"
+        bids_m, execs_m, s_minus, q_minus, arrival_rate, mode="observed"
     )
     names = [s.name for s in PAPER_SCENARIOS]
     col = {name: i for i, name in enumerate(names)}

@@ -11,6 +11,8 @@
   Archer & Tardos (FOCS 2001, the paper's ref [2]) instantiated for
   linear latencies via the work curve ``w_i = x_i^2``; the approach of
   the companion paper (ref [8]).
+* :mod:`repro.mechanism.pricing` — the one kernel every payment rule
+  is priced through, for one profile or a stack of them.
 * :mod:`repro.mechanism.properties` — audits for truthfulness,
   voluntary participation, and frugality.
 """

@@ -37,6 +37,7 @@ import numpy as np
 
 from repro.allocation.pr import pr_allocation
 from repro.mechanism.base import Mechanism
+from repro.mechanism.pricing import price_allocation
 from repro.types import AllocationResult, PaymentResult
 
 __all__ = ["ArcherTardosMechanism"]
@@ -57,18 +58,7 @@ class ArcherTardosMechanism(Mechanism):
         execution_values: np.ndarray,
     ) -> PaymentResult:
         """Closed-form Archer–Tardos payments (vectorised over agents)."""
-        bids = allocation.bids
-        rate = allocation.arrival_rate
-        loads_sq = allocation.loads**2
-
-        inv = 1.0 / bids
-        s_minus = inv.sum() - inv  # S_{-i} for every agent at once
-        compensation = bids * loads_sq
-        bonus = self.payment_integral(bids, s_minus, rate)
-        valuation = -execution_values * loads_sq
-        return PaymentResult(
-            compensation=compensation, bonus=bonus, valuation=valuation
-        )
+        return price_allocation("archer_tardos", allocation, execution_values)
 
     # ------------------------------------------------------------ checks
 
@@ -77,11 +67,12 @@ class ArcherTardosMechanism(Mechanism):
         """Closed form of the Archer–Tardos work integral (vectorised).
 
         ``integral_{b}^{inf} (R / (u S_{-i} + 1))^2 du
-        = R^2 / (S_{-i} (b S_{-i} + 1))`` — the bonus term of
-        :meth:`payments`, exposed so callers (and the regression test
-        against :meth:`payment_integral_numeric`) can evaluate it
-        without running the whole mechanism.  Accepts scalars or
-        broadcast-compatible arrays.
+        = R^2 / (S_{-i} (b S_{-i} + 1))`` — the reference form of the
+        bonus :meth:`payments` computes through
+        :mod:`repro.mechanism.pricing`, exposed so callers (and the
+        regression test against :meth:`payment_integral_numeric`) can
+        evaluate it without running the whole mechanism.  Accepts
+        scalars or broadcast-compatible arrays.
         """
         bids = np.asarray(bids, dtype=np.float64)
         s_minus = np.asarray(s_minus, dtype=np.float64)

@@ -14,12 +14,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from repro._validation import (
-    as_float_array,
-    check_positive,
-    check_positive_scalar,
-    check_same_length,
-)
+from repro._validation import check_mechanism_inputs
 from repro.types import AllocationResult, MechanismOutcome, PaymentResult
 
 __all__ = ["Mechanism"]
@@ -84,29 +79,9 @@ class Mechanism(ABC):
             rate", Section 3) — executing faster than capacity is
             physically impossible.
         """
-        bids = as_float_array(bids, "bids")
-        check_positive(bids, "bids")
-        arrival_rate = check_positive_scalar(arrival_rate, "arrival_rate")
-
-        if execution_values is None:
-            execution_values = bids.copy()
-        else:
-            execution_values = as_float_array(execution_values, "execution_values")
-            check_positive(execution_values, "execution_values")
-            check_same_length("bids", bids, "execution_values", execution_values)
-
-        if true_values is not None:
-            true_values = as_float_array(true_values, "true_values")
-            check_positive(true_values, "true_values")
-            check_same_length("bids", bids, "true_values", true_values)
-            if np.any(execution_values < true_values - 1e-12):
-                bad = int(np.argmax(execution_values < true_values - 1e-12))
-                raise ValueError(
-                    f"execution value {execution_values[bad]:g} at machine {bad} "
-                    f"is below its true value {true_values[bad]:g}; machines "
-                    "cannot execute faster than their capacity"
-                )
-
+        bids, arrival_rate, execution_values, true_values = check_mechanism_inputs(
+            bids, arrival_rate, execution_values, true_values
+        )
         allocation = self.allocate(bids, arrival_rate)
         payments = self.payments(allocation, execution_values)
         return MechanismOutcome(

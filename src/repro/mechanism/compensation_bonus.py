@@ -33,8 +33,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.allocation.pr import optimal_latency_excluding_each, pr_allocation
+from repro.allocation.pr import pr_allocation
 from repro.mechanism.base import Mechanism
+from repro.mechanism.pricing import price_allocation
 from repro.observability.instrumentation import timed_section
 from repro.types import AllocationResult, PaymentResult
 
@@ -118,22 +119,9 @@ class VerificationMechanism(Mechanism):
         array([12.,  3.])
         """
         with timed_section("mechanism.payments.seconds"):
-            loads_sq = allocation.loads**2
-            realised_latency = float(np.dot(execution_values, loads_sq))
-            excluded = optimal_latency_excluding_each(
-                allocation.bids, allocation.arrival_rate
+            return price_allocation(
+                self.compensation_mode, allocation, execution_values
             )
-
-            if self.compensation_mode == "observed":
-                compensation = execution_values * loads_sq
-            else:
-                compensation = allocation.bids * loads_sq
-
-            bonus = excluded - realised_latency
-            valuation = -execution_values * loads_sq
-        return PaymentResult(
-            compensation=compensation, bonus=bonus, valuation=valuation
-        )
 
     # ------------------------------------------------------------ analysis
 

@@ -30,8 +30,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.allocation.pr import optimal_latency_excluding_each, pr_allocation
+from repro.allocation.pr import pr_allocation
 from repro.mechanism.base import Mechanism
+from repro.mechanism.pricing import price_allocation
 from repro.types import AllocationResult, PaymentResult
 
 __all__ = ["VCGMechanism"]
@@ -52,17 +53,7 @@ class VCGMechanism(Mechanism):
         execution_values: np.ndarray,
     ) -> PaymentResult:
         """Clarke payments; ``execution_values`` only affect valuations."""
-        loads_sq = allocation.loads**2
-        declared_latency = float(np.dot(allocation.bids, loads_sq))
-        excluded = optimal_latency_excluding_each(
-            allocation.bids, allocation.arrival_rate
-        )
-        compensation = allocation.bids * loads_sq
-        bonus = excluded - declared_latency
-        valuation = -execution_values * loads_sq
-        return PaymentResult(
-            compensation=compensation, bonus=bonus, valuation=valuation
-        )
+        return price_allocation("vcg", allocation, execution_values)
 
     def __repr__(self) -> str:
         return "VCGMechanism()"

@@ -32,22 +32,12 @@ equal — every float, through ``repr`` and back — to the payload
 :func:`execute_unit` produces for the same unit, so cohort results
 scatter into the existing :class:`~repro.parallel.cache.ResultCache`
 under unchanged keys and warm-cache / ``--resume`` behaviour is
-untouched.  Two NumPy facts make exactness possible (asserted by
+untouched.  Exactness comes from pricing the cohort through
+:mod:`repro.mechanism.pricing`, the same kernel the per-unit
+``Mechanism.run`` prices through: a ``(U, n)`` stack there is
+byte-identical row by row to ``U`` single profiles (asserted by
 ``tests/parallel/test_fusion.py`` and re-asserted before every timing
-run of ``benchmarks/bench_campaign_fusion.py``):
-
-* reducing a C-contiguous ``(U, n)`` block along its last axis applies
-  the same pairwise summation to each row that ``row.sum()`` applies
-  to a lone vector, so the stacked ``S`` totals match the per-unit
-  ones bit for bit;
-* the batched matrix product ``(U, 1, n) @ (U, n, 1)`` runs the same
-  BLAS dot per row that ``np.dot(e, x**2)`` runs per unit, so realised
-  latencies match bit for bit (a plain ``(E * X).sum(axis=1)`` or
-  ``einsum`` would *not* — different reduction order).
-
-Every remaining operation is elementwise, and IEEE-754 elementwise
-arithmetic is deterministic regardless of how the operands are
-stacked.
+run of ``benchmarks/bench_campaign_fusion.py``).
 
 Validation note: fused cohorts skip :meth:`Mechanism.run`'s input
 checks on purpose.  ``ExperimentUnit.__post_init__`` already enforces
@@ -63,6 +53,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.mechanism import pricing
 from repro.parallel.units import ExperimentUnit
 
 __all__ = [
@@ -173,17 +164,6 @@ def _stack_profiles(
     return true_values, bids, executions, rates
 
 
-def _row_dots(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Per-row dot products via one batched BLAS call.
-
-    ``(U, 1, n) @ (U, n, 1)`` dispatches the same dot kernel per row
-    that ``np.dot(left[k], right[k])`` uses, which is what makes the
-    stacked realised/declared latencies bit-identical to the per-unit
-    path (``einsum`` and ``(l * r).sum(axis=1)`` are not).
-    """
-    return (left[:, None, :] @ right[:, :, None])[:, 0, 0]
-
-
 def execute_cohort(units: Sequence[ExperimentUnit]) -> list[dict]:
     """Evaluate one homogeneous cohort in a single stacked computation.
 
@@ -202,39 +182,14 @@ def execute_cohort(units: Sequence[ExperimentUnit]) -> list[dict]:
         raise ValueError(f"variant {variant!r} has no fused evaluation")
 
     _, bids, executions, rates = _stack_profiles(units)
-    rates_col = rates[:, None]
-
-    # PR allocation, stacked: one row per unit (Theorem 2.1).
-    inv = 1.0 / bids                                   # (U, n)
-    total_inv = inv.sum(axis=1, keepdims=True)         # (U, 1): S per unit
-    loads = rates_col * inv / total_inv                # (U, n)
-    declared_latency = rates**2 / total_inv[:, 0]      # (U,): R^2 / S
-    loads_sq = loads**2
-
-    # Payments, stacked.  ``excluded`` is every leave-one-out optimum
-    # L_{-i}^* = R^2 / S_{-i}; realised/declared totals go through the
-    # batched BLAS dot for bit-parity with the scalar np.dot calls.
-    s_minus = total_inv - inv                          # (U, n): S_{-i}
-    excluded = rates_col**2 / s_minus
-    realised = _row_dots(executions, loads_sq)         # (U,)
-
-    if variant in ("observed", "declared"):
-        compensation = (
-            executions * loads_sq if variant == "observed" else bids * loads_sq
-        )
-        bonus = excluded - realised[:, None]
-    elif variant == "vcg":
-        compensation = bids * loads_sq
-        bonus = excluded - _row_dots(bids, loads_sq)[:, None]
-    else:  # archer-tardos: work-integral bonus, closed form
-        compensation = bids * loads_sq
-        bonus = rates_col**2 / (s_minus * (bids * s_minus + 1.0))
-    valuation = -executions * loads_sq
-
-    payment = compensation + bonus
-    utility = payment + valuation
+    # Variant names spell the kernel rule ``archer_tardos`` with a dash.
+    priced = pricing.price(
+        variant.replace("-", "_"), bids, executions, rates[:, None]
+    )
+    payment = priced.compensation + priced.bonus
+    utility = payment + priced.valuation
     total_payment = payment.sum(axis=1)
-    total_valuation = np.abs(valuation).sum(axis=1)
+    total_valuation = np.abs(priced.valuation).sum(axis=1)
 
     payloads = []
     for k in range(len(units)):
@@ -243,12 +198,12 @@ def execute_cohort(units: Sequence[ExperimentUnit]) -> list[dict]:
             {
                 "bids": bids[k].tolist(),
                 "execution_values": executions[k].tolist(),
-                "loads": loads[k].tolist(),
-                "declared_latency": float(declared_latency[k]),
-                "realised_latency": float(realised[k]),
-                "compensation": compensation[k].tolist(),
-                "bonus": bonus[k].tolist(),
-                "valuation": valuation[k].tolist(),
+                "loads": priced.loads[k].tolist(),
+                "declared_latency": float(priced.declared_latency[k]),
+                "realised_latency": float(priced.realised_latency[k]),
+                "compensation": priced.compensation[k].tolist(),
+                "bonus": priced.bonus[k].tolist(),
+                "valuation": priced.valuation[k].tolist(),
                 "payment": payment[k].tolist(),
                 "utility": utility[k].tolist(),
                 "frugality_ratio": (

@@ -46,13 +46,11 @@ A fused segment runs in two phases:
   quarantining a machine mid-segment, probes re-admitted) is handled
   naturally because admission still happens round by round.
 * **Phase B (stacked):** all live rounds of the segment are grouped
-  by machine count and priced as one ``(T_seg, n)`` broadcast that
-  mirrors :class:`~repro.mechanism.VerificationMechanism` — the same
-  stacked-row evaluation the fused campaign backend uses
-  (DESIGN.md §14), built on the two pinned NumPy parity facts:
-  C-contiguous last-axis reductions match per-row ``.sum()`` bit for
-  bit, and the batched ``(U,1,n) @ (U,n,1)`` product matches per-row
-  ``np.dot``.  Other mechanism types are priced per round through
+  by machine count and priced as one ``(T_seg, n)`` call into
+  :mod:`repro.mechanism.pricing` — the kernel
+  :class:`~repro.mechanism.VerificationMechanism` itself prices
+  through, whose stacked rows are byte-identical to single profiles.
+  Other mechanism types are priced per round through
   ``mechanism.run`` while Phase A still skips the protocol tax.
 
 Parity contract
@@ -100,6 +98,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.mechanism import pricing
 from repro.mechanism.compensation_bonus import VerificationMechanism
 from repro.observability.instrumentation import (
     annotate,
@@ -144,15 +143,6 @@ def fusible_round(
     return bool(getattr(faults, "is_clean", False))
 
 
-def _row_dots(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Per-row dots via one batched BLAS call (bit-equal to ``np.dot``).
-
-    Same helper as ``repro.parallel.fusion._row_dots`` — ``einsum`` or
-    ``(l*r).sum(axis=1)`` reduce in a different order and break parity.
-    """
-    return (left[:, None, :] @ right[:, :, None])[:, 0, 0]
-
-
 def _stacked_verification_outcomes(
     mechanism: VerificationMechanism,
     bids: np.ndarray,
@@ -161,39 +151,24 @@ def _stacked_verification_outcomes(
 ) -> list[MechanismOutcome]:
     """Price a ``(U, n)`` block of rounds exactly like per-round ``run``.
 
-    Mirrors ``pr_allocation`` + ``VerificationMechanism.payments`` row
-    by row: last-axis reductions for the ``S`` totals, the batched
-    matmul for realised latencies, everything else elementwise — the
-    same three parity facts the campaign fusion backend pins.
+    One stacked call into :mod:`repro.mechanism.pricing`, whose rows
+    are byte-identical to the per-round ``Mechanism.run`` pricing.
     """
-    rates_col = rates[:, None]
-    inv = 1.0 / bids                                   # (U, n)
-    total_inv = inv.sum(axis=1, keepdims=True)         # (U, 1)
-    loads = rates_col * inv / total_inv                # (U, n)
-    declared_latency = rates**2 / total_inv[:, 0]      # (U,)
-    loads_sq = loads**2
-    s_minus = total_inv - inv                          # (U, n): S_{-i}
-    excluded_latency = rates_col**2 / s_minus
-    realised = _row_dots(estimates, loads_sq)          # (U,)
-    if mechanism.compensation_mode == "observed":
-        compensation = estimates * loads_sq
-    else:
-        compensation = bids * loads_sq
-    bonus = excluded_latency - realised[:, None]
-    valuation = -estimates * loads_sq
-
+    priced = pricing.price(
+        mechanism.compensation_mode, bids, estimates, rates[:, None]
+    )
     outcomes = []
     for r in range(bids.shape[0]):
         allocation = AllocationResult(
-            loads=loads[r],
+            loads=priced.loads[r],
             arrival_rate=float(rates[r]),
             bids=bids[r],
-            total_latency=float(declared_latency[r]),
+            total_latency=float(priced.declared_latency[r]),
         )
         payments = PaymentResult(
-            compensation=compensation[r],
-            bonus=bonus[r],
-            valuation=valuation[r],
+            compensation=priced.compensation[r],
+            bonus=priced.bonus[r],
+            valuation=priced.valuation[r],
         )
         outcomes.append(
             MechanismOutcome(
@@ -351,11 +326,8 @@ def _run_fused_segment(supervisor: "RoundSupervisor", count: int) -> list:
             and np.all(np.isfinite(estimates))
         ):
             # Deferred: priced in the stacked Phase B broadcast.  The
-            # detection below only needs the mechanism's PR loads,
-            # which are three elementwise ops.
-            inv = 1.0 / bids
-            total_inv = float(inv.sum())
-            mech_loads = rate * inv / total_inv
+            # detection below only needs the mechanism's PR loads.
+            _, mech_loads = pricing.allocate(bids, rate)
         else:
             # Non-verification mechanisms (or degenerate inputs, which
             # must raise exactly as the sequential path would) are

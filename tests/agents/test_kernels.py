@@ -91,20 +91,9 @@ class TestUtilityKernel:
             for j, b in enumerate(bids):
                 assert surface[i, j] == utility_kernel(b, e, 0.8, 0.9, 5.0)
 
-    def test_rejects_unknown_mode_under_either_spelling(self):
-        with pytest.raises(ValueError, match="compensation"):
-            utility_kernel(1.0, 1.0, 0.5, 0.5, 3.0, compensation="bogus")
+    def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError, match="mode"):
             utility_kernel(1.0, 1.0, 0.5, 0.5, 3.0, mode="bogus")
-        with pytest.raises(ValueError, match="not both"):
-            utility_kernel(
-                1.0, 1.0, 0.5, 0.5, 3.0, mode="observed", compensation="declared"
-            )
-
-    def test_compensation_alias_matches_mode(self):
-        via_alias = utility_kernel(1.3, 1.3, 0.5, 0.5, 3.0, compensation="declared")
-        via_mode = utility_kernel(1.3, 1.3, 0.5, 0.5, 3.0, mode="declared")
-        assert float(via_alias) == float(via_mode)
 
     def test_supports_the_three_closed_form_mechanisms(self):
         assert kernels.supports(VerificationMechanism())
@@ -120,8 +109,6 @@ class TestUtilityKernel:
         )
         assert kernels.kernel_mode_of(VCGMechanism()) == "vcg"
         assert kernels.kernel_mode_of(ArcherTardosMechanism()) == "archer_tardos"
-        # The pre-1.8 name stays a working alias.
-        assert kernels.compensation_mode_of(VCGMechanism()) == "vcg"
         with pytest.raises(TypeError, match="closed-form utility kernel"):
             kernels.kernel_mode_of(MM1TruthfulMechanism())
 
@@ -386,13 +373,13 @@ class TestSufficientStatisticsAll:
         broadcast = utility_kernel(
             grid[None, :] * t[:, None], t[:, None],
             s_all[:, None], q_all[:, None], PAPER_ARRIVAL_RATE,
-            compensation="observed",
+            mode="observed",
         )
         for i in range(t.size):
             row = utility_kernel(
                 grid * t[i], np.full(grid.size, t[i]),
                 s_all[i], q_all[i], PAPER_ARRIVAL_RATE,
-                compensation="observed",
+                mode="observed",
             )
             assert np.array_equal(broadcast[i], row)
 

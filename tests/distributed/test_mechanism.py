@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.allocation.pr import pr_allocation
 from repro.distributed import (
     DistributedVerificationMechanism,
     random_tree_overlay,
@@ -126,6 +127,23 @@ class TestValidation:
     def test_single_machine_rejected(self):
         with pytest.raises(ValueError, match="two machines"):
             DistributedVerificationMechanism().run(np.array([1.0]), 5.0)
+
+    def test_true_values_checked_like_mechanism_run(self):
+        bids = np.array([1.0, 2.0, 4.0])
+        for run in (
+            VerificationMechanism().run,
+            DistributedVerificationMechanism().run,
+        ):
+            with pytest.raises(ValueError, match="same length"):
+                run(bids, 3.0, true_values=np.ones(4))
+            with pytest.raises(ValueError, match="capacity"):
+                run(bids, 3.0, bids, true_values=bids * 2.0)
+
+    def test_declared_latency_is_the_pr_optimum(self):
+        bids = np.array([1.0, 2.0, 4.0])
+        outcome = DistributedVerificationMechanism().run(bids, 3.0).outcome
+        expected = pr_allocation(bids, 3.0).total_latency  # R^2 / S
+        assert outcome.allocation.total_latency == expected
 
     def test_overlay_size_mismatch(self):
         with pytest.raises(ValueError, match="overlay"):

@@ -24,16 +24,14 @@ class TestAgreementWithScalarPath:
         mechanism = VerificationMechanism(mode)
         for k in range(bids.shape[0]):
             outcome = mechanism.run(bids[k], 9.0, execs[k])
-            np.testing.assert_allclose(batch.loads[k], outcome.loads, rtol=1e-13)
-            np.testing.assert_allclose(
-                batch.payment[k], outcome.payments.payment, rtol=1e-12
+            assert batch.loads[k].tobytes() == outcome.loads.tobytes()
+            assert (
+                batch.payment[k].tobytes() == outcome.payments.payment.tobytes()
             )
-            np.testing.assert_allclose(
-                batch.utility[k], outcome.payments.utility, rtol=1e-12, atol=1e-12
+            assert (
+                batch.utility[k].tobytes() == outcome.payments.utility.tobytes()
             )
-            assert batch.realised_latency[k] == pytest.approx(
-                outcome.realised_latency
-            )
+            assert batch.realised_latency[k] == outcome.realised_latency
 
     def test_default_executions_are_bids(self, rng):
         bids, _ = _random_batch(rng, k=5)
