@@ -35,9 +35,10 @@ import numpy as np
 
 from repro.agents.base import Agent
 from repro.mechanism import pricing
-from repro.protocol.coordinator import ProtocolPhase
+from repro.protocol.coordinator import ProtocolPhase, effective_bid
+from repro.protocol.estimator import verified_estimates
 from repro.protocol.execution import dispatch_batched
-from repro.protocol.monitoring import CusumSlowdownDetector
+from repro.protocol.monitoring import slowdown_alerts
 from repro.resilience.checkpoint import CheckpointStore, CoordinatorCheckpoint
 from repro.system.des import Simulator
 from repro.system.machine import LinearLatencyMachine
@@ -209,17 +210,15 @@ class CoordinatorShard:
     def collect_bids(self) -> np.ndarray:
         """Ask every member for its bid; returns the local bid vector.
 
-        Overrides apply at recording time and only ever raise a bid, so
-        allocation, payments, and checkpoints all see one value — the
-        same contract as the supervised coordinator.
+        Overrides apply at recording time through the rule every round
+        path shares (:func:`~repro.protocol.coordinator.effective_bid`),
+        so allocation, payments, and checkpoints all see one value.
         """
         self.phase = ProtocolPhase.BIDDING
         for name in self.machine_names:
-            bid = float(self.agents[name].bid())
-            override = self.bid_overrides.get(name)
-            if override is not None and override > bid:
-                bid = float(override)
-            self._bids[name] = bid
+            self._bids[name] = effective_bid(
+                name, float(self.agents[name].bid()), self.bid_overrides
+            )
         self._bids_cache = None
         self._save_checkpoint()
         return self.bids_vector()
@@ -374,21 +373,18 @@ class CoordinatorShard:
         return self.execute(arrivals, rng=rng)
 
     def _derive_estimates(self) -> np.ndarray:
-        """The monolithic coordinator's estimator, verbatim.
+        """The shared estimator over this shard's reports.
 
         Pure function of (bids, loads, reports), so a shard restored
         from a checkpoint re-derives the identical vector.
         """
-        assert self._loads is not None
-        bids = self.bids_vector()
-        estimates = np.empty(len(self.machine_names))
-        for k, name in enumerate(self.machine_names):
-            jobs, mean_sojourn = self._reports[name]
-            if jobs == 0 or self._loads[k] == 0.0:
-                estimates[k] = bids[k]
-            else:
-                estimates[k] = mean_sojourn / self._loads[k]
-        return estimates
+        reports = [self._reports[name] for name in self.machine_names]
+        return verified_estimates(
+            self.bids_vector(),
+            self._loads,
+            [jobs for jobs, _ in reports],
+            [mean_sojourn for _, mean_sojourn in reports],
+        )
 
     def _report_payload(self) -> dict:
         assert self._loads is not None
@@ -396,20 +392,14 @@ class CoordinatorShard:
         bids = self.bids_vector()
         alerts: list[str] = []
         if self.detector_threshold is not None:
-            for k, name in enumerate(self.machine_names):
-                if self._loads[k] <= 0.0:
-                    continue
-                sojourns = self.machines[name].sojourn_times
-                if not sojourns:
-                    continue
-                detector = CusumSlowdownDetector(
-                    float(bids[k]),
-                    float(self._loads[k]),
-                    threshold=self.detector_threshold,
-                    slack=self.detector_slack,
-                )
-                if detector.observe_many(np.asarray(sojourns)) is not None:
-                    alerts.append(name)
+            alerts = slowdown_alerts(
+                self.machine_names,
+                bids,
+                self._loads,
+                [self.machines[name].sojourn_times for name in self.machine_names],
+                threshold=self.detector_threshold,
+                slack=self.detector_slack,
+            )
         return {
             "names": list(self.machine_names),
             "estimates": self._estimates,

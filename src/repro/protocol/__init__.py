@@ -24,7 +24,11 @@ from repro.protocol.messages import (
     PaymentNotice,
 )
 from repro.protocol.network import SimulatedNetwork, NetworkStats
-from repro.protocol.estimator import ExecutionEstimate, estimate_execution_value
+from repro.protocol.estimator import (
+    ExecutionEstimate,
+    estimate_execution_value,
+    verified_estimates,
+)
 from repro.protocol.coordinator import MechanismCoordinator, ProtocolPhase
 from repro.protocol.faults import (
     ReliableNetwork,
@@ -35,6 +39,7 @@ from repro.protocol.monitoring import (
     SlowdownAlert,
     CusumSlowdownDetector,
     detection_delay,
+    slowdown_alerts,
 )
 from repro.protocol.horizon import fusible_round, run_horizon
 from repro.protocol.runtime import ProtocolResult, run_protocol
@@ -50,6 +55,7 @@ __all__ = [
     "NetworkStats",
     "ExecutionEstimate",
     "estimate_execution_value",
+    "verified_estimates",
     "MechanismCoordinator",
     "ProtocolPhase",
     "ReliableNetwork",
@@ -58,6 +64,7 @@ __all__ = [
     "SlowdownAlert",
     "CusumSlowdownDetector",
     "detection_delay",
+    "slowdown_alerts",
     "ProtocolResult",
     "run_protocol",
     "fusible_round",

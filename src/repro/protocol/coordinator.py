@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Collection, Mapping
 
 import numpy as np
 
 from repro.agents.base import Agent
 from repro.mechanism.base import Mechanism
 from repro.observability.instrumentation import annotate, record_counter
+from repro.protocol.estimator import verified_estimates
 from repro.protocol.messages import (
     AllocationNotice,
     BidReply,
@@ -30,9 +31,9 @@ from repro.protocol.messages import (
 from repro.protocol.network import SimulatedNetwork
 from repro.system.des import Simulator
 from repro.system.machine import LinearLatencyMachine
-from repro.types import MechanismOutcome
+from repro.types import AllocationResult, MechanismOutcome
 
-__all__ = ["ProtocolPhase", "MachineNode", "MechanismCoordinator"]
+__all__ = ["ProtocolPhase", "MachineNode", "MechanismCoordinator", "effective_bid"]
 
 COORDINATOR_NAME = "mechanism"
 
@@ -103,6 +104,21 @@ class MachineNode:
         )
 
 
+def effective_bid(name: str, bid: float, overrides: Mapping[str, float]) -> float:
+    """The bid a round records: the declared one, or a higher override.
+
+    Remediation may impose an effective declared value on a machine it
+    re-estimated; an override only ever *raises* a bid, and applying
+    it is counted (``remediation.bid_overrides``) and annotated.
+    """
+    override = overrides.get(name)
+    if override is None or not override > bid:
+        return bid
+    record_counter("remediation.bid_overrides")
+    annotate("remediation.bid_override", machine=name, declared=bid, override=override)
+    return float(override)
+
+
 @dataclass
 class MechanismCoordinator:
     """The central mechanism: collects bids, allocates, verifies, pays.
@@ -146,6 +162,10 @@ class MechanismCoordinator:
     _pending_reports: set[str] | None = field(default=None, repr=False)
     _bids_cache: np.ndarray | None = field(default=None, repr=False)
 
+    #: Imputation factor for machines that never report (a class
+    #: constant here; the fault-tolerant subclass makes it a field).
+    missing_report_factor = 4.0
+
     def _set_phase(self, phase: ProtocolPhase) -> None:
         """Advance the state machine, recording the transition.
 
@@ -188,11 +208,16 @@ class MechanismCoordinator:
         if reply.sender in self._bids:
             raise RuntimeError(f"duplicate bid from {reply.sender}")
         self._record_bid(reply)
-        if self._pending_bid_set():
-            return
+        if not self._pending_bid_set():
+            self._allocate_to_responders()
 
-        bids = self.bids_vector()
-        allocation = self.mechanism.allocate(bids, self.arrival_rate)
+    def _allocate_to_responders(self) -> None:
+        """Allocate over the machines that bid and announce their loads."""
+        responders = [n for n in self.machine_names if n in self._bids]
+        if len(responders) < len(self.machine_names):
+            self.machine_names = responders
+            self._reset_membership_caches()
+        allocation = self._allocate(self.bids_vector())
         self._loads = allocation.loads
         self._set_phase(ProtocolPhase.EXECUTING)
         for name, load in zip(self.machine_names, allocation.loads):
@@ -204,47 +229,71 @@ class MechanismCoordinator:
         if self.on_allocated is not None:
             self.on_allocated(allocation.loads)
 
+    def _allocate(self, bids: np.ndarray) -> AllocationResult:
+        """The allocation step (subclasses may serve it incrementally)."""
+        return self.mechanism.allocate(bids, self.arrival_rate)
+
     def _on_report(self, report: CompletionReport) -> None:
         if self.phase is not ProtocolPhase.EXECUTING:
             raise RuntimeError(f"unexpected completion report in phase {self.phase}")
         if report.sender in self._reports:
             raise RuntimeError(f"duplicate report from {report.sender}")
+        # Not a duplicate, so any participating machine is still pending.
+        if report.sender not in self._pending_report_set():
+            raise RuntimeError(f"report from non-participating machine {report.sender}")
         self._record_report(report)
-        if self._pending_report_set():
-            return
+        if not self._pending_report_set():
+            self._verify_and_pay()
 
+    def _verify_and_pay(self, missing: Collection[str] = ()) -> None:
+        """Estimate every execution value, price the round, and pay.
+
+        Machines in ``missing`` never reported: their value is imputed
+        (see :func:`~repro.protocol.estimator.verified_estimates`) and
+        they are paid nothing.  A pure function of the round's inputs
+        (bids, loads, reports, ``missing``), so a coordinator restored
+        mid-verification re-derives the identical outcome.
+        """
         self._set_phase(ProtocolPhase.VERIFYING)
-        self._verify_and_pay()
-
-    def _verify_and_pay(self) -> None:
         bids = self.bids_vector()
         assert self._loads is not None
-        estimates = np.empty(len(self.machine_names))
-        for k, name in enumerate(self.machine_names):
-            report = self._reports[name]
-            if report.jobs_completed == 0 or self._loads[k] == 0.0:
-                # No executed jobs means no evidence against the bid;
-                # the mechanism falls back to the declared value.
-                estimates[k] = bids[k]
-            else:
-                # t̂ = mean sojourn / allocated rate (see estimator.py);
-                # the report carries the pre-aggregated mean.
-                estimates[k] = report.mean_sojourn / self._loads[k]
-
+        reports = [self._reports.get(name) for name in self.machine_names]
+        estimates = verified_estimates(
+            bids,
+            self._loads,
+            [0 if r is None else r.jobs_completed for r in reports],
+            [0.0 if r is None else r.mean_sojourn for r in reports],
+            withheld=[name in missing for name in self.machine_names],
+            missing_report_factor=self.missing_report_factor,
+        )
         self.estimated_execution_values = estimates
         self.outcome = self.mechanism.run(bids, self.arrival_rate, estimates)
         payments = self.outcome.payments
         for k, name in enumerate(self.machine_names):
-            self.network.send(
-                PaymentNotice(
-                    sender=COORDINATOR_NAME,
-                    receiver=name,
-                    payment=float(payments.payment[k]),
-                    compensation=float(payments.compensation[k]),
-                    bonus=float(payments.bonus[k]),
+            amounts = (
+                (0.0, 0.0, 0.0)
+                if name in missing
+                else (
+                    float(payments.payment[k]),
+                    float(payments.compensation[k]),
+                    float(payments.bonus[k]),
                 )
             )
+            self._pay(name, amounts)
         self._set_phase(ProtocolPhase.DONE)
+
+    def _pay(self, name: str, amounts: tuple[float, float, float]) -> None:
+        """Send one machine its (payment, compensation, bonus) notice."""
+        payment, compensation, bonus = amounts
+        self.network.send(
+            PaymentNotice(
+                sender=COORDINATOR_NAME,
+                receiver=name,
+                payment=payment,
+                compensation=compensation,
+                bonus=bonus,
+            )
+        )
 
     # ------------------------------------------------------------ helpers
 

@@ -15,6 +15,11 @@ exponential service).  The returned estimate carries a normal-theory
 confidence interval so callers can reason about how much payment error
 the verification noise induces (benchmarked in
 ``benchmarks/bench_noisy_verification.py``).
+
+:func:`verified_estimates` is the round-level form every coordinator
+(sequential, fault-tolerant, supervised, sharded, horizon-fused) prices
+from: one ``t̂`` per machine from its reported job count and mean
+sojourn.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import numpy as np
 
 from repro._validation import as_float_array, check_nonnegative, check_positive_scalar
 
-__all__ = ["ExecutionEstimate", "estimate_execution_value"]
+__all__ = ["ExecutionEstimate", "estimate_execution_value", "verified_estimates"]
 
 #: two-sided 95% normal quantile
 _Z95 = 1.959963984540054
@@ -96,3 +101,35 @@ def estimate_execution_value(
         stderr=stderr,
         n_observations=int(n),
     )
+
+
+def verified_estimates(
+    bids: np.ndarray,
+    loads: np.ndarray,
+    jobs: np.ndarray,
+    mean_sojourns: np.ndarray,
+    withheld: np.ndarray | None = None,
+    missing_report_factor: float = 4.0,
+) -> np.ndarray:
+    """The round's execution-value estimates ``t̂``, one per machine.
+
+    ``t̂_i = mean_sojourn_i / x_i`` for a machine that ran jobs; a
+    machine with no completed jobs (or no load) produced no evidence
+    against its bid and is estimated at the bid; a machine flagged in
+    ``withheld`` never reported and is imputed the pessimistic
+    ``missing_report_factor * bid``.
+
+    >>> verified_estimates([1.0, 2.0, 3.0], [2.0, 1.0, 0.5], [10, 0, 4],
+    ...                    [3.0, 0.0, 1.0], withheld=[False, False, True])
+    array([ 1.5,  2. , 12. ])
+    """
+    bids = np.asarray(bids, dtype=np.float64)
+    loads = np.asarray(loads, dtype=np.float64)
+    mean_sojourns = np.asarray(mean_sojourns, dtype=np.float64)
+    estimates = bids.copy()
+    ran = (np.asarray(jobs) != 0) & (loads != 0.0)
+    estimates[ran] = mean_sojourns[ran] / loads[ran]
+    if withheld is not None:
+        missing = np.asarray(withheld, dtype=bool)
+        estimates[missing] = missing_report_factor * bids[missing]
+    return estimates

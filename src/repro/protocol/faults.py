@@ -26,18 +26,11 @@ import numpy as np
 
 from repro._validation import check_positive_scalar
 from repro.protocol.coordinator import (
-    COORDINATOR_NAME,
     MachineNode,
     MechanismCoordinator,
     ProtocolPhase,
 )
-from repro.protocol.messages import (
-    AllocationNotice,
-    BidReply,
-    CompletionReport,
-    Message,
-    PaymentNotice,
-)
+from repro.protocol.messages import Message
 from repro.protocol.network import SimulatedNetwork
 from repro.system.des import Simulator
 
@@ -215,17 +208,6 @@ class FaultTolerantCoordinator(MechanismCoordinator):
     excluded: list[str] = field(default_factory=list)
     withheld: list[str] = field(default_factory=list)
 
-    # --------------------------------------------------------- overrides
-
-    def _on_bid(self, reply: BidReply) -> None:
-        if self.phase is not ProtocolPhase.BIDDING:
-            raise RuntimeError(f"unexpected bid in phase {self.phase}")
-        if reply.sender in self._bids:
-            raise RuntimeError(f"duplicate bid from {reply.sender}")
-        self._record_bid(reply)
-        if not self._pending_bid_set():
-            self._allocate_to_responders()
-
     def close_bidding(self, *, void_if_empty: bool = False) -> None:
         """Bid deadline: proceed with whoever has responded.
 
@@ -254,75 +236,12 @@ class FaultTolerantCoordinator(MechanismCoordinator):
         self._set_phase(ProtocolPhase.VOIDED)
 
     def _allocate_to_responders(self) -> None:
-        responders = [n for n in self.machine_names if n in self._bids]
         self.excluded = [n for n in self.machine_names if n not in self._bids]
-        self.machine_names = responders
-        self._reset_membership_caches()
-
-        bids = self.bids_vector()
-        allocation = self.mechanism.allocate(bids, self.arrival_rate)
-        self._loads = allocation.loads
-        self._set_phase(ProtocolPhase.EXECUTING)
-        for name, load in zip(self.machine_names, allocation.loads):
-            self.network.send(
-                AllocationNotice(
-                    sender=COORDINATOR_NAME, receiver=name, load=float(load)
-                )
-            )
-        if self.on_allocated is not None:
-            self.on_allocated(allocation.loads)
-
-    def _on_report(self, report: CompletionReport) -> None:
-        if self.phase is not ProtocolPhase.EXECUTING:
-            raise RuntimeError(f"unexpected completion report in phase {self.phase}")
-        if report.sender in self._reports:
-            raise RuntimeError(f"duplicate report from {report.sender}")
-        # Not a duplicate, so any participating machine is still pending.
-        if report.sender not in self._pending_report_set():
-            raise RuntimeError(f"report from excluded machine {report.sender}")
-        self._record_report(report)
-        if not self._pending_report_set():
-            self._finish_with_missing(set())
+        super()._allocate_to_responders()
 
     def close_reporting(self) -> None:
         """Report deadline: impute the silent machines and pay the rest."""
         if self.phase is not ProtocolPhase.EXECUTING:
             return
-        self._finish_with_missing(set(self._pending_report_set()))
-
-    def _finish_with_missing(self, missing: set[str]) -> None:
-        self._set_phase(ProtocolPhase.VERIFYING)
-        bids = self.bids_vector()
-        assert self._loads is not None
-
-        estimates = np.empty(len(self.machine_names))
-        for k, name in enumerate(self.machine_names):
-            if name in missing:
-                estimates[k] = self.missing_report_factor * bids[k]
-                continue
-            report = self._reports[name]
-            if report.jobs_completed == 0 or self._loads[k] == 0.0:
-                estimates[k] = bids[k]
-            else:
-                estimates[k] = report.mean_sojourn / self._loads[k]
-
-        self.estimated_execution_values = estimates
-        self.outcome = self.mechanism.run(bids, self.arrival_rate, estimates)
-        self.withheld = sorted(missing)
-        payments = self.outcome.payments
-        for k, name in enumerate(self.machine_names):
-            if name in missing:
-                notice = PaymentNotice(
-                    sender=COORDINATOR_NAME, receiver=name,
-                    payment=0.0, compensation=0.0, bonus=0.0,
-                )
-            else:
-                notice = PaymentNotice(
-                    sender=COORDINATOR_NAME,
-                    receiver=name,
-                    payment=float(payments.payment[k]),
-                    compensation=float(payments.compensation[k]),
-                    bonus=float(payments.bonus[k]),
-                )
-            self.network.send(notice)
-        self._set_phase(ProtocolPhase.DONE)
+        self.withheld = sorted(self._pending_report_set())
+        self._verify_and_pay(set(self.withheld))

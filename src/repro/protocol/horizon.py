@@ -36,13 +36,15 @@ reimplementation.
 
 A fused segment runs in two phases:
 
-* **Phase A (per round, cheap):** quarantine admission, agent bids
-  with remediation overrides, the incremental PR allocate (kept warm
-  so later de-fused rounds see identical allocator state), the
-  round's workload draw through the *same*
-  ``RoundSupervisor._generate_times`` the sequential path uses,
-  vectorised per-machine sojourn statistics, a vectorised CUSUM fast
-  path, and quarantine bookkeeping.  Membership churn (an alert
+* **Phase A (per round, cheap):** the round steps every path shares —
+  ``RoundSupervisor._admit``, :func:`~repro.protocol.coordinator.effective_bid`,
+  the incremental PR allocate (kept warm so later de-fused rounds see
+  identical allocator state), the round's workload draw through the
+  *same* ``RoundSupervisor._generate_times``, vectorised per-machine
+  sojourn statistics,
+  :func:`~repro.protocol.estimator.verified_estimates`,
+  :func:`~repro.protocol.monitoring.slowdown_alerts`, and
+  ``RoundSupervisor._close_round``.  Membership churn (an alert
   quarantining a machine mid-segment, probes re-admitted) is handled
   naturally because admission still happens round by round.
 * **Phase B (stacked):** all live rounds of the segment are grouped
@@ -78,13 +80,6 @@ same seed — every float in every :class:`RoundResult`, through
    loads for ``RoundResult.loads`` and CUSUM detection.  The fused
    path reproduces both, from the same inputs, in the same order.
 
-The CUSUM fast path is exact, not approximate: the detector statistic
-stays at zero iff every standardised excess ``s_j - slack`` is
-non-positive, which one vectorised comparison checks; any round that
-could move a detector is re-run through the real
-:class:`~repro.protocol.monitoring.CusumSlowdownDetector` for that
-machine only.
-
 Observability: fused rounds record the sequential counters
 (``supervisor.rounds``, ``supervisor.jobs_routed``, quarantine gauge)
 plus ``horizon.fused.rounds``; every de-fused round additionally
@@ -101,13 +96,14 @@ import numpy as np
 from repro.mechanism import pricing
 from repro.mechanism.compensation_bonus import VerificationMechanism
 from repro.observability.instrumentation import (
-    annotate,
     observe_value,
     record_counter,
     record_gauge,
     trace_span,
 )
-from repro.protocol.monitoring import CusumSlowdownDetector
+from repro.protocol.coordinator import effective_bid
+from repro.protocol.estimator import verified_estimates
+from repro.protocol.monitoring import slowdown_alerts
 from repro.system.workload import split_assignments
 from repro.types import AllocationResult, MechanismOutcome, PaymentResult
 
@@ -184,63 +180,34 @@ def _stacked_verification_outcomes(
 
 def _run_fused_segment(supervisor: "RoundSupervisor", count: int) -> list:
     """Evaluate ``count`` consecutive fusible rounds as one segment."""
-    from repro.resilience.quarantine import CircuitState
     from repro.resilience.supervisor import RoundResult
 
     mechanism = supervisor.mechanism
     exact_stack = type(mechanism) is VerificationMechanism
-    slack = supervisor.detector_slack
 
     results: list = []
-    deferred: list[tuple[int, dict]] = []  # (slot in results, phase-A record)
+    # (slot in results, bids, estimates, RoundResult fields) per round
+    # whose pricing waits for the stacked Phase B.
+    deferred: list[tuple[int, np.ndarray, np.ndarray, dict]] = []
 
     for _ in range(count):
-        index = supervisor._round_index
-        supervisor._round_index += 1
-        rate = supervisor.round_rate(index)
-
-        admitted = supervisor.quarantine.begin_round()
-        probes = [
-            n
-            for n in admitted
-            if supervisor.quarantine.state_of(n) is CircuitState.HALF_OPEN
-        ]
-        quarantined = supervisor.quarantine.quarantined()
+        head = supervisor._admit()
+        admitted = head["participants"]
+        rate = head["arrival_rate"]
 
         record_counter("horizon.fused.rounds")
         record_counter("supervisor.rounds")
-        record_gauge("resilience.quarantine.open", len(quarantined))
+        record_gauge("resilience.quarantine.open", len(head["quarantined"]))
 
         if len(admitted) < 2:
             # Too few live machines to price: the sequential path voids
             # without touching quarantine outcomes — replicated inline
-            # (delegating to run_round would re-run begin_round and
+            # (delegating to run_round would re-run the admission and
             # corrupt the cooldown clocks).
             record_counter("supervisor.rounds_voided")
             observe_value("supervisor.jobs_routed", 0)
             results.append(
-                RoundResult(
-                    index=index,
-                    participants=list(admitted),
-                    probes=probes,
-                    quarantined=quarantined,
-                    excluded=list(admitted),
-                    withheld=[],
-                    alerts=[],
-                    faulted=[],
-                    fault_kinds={},
-                    voided=True,
-                    outcome=None,
-                    loads={},
-                    payments={},
-                    utilities={},
-                    payment_notices={},
-                    bid_retries=0,
-                    report_retries=0,
-                    coordinator_restarts=0,
-                    arrival_rate=rate,
-                    jobs_routed=0,
-                )
+                RoundResult(**head, voided=True, excluded=list(admitted))
             )
             continue
 
@@ -253,21 +220,15 @@ def _run_fused_segment(supervisor: "RoundSupervisor", count: int) -> list:
             float(supervisor.agents[name].execution_value())
             for name in admitted
         ]
-        bid_list = []
-        for name in admitted:
-            bid = supervisor.agents[name].bid()
-            override = supervisor.bid_overrides.get(name)
-            if override is not None and override > bid:
-                record_counter("remediation.bid_overrides")
-                annotate(
-                    "remediation.bid_override",
-                    machine=name,
-                    declared=bid,
-                    override=override,
+        bids = np.array(
+            [
+                effective_bid(
+                    name, supervisor.agents[name].bid(), supervisor.bid_overrides
                 )
-                bid = float(override)
-            bid_list.append(bid)
-        bids = np.array(bid_list, dtype=np.float64)
+                for name in admitted
+            ],
+            dtype=np.float64,
+        )
 
         # Incremental allocator loads: configure/routing/estimates use
         # these (the coordinator's ``_loads``); the mechanism's fresh
@@ -278,7 +239,7 @@ def _run_fused_segment(supervisor: "RoundSupervisor", count: int) -> list:
         )
         alloc_loads = allocation.loads
 
-        times = supervisor._generate_times(index)
+        times = supervisor._generate_times(head["index"])
         jobs_routed = int(times.size)
         assignments = split_assignments(
             jobs_routed, alloc_loads / alloc_loads.sum(), supervisor._rng
@@ -306,16 +267,7 @@ def _run_fused_segment(supervisor: "RoundSupervisor", count: int) -> list:
             machine_sojourns[k] = sojourns
             mean_sojourns[k] = float(sojourns.mean())
 
-        # Execution-value estimates, from the allocator loads (the
-        # coordinator's ``_complete_verification`` rule; a machine
-        # with no completions reports mean_sojourn 0.0 and falls back
-        # to its bid).
-        estimates = np.empty(n)
-        for k in range(n):
-            if counts[k] == 0 or alloc_loads[k] == 0.0:
-                estimates[k] = bids[k]
-            else:
-                estimates[k] = mean_sojourns[k] / alloc_loads[k]
+        estimates = verified_estimates(bids, alloc_loads, counts, mean_sojourns)
 
         # ---------------------------------------------------- mechanism
         outcome: MechanismOutcome | None = None
@@ -335,107 +287,48 @@ def _run_fused_segment(supervisor: "RoundSupervisor", count: int) -> list:
             outcome = mechanism.run(bids, rate, estimates)
             mech_loads = outcome.loads
 
-        # ---------------------------------------------------- detection
-        alerts: list[str] = []
-        for k, name in enumerate(admitted):
-            load = float(mech_loads[k])
-            if load <= 0.0:
-                continue
-            sojourns = machine_sojourns[k]
-            if sojourns is None:
-                continue
-            declared = float(bids[k])
-            expected = declared * load
-            standardised = sojourns / expected - 1.0
-            if not np.any(standardised - slack > 0.0):
-                continue  # the CUSUM statistic provably never leaves 0
-            detector = CusumSlowdownDetector(
-                declared,
-                load,
-                threshold=supervisor.detector_threshold,
-                slack=supervisor.detector_slack,
-            )
-            if detector.observe_many(sojourns) is not None:
-                alerts.append(name)
-                record_counter("supervisor.slowdown_alerts")
-                annotate("slowdown.alert", machine=name)
-
-        # --------------------------------------------------- quarantine
-        for name in admitted:
-            if name in alerts:
-                supervisor.quarantine.record_failure(name, "slowdown_alert")
-            else:
-                supervisor.quarantine.record_success(name)
-
+        alerts = slowdown_alerts(
+            admitted,
+            bids,
+            mech_loads,
+            machine_sojourns,
+            threshold=supervisor.detector_threshold,
+            slack=supervisor.detector_slack,
+        )
+        supervisor._close_round(admitted, alerts)
         observe_value("supervisor.jobs_routed", jobs_routed)
 
         record = {
-            "index": index,
-            "rate": rate,
-            "admitted": admitted,
-            "probes": probes,
-            "quarantined": quarantined,
+            **head,
             "alerts": alerts,
-            "bids": bids,
-            "estimates": estimates,
+            "payment_notices": {n: 1 for n in admitted},
             "jobs_routed": jobs_routed,
-            "outcome": outcome,
         }
         if outcome is None:
-            deferred.append((len(results), record))
+            deferred.append((len(results), bids, estimates, record))
             results.append(None)  # filled by Phase B
         else:
-            results.append(_round_result(RoundResult, record))
+            results.append(RoundResult.priced(outcome, admitted, **record))
 
     # ---------------------------------------------------------- Phase B
     # Stack the deferred rounds by machine count and price each group
     # as one broadcast.  Rows are independent, so membership may vary
     # within a group; grouping by n only keeps the block rectangular.
-    by_width: dict[int, list[tuple[int, dict]]] = {}
-    for slot, record in deferred:
-        by_width.setdefault(record["bids"].size, []).append((slot, record))
+    by_width: dict[int, list] = {}
+    for entry in deferred:
+        by_width.setdefault(entry[1].size, []).append(entry)
     for members in by_width.values():
         outcomes = _stacked_verification_outcomes(
             mechanism,
-            np.array([rec["bids"] for _, rec in members]),
-            np.array([rec["estimates"] for _, rec in members]),
-            np.array([rec["rate"] for _, rec in members]),
+            np.array([bids for _, bids, _, _ in members]),
+            np.array([estimates for _, _, estimates, _ in members]),
+            np.array([record["arrival_rate"] for *_, record in members]),
         )
-        for (slot, record), outcome in zip(members, outcomes):
-            record["outcome"] = outcome
-            results[slot] = _round_result(RoundResult, record)
+        for (slot, _, _, record), outcome in zip(members, outcomes):
+            results[slot] = RoundResult.priced(
+                outcome, record["participants"], **record
+            )
     return results
-
-
-def _round_result(round_result_cls, record: dict):
-    """Assemble one clean fused round's RoundResult from its outcome."""
-    outcome = record["outcome"]
-    names = record["admitted"]
-    payment_vector = outcome.payments.payment
-    return round_result_cls(
-        index=record["index"],
-        participants=list(names),
-        probes=record["probes"],
-        quarantined=record["quarantined"],
-        excluded=[],
-        withheld=[],
-        alerts=record["alerts"],
-        faulted=[],
-        fault_kinds={},
-        voided=False,
-        outcome=outcome,
-        loads={n: float(x) for n, x in zip(names, outcome.loads)},
-        payments={n: float(x) for n, x in zip(names, payment_vector)},
-        utilities={
-            n: float(u) for n, u in zip(names, outcome.payments.utility)
-        },
-        payment_notices={n: 1 for n in names},
-        bid_retries=0,
-        report_retries=0,
-        coordinator_restarts=0,
-        arrival_rate=record["rate"],
-        jobs_routed=record["jobs_routed"],
-    )
 
 
 def run_horizon(

@@ -19,17 +19,27 @@ alarms.  The defaults (slack 0.5, threshold 25) were calibrated on the
 exponential reference model: ~0 false alarms over 20k honest jobs while
 catching a 2x slowdown within ~50 completions (see
 ``bench_monitoring.py`` for the measured operating curve).
+
+:func:`slowdown_alerts` runs one detector per machine over a finished
+round's sojourns; every round path (sequential, sharded, horizon-fused)
+detects through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from repro._validation import check_positive_scalar
 
-__all__ = ["SlowdownAlert", "CusumSlowdownDetector", "detection_delay"]
+__all__ = [
+    "SlowdownAlert",
+    "CusumSlowdownDetector",
+    "detection_delay",
+    "slowdown_alerts",
+]
 
 
 @dataclass(frozen=True)
@@ -128,6 +138,42 @@ class CusumSlowdownDetector:
     def flagged(self) -> bool:
         """Whether the detector has raised an alert."""
         return self.alert is not None
+
+
+def slowdown_alerts(
+    names: Sequence[str],
+    declared: Sequence[float],
+    loads: Sequence[float],
+    sojourns: Sequence[Sequence[float] | None],
+    *,
+    threshold: float,
+    slack: float,
+) -> list[str]:
+    """Names whose CUSUM detector fires on one round's sojourns, in order.
+
+    Machine ``k`` is checked against its declared value and load; one
+    with no load or no sojourns (``None`` or empty) is skipped.  When
+    every standardised excess ``s/(b x) - 1 - slack`` is non-positive
+    the statistic provably stays at 0, so no detector is run at all.
+
+    >>> slowdown_alerts(["A", "B"], [1.0, 1.0], [1.0, 1.0],
+    ...                 [[1.0] * 10, [3.0] * 10], threshold=5.0, slack=0.5)
+    ['B']
+    """
+    alerts = []
+    for name, bid, load, observed in zip(names, declared, loads, sojourns):
+        if load <= 0.0 or observed is None or len(observed) == 0:
+            continue
+        bid, load = float(bid), float(load)
+        observed = np.asarray(observed, dtype=np.float64)
+        if not np.any(observed / (bid * load) - 1.0 - slack > 0.0):
+            continue
+        detector = CusumSlowdownDetector(
+            bid, load, threshold=threshold, slack=slack
+        )
+        if detector.observe_many(observed) is not None:
+            alerts.append(name)
+    return alerts
 
 
 def detection_delay(

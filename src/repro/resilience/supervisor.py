@@ -31,7 +31,7 @@ round.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Collection, Sequence
 
 import numpy as np
 
@@ -48,16 +48,20 @@ from repro.observability.instrumentation import (
     timed_section,
     trace_span,
 )
-from repro.protocol.coordinator import COORDINATOR_NAME, MachineNode, ProtocolPhase
+from repro.protocol.coordinator import (
+    COORDINATOR_NAME,
+    MachineNode,
+    ProtocolPhase,
+    effective_bid,
+)
 from repro.protocol.faults import FaultTolerantCoordinator, ReliableNetwork
 from repro.protocol.messages import (
-    AllocationNotice,
     BidRequest,
     CompletionReport,
     Message,
     PaymentNotice,
 )
-from repro.protocol.monitoring import CusumSlowdownDetector
+from repro.protocol.monitoring import slowdown_alerts
 from repro.protocol.network import SimulatedNetwork
 from repro.resilience.checkpoint import CheckpointStore, CoordinatorCheckpoint
 from repro.resilience.quarantine import CircuitState, QuarantinePolicy
@@ -116,6 +120,9 @@ class SupervisedCoordinator(FaultTolerantCoordinator):
       declared bid.  Overrides only ever *raise* a recorded bid, never
       lower it, and apply at recording time, so allocation, payments,
       and checkpoints all see one consistent value.
+
+    The round itself (allocate, verify, price, pay) is the base
+    coordinator's one body; this class only overrides its hooks.
     """
 
     allocator: (
@@ -129,20 +136,11 @@ class SupervisedCoordinator(FaultTolerantCoordinator):
     )
     bid_overrides: dict[str, float] = field(default_factory=dict)
 
-    # --------------------------------------------------------- overrides
+    # --------------------------------------------------------- hooks
 
     def _record_bid(self, reply) -> None:
-        override = self.bid_overrides.get(reply.sender)
-        if override is not None and override > reply.bid:
-            record_counter("remediation.bid_overrides")
-            annotate(
-                "remediation.bid_override",
-                machine=reply.sender,
-                declared=reply.bid,
-                override=override,
-            )
-            reply = replace(reply, bid=float(override))
-        super()._record_bid(reply)
+        bid = effective_bid(reply.sender, reply.bid, self.bid_overrides)
+        super()._record_bid(replace(reply, bid=bid))
 
     def _on_bid(self, reply) -> None:
         super()._on_bid(reply)
@@ -155,104 +153,41 @@ class SupervisedCoordinator(FaultTolerantCoordinator):
         if self.phase is phase_before:
             self._save_checkpoint()
 
+    def _set_phase(self, phase: ProtocolPhase) -> None:
+        # Snapshot at every phase boundary after the round opens (each
+        # bid snapshots itself), so a restore resumes from the phase.
+        moved = phase is not self.phase
+        super()._set_phase(phase)
+        if moved and phase is not ProtocolPhase.BIDDING:
+            self._save_checkpoint()
+
     def _allocate_to_responders(self) -> None:
-        responders = [n for n in self.machine_names if n in self._bids]
-        if len(responders) < self.min_participants:
+        responders = sum(name in self._bids for name in self.machine_names)
+        if responders < self.min_participants:
             self.void_round()
-            self._save_checkpoint()
-            return
-        self.excluded = [n for n in self.machine_names if n not in self._bids]
-        self.machine_names = responders
-        self._reset_membership_caches()
-
-        bids = self.bids_vector()
-        if self.allocator is not None:
-            allocation = self.allocator(responders, bids, self.arrival_rate)
         else:
-            allocation = self.mechanism.allocate(bids, self.arrival_rate)
-        self._loads = allocation.loads
-        self._set_phase(ProtocolPhase.EXECUTING)
-        self._save_checkpoint()
-        for name, load in zip(self.machine_names, allocation.loads):
-            self.network.send(
-                AllocationNotice(
-                    sender=COORDINATOR_NAME, receiver=name, load=float(load)
-                )
+            super()._allocate_to_responders()
+
+    def _allocate(self, bids: np.ndarray) -> AllocationResult:
+        if self.allocator is None:
+            return super()._allocate(bids)
+        return self.allocator(self.machine_names, bids, self.arrival_rate)
+
+    def _pay(self, name: str, amounts: tuple[float, float, float]) -> None:
+        if name in self.payments_sent:
+            return  # issued before a crash: never pay twice
+        if (
+            self.fail_after_payments is not None
+            and len(self.payments_sent) >= self.fail_after_payments
+        ):
+            raise CoordinatorCrash(
+                f"coordinator died after issuing "
+                f"{len(self.payments_sent)} payments"
             )
-        if self.on_allocated is not None:
-            self.on_allocated(allocation.loads)
-
-    def _finish_with_missing(self, missing: set[str]) -> None:
-        self._set_phase(ProtocolPhase.VERIFYING)
-        self.withheld = sorted(missing)
+        # Write-ahead: record and persist the intent, then send.
+        self.payments_sent[name] = amounts
         self._save_checkpoint()
-        self._complete_verification()
-
-    def void_round(self) -> None:
-        """Abandon the round and checkpoint the terminal state."""
-        super().void_round()
-        self._save_checkpoint()
-
-    # --------------------------------------------------------- verification
-
-    def _complete_verification(self) -> None:
-        """Estimate, price, and pay — skipping payments already issued.
-
-        Pure function of the checkpointed inputs (bids, loads,
-        reports, withheld), so a restored coordinator re-derives the
-        identical outcome and only issues the missing notices.
-        """
-        bids = self.bids_vector()
-        assert self._loads is not None
-        missing = set(self.withheld)
-
-        estimates = np.empty(len(self.machine_names))
-        for k, name in enumerate(self.machine_names):
-            if name in missing:
-                estimates[k] = self.missing_report_factor * bids[k]
-                continue
-            report = self._reports[name]
-            if report.jobs_completed == 0 or self._loads[k] == 0.0:
-                estimates[k] = bids[k]
-            else:
-                estimates[k] = report.mean_sojourn / self._loads[k]
-
-        self.estimated_execution_values = estimates
-        self.outcome = self.mechanism.run(bids, self.arrival_rate, estimates)
-        payments = self.outcome.payments
-        for k, name in enumerate(self.machine_names):
-            if name in self.payments_sent:
-                continue  # issued before a crash: never pay twice
-            if (
-                self.fail_after_payments is not None
-                and len(self.payments_sent) >= self.fail_after_payments
-            ):
-                raise CoordinatorCrash(
-                    f"coordinator died after issuing "
-                    f"{len(self.payments_sent)} payments"
-                )
-            if name in missing:
-                amounts = (0.0, 0.0, 0.0)
-            else:
-                amounts = (
-                    float(payments.payment[k]),
-                    float(payments.compensation[k]),
-                    float(payments.bonus[k]),
-                )
-            # Write-ahead: record and persist the intent, then send.
-            self.payments_sent[name] = amounts
-            self._save_checkpoint()
-            self.network.send(
-                PaymentNotice(
-                    sender=COORDINATOR_NAME,
-                    receiver=name,
-                    payment=amounts[0],
-                    compensation=amounts[1],
-                    bonus=amounts[2],
-                )
-            )
-        self._set_phase(ProtocolPhase.DONE)
-        self._save_checkpoint()
+        super()._pay(name, amounts)
 
     # --------------------------------------------------------- persistence
 
@@ -336,10 +271,10 @@ class SupervisedCoordinator(FaultTolerantCoordinator):
         if self.phase in (ProtocolPhase.IDLE, ProtocolPhase.BIDDING):
             self.void_round()
         elif self.phase is ProtocolPhase.VERIFYING:
-            self._complete_verification()
+            self._verify_and_pay(set(self.withheld))
 
 
-@dataclass
+@dataclass(kw_only=True)
 class RoundResult:
     """Everything observable after one supervised round."""
 
@@ -347,22 +282,44 @@ class RoundResult:
     participants: list[str]
     probes: list[str]
     quarantined: list[str]
-    excluded: list[str]
-    withheld: list[str]
-    alerts: list[str]
-    faulted: list[str]
-    fault_kinds: dict[str, str]
-    voided: bool
-    outcome: MechanismOutcome | None
-    loads: dict[str, float]
-    payments: dict[str, float]
-    utilities: dict[str, float]
-    payment_notices: dict[str, int]
-    bid_retries: int
-    report_retries: int
-    coordinator_restarts: int
+    excluded: list[str] = field(default_factory=list)
+    withheld: list[str] = field(default_factory=list)
+    alerts: list[str] = field(default_factory=list)
+    faulted: list[str] = field(default_factory=list)
+    fault_kinds: dict[str, str] = field(default_factory=dict)
+    voided: bool = False
+    outcome: MechanismOutcome | None = None
+    loads: dict[str, float] = field(default_factory=dict)
+    payments: dict[str, float] = field(default_factory=dict)
+    utilities: dict[str, float] = field(default_factory=dict)
+    payment_notices: dict[str, int] = field(default_factory=dict)
+    bid_retries: int = 0
+    report_retries: int = 0
+    coordinator_restarts: int = 0
     arrival_rate: float
-    jobs_routed: int
+    jobs_routed: int = 0
+
+    @classmethod
+    def priced(
+        cls, outcome: MechanismOutcome, names: Sequence[str], **fields
+    ) -> "RoundResult":
+        """The result of a round the mechanism priced.
+
+        Loads, utilities and (unless ``fields`` gives them) payments are
+        read from ``outcome`` in ``names`` order.
+        """
+        fields.setdefault(
+            "payments",
+            {n: float(x) for n, x in zip(names, outcome.payments.payment)},
+        )
+        return cls(
+            outcome=outcome,
+            loads={n: float(x) for n, x in zip(names, outcome.loads)},
+            utilities={
+                n: float(u) for n, u in zip(names, outcome.payments.utility)
+            },
+            **fields,
+        )
 
     @property
     def live_names(self) -> list[str]:
@@ -420,6 +377,7 @@ class _IncrementalAllocator:
     def __init__(self) -> None:
         self._state: IncrementalPRState | None = None
         self._names: list[str] = []
+        self._position: dict[str, int] = {}  # name -> index into _names
         self.incremental_ops = 0
         self.rebuilds = 0
 
@@ -432,7 +390,7 @@ class _IncrementalAllocator:
         with timed_section("allocation.incremental.seconds"):
             self._reconcile(names, bids, arrival_rate)
             assert self._state is not None
-            order = [self._names.index(n) for n in names]
+            order = [self._position[n] for n in names]
             loads = self._state.loads()[order]
         if self.incremental_ops > ops_before:
             record_counter(
@@ -456,27 +414,34 @@ class _IncrementalAllocator:
         if (
             self._state is None
             or self._state.arrival_rate != arrival_rate
-            or not set(self._names) & set(wanted)
+            or self._position.keys().isdisjoint(wanted)
         ):
             self._state = IncrementalPRState(
                 np.array([wanted[n] for n in names]), arrival_rate
             )
             self._names = list(names)
+            self._position = {n: k for k, n in enumerate(self._names)}
             self.rebuilds += 1
             return
-        for name in [n for n in self._names if n not in wanted]:
-            index = self._names.index(name)
-            self._state.remove_machine(index)
-            del self._names[index]
+        # Removals run in position order; each earlier removal shifts
+        # the later positions down by one.
+        gone = [k for k, n in enumerate(self._names) if n not in wanted]
+        for shift, index in enumerate(gone):
+            self._state.remove_machine(index - shift)
             self.incremental_ops += 1
+        if gone:
+            self._names = [n for n in self._names if n in wanted]
+            self._position = {n: k for k, n in enumerate(self._names)}
+        current = self._state.bids.tolist()
         for index, name in enumerate(self._names):
             bid = wanted[name]
-            if bid != self._state.bids[index]:
+            if bid != current[index]:
                 self._state.update_bid(index, bid)
                 self.incremental_ops += 1
         for name in names:
-            if name not in self._names:
+            if name not in self._position:
                 self._state.add_machine(wanted[name])
+                self._position[name] = len(self._names)
                 self._names.append(name)
                 self.incremental_ops += 1
 
@@ -774,13 +739,50 @@ class RoundSupervisor:
                 self.remediation.process_round(self, result)
         return result
 
-    def _run_round_sharded(
+    def _admit(self) -> dict:
+        """Open the next round: its index, rate, and quarantine admission.
+
+        Returns the fields every :class:`RoundResult` of the round
+        shares (``participants`` is the admitted list).
+        """
+        index = self._round_index
+        self._round_index += 1
+        rate = self.round_rate(index)
+        admitted = self.quarantine.begin_round()
+        return dict(
+            index=index,
+            participants=admitted,
+            probes=[
+                n
+                for n in admitted
+                if self.quarantine.state_of(n) is CircuitState.HALF_OPEN
+            ],
+            quarantined=self.quarantine.quarantined(),
+            arrival_rate=rate,
+        )
+
+    def _close_round(
         self,
-        index: int,
-        admitted: list[str],
-        probes: list[str],
-        quarantined: list[str],
-    ) -> RoundResult:
+        admitted: Sequence[str],
+        alerts: Sequence[str],
+        excluded: Collection[str] = (),
+        withheld: Collection[str] = (),
+    ) -> None:
+        """Record the round's alerts and every admitted machine's outcome."""
+        for name in alerts:
+            record_counter("supervisor.slowdown_alerts")
+            annotate("slowdown.alert", machine=name)
+        for name in admitted:
+            if name in excluded:
+                self.quarantine.record_failure(name, "missed_bid")
+            elif name in withheld:
+                self.quarantine.record_failure(name, "missed_report")
+            elif name in alerts:
+                self.quarantine.record_failure(name, "slowdown_alert")
+            else:
+                self.quarantine.record_success(name)
+
+    def _run_round_sharded(self, head: dict) -> RoundResult:
         """Run one clean round through the sharded coordinator service.
 
         The service is configured for bit-parity with the monolithic
@@ -792,6 +794,7 @@ class RoundSupervisor:
         """
         from repro.distributed.service import ShardedCoordinatorService
 
+        admitted = head["participants"]
         service = ShardedCoordinatorService(
             [self.agents[n] for n in admitted],
             self.arrival_rate,
@@ -813,98 +816,35 @@ class RoundSupervisor:
             service.close()
         record_counter("supervisor.sharded_rounds")
 
-        outcome = shard_round.outcome
-        assert outcome is not None  # exact mode always prices at the root
-        names = shard_round.names
-        loads = {n: float(x) for n, x in zip(names, outcome.loads)}
-        utilities = {
-            n: float(u) for n, u in zip(names, outcome.payments.utility)
-        }
-        payments = {n: amounts[0] for n, amounts in shard_round.payments.items()}
-        alerts = list(shard_round.alerts)
-        for name in alerts:
-            record_counter("supervisor.slowdown_alerts")
-            annotate("slowdown.alert", machine=name)
-
-        for name in admitted:
-            if name in alerts:
-                self.quarantine.record_failure(name, "slowdown_alert")
-            else:
-                self.quarantine.record_success(name)
-
-        return RoundResult(
-            index=index,
-            participants=list(admitted),
-            probes=probes,
-            quarantined=quarantined,
-            excluded=[],
-            withheld=[],
-            alerts=alerts,
-            faulted=[],
-            fault_kinds={},
-            voided=False,
-            outcome=outcome,
-            loads=loads,
-            payments=payments,
-            utilities=utilities,
+        assert shard_round.outcome is not None  # exact mode prices at the root
+        self._close_round(admitted, shard_round.alerts)
+        return RoundResult.priced(
+            shard_round.outcome,
+            shard_round.names,
+            **head,
+            alerts=list(shard_round.alerts),
+            payments=shard_round.payment_totals,
             payment_notices=dict(shard_round.payment_notices),
-            bid_retries=0,
-            report_retries=0,
             coordinator_restarts=shard_round.shard_restarts,
-            arrival_rate=self.arrival_rate,
             jobs_routed=shard_round.jobs_routed,
         )
 
     def _run_round(self, faults: "RoundFaults | None") -> RoundResult:
         """The round body :meth:`run_round` wraps with instrumentation."""
-        index = self._round_index
-        self._round_index += 1
-        rate = self.round_rate(index)
-
-        admitted = self.quarantine.begin_round()
-        probes = [
-            n
-            for n in admitted
-            if self.quarantine.state_of(n) is CircuitState.HALF_OPEN
-        ]
-        quarantined = self.quarantine.quarantined()
-        machine_faults = dict(getattr(faults, "machine_faults", {}) or {})
+        head = self._admit()
+        admitted = head["participants"]
         machine_faults = {
-            n: f for n, f in machine_faults.items() if n in admitted
+            n: f
+            for n, f in (getattr(faults, "machine_faults", {}) or {}).items()
+            if n in admitted
         }
         drop = float(getattr(faults, "drop_probability", 0.0) or 0.0)
         coordinator_crash = getattr(faults, "coordinator_crash", None)
         crash_after_payments = int(getattr(faults, "crash_after_payments", 1))
-
-        def void_result(
-            excluded: list[str],
-            *,
-            payment_notices: dict[str, int] | None = None,
-            bid_retries: int = 0,
-            restarts: int = 0,
-        ) -> RoundResult:
-            return RoundResult(
-                index=index,
-                participants=list(admitted),
-                probes=probes,
-                quarantined=quarantined,
-                excluded=excluded,
-                withheld=[],
-                alerts=[],
-                faulted=sorted(machine_faults),
-                fault_kinds={n: f.kind for n, f in machine_faults.items()},
-                voided=True,
-                outcome=None,
-                loads={},
-                payments={},
-                utilities={},
-                payment_notices=payment_notices or {},
-                bid_retries=bid_retries,
-                report_retries=0,
-                coordinator_restarts=restarts,
-                arrival_rate=rate,
-                jobs_routed=0,
-            )
+        head.update(
+            faulted=sorted(machine_faults),
+            fault_kinds={n: f.kind for n, f in machine_faults.items()},
+        )
 
         if self.skip_rounds > 0:
             # A remediation action voided this round pre-emptively: no
@@ -912,11 +852,11 @@ class RoundSupervisor:
             # (or the pipeline itself) re-establish a safe state.
             self.skip_rounds -= 1
             record_counter("supervisor.rounds_skipped")
-            return void_result(excluded=[])
+            return RoundResult(**head, voided=True)
 
         if len(admitted) < 2:
             # Too few live machines to price a round; degrade by skipping.
-            return void_result(excluded=list(admitted))
+            return RoundResult(**head, voided=True, excluded=list(admitted))
 
         if (
             self.shards > 1
@@ -928,7 +868,7 @@ class RoundSupervisor:
             # Clean rounds shard; faulted rounds need the message-driven
             # path (drops, crashes, and probes live in the network
             # machinery the chaos harness instruments).
-            return self._run_round_sharded(index, admitted, probes, quarantined)
+            return self._run_round_sharded(head)
 
         # ---------------------------------------------------------- wiring
         sim = Simulator()
@@ -975,7 +915,7 @@ class RoundSupervisor:
             for name, load in zip(names, loads):
                 nodes[name].machine.configure(float(load))
             start = sim.now
-            times = self._generate_times(index)
+            times = self._generate_times(head["index"])
             if self.execution == "batched":
                 assignments = split_assignments(
                     int(times.size), loads / loads.sum(), self._rng
@@ -1005,7 +945,7 @@ class RoundSupervisor:
         coordinator = SupervisedCoordinator(
             mechanism=self.mechanism,
             machine_names=list(admitted),
-            arrival_rate=rate,
+            arrival_rate=head["arrival_rate"],
             network=network,
             on_allocated=on_allocated,
             allocator=self._allocator.allocate,
@@ -1075,11 +1015,13 @@ class RoundSupervisor:
                 # accountable (a coordinator-crash void blames nobody).
                 for name in current["coordinator"].pending_bidders:
                     self.quarantine.record_failure(name, "missed_bid")
-            return void_result(
+            return RoundResult(
+                **head,
+                voided=True,
                 excluded=list(current["coordinator"].excluded),
                 payment_notices={n: nodes[n].payment_notices for n in nodes},
                 bid_retries=bid_retries,
-                restarts=restarts,
+                coordinator_restarts=restarts,
             )
 
         # ------------------------------------------------------- execution
@@ -1118,66 +1060,37 @@ class RoundSupervisor:
         assert coordinator.phase is ProtocolPhase.DONE
         assert coordinator.outcome is not None
         outcome = coordinator.outcome
-
         names = coordinator.machine_names
-        loads = {n: float(x) for n, x in zip(names, outcome.loads)}
-        utilities = {
-            n: float(u) for n, u in zip(names, outcome.payments.utility)
-        }
-        payments = {n: amounts[0] for n, amounts in coordinator.payments_sent.items()}
+        withheld = set(coordinator.withheld)
 
         # ------------------------------------------------- online detection
-        alerts: list[str] = []
-        withheld = set(coordinator.withheld)
-        declared = dict(zip(names, outcome.allocation.bids))
         with trace_span("supervisor.detection"):
-            for name in names:
-                if name in withheld or loads[name] <= 0.0:
-                    continue
-                sojourns = nodes[name].machine.sojourn_times
-                if not sojourns:
-                    continue
-                detector = CusumSlowdownDetector(
-                    float(declared[name]),
-                    loads[name],
-                    threshold=self.detector_threshold,
-                    slack=self.detector_slack,
-                )
-                if detector.observe_many(np.asarray(sojourns)) is not None:
-                    alerts.append(name)
-                    record_counter("supervisor.slowdown_alerts")
-                    annotate("slowdown.alert", machine=name)
+            alerts = slowdown_alerts(
+                names,
+                outcome.allocation.bids,
+                outcome.loads,
+                [
+                    None if n in withheld else nodes[n].machine.sojourn_times
+                    for n in names
+                ],
+                threshold=self.detector_threshold,
+                slack=self.detector_slack,
+            )
+        self._close_round(admitted, alerts, coordinator.excluded, withheld)
 
-        # ------------------------------------------------------ quarantine
-        for name in admitted:
-            if name in coordinator.excluded:
-                self.quarantine.record_failure(name, "missed_bid")
-            elif name in withheld:
-                self.quarantine.record_failure(name, "missed_report")
-            elif name in alerts:
-                self.quarantine.record_failure(name, "slowdown_alert")
-            else:
-                self.quarantine.record_success(name)
-
-        return RoundResult(
-            index=index,
-            participants=list(admitted),
-            probes=probes,
-            quarantined=quarantined,
+        return RoundResult.priced(
+            outcome,
+            names,
+            **head,
             excluded=list(coordinator.excluded),
             withheld=sorted(withheld),
             alerts=alerts,
-            faulted=sorted(machine_faults),
-            fault_kinds={n: f.kind for n, f in machine_faults.items()},
-            voided=False,
-            outcome=outcome,
-            loads=loads,
-            payments=payments,
-            utilities=utilities,
+            payments={
+                n: amounts[0] for n, amounts in coordinator.payments_sent.items()
+            },
             payment_notices={n: nodes[n].payment_notices for n in nodes},
             bid_retries=bid_retries,
             report_retries=report_retries,
             coordinator_restarts=restarts,
-            arrival_rate=rate,
             jobs_routed=jobs_routed,
         )

@@ -103,3 +103,40 @@ class TestWaterFillingAgreement:
         model = LinearLatencyModel(t)
         result = water_filling_allocation(model, rate)
         np.testing.assert_allclose(result.loads, pr_loads(t, rate), rtol=1e-6, atol=1e-9 * rate)
+
+
+class TestIncrementalAllocatorChurn:
+    """The supervisor's cross-round allocator under membership churn."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_churn_matches_fresh_pr_with_one_op_per_change(self, data):
+        from repro.resilience.supervisor import _IncrementalAllocator
+
+        names = [f"C{k}" for k in range(data.draw(st.integers(2, 10)))]
+        bid_values = st.floats(min_value=0.5, max_value=10.0)
+        bids = {name: data.draw(bid_values) for name in names}
+        rate = 3.0
+        allocator = _IncrementalAllocator()
+        allocator.allocate(names, np.array([bids[n] for n in names]), rate)
+        live = set(names)
+        changes = 0
+        for _ in range(data.draw(st.integers(1, 8))):
+            # At least one member stays, so the state is reconciled,
+            # never rebuilt; the others leave, stay or come back at random.
+            stay = data.draw(st.sampled_from(sorted(live)))
+            members = {n for n in names if n == stay or data.draw(st.booleans())}
+            new_bids = {
+                n: data.draw(bid_values) if data.draw(st.booleans()) else bids[n]
+                for n in names
+            }
+            changes += len(live ^ members) + sum(
+                new_bids[n] != bids[n] for n in live & members
+            )
+            bids, live = new_bids, members
+            order = [n for n in names if n in live]
+            vector = np.array([bids[n] for n in order])
+            loads = allocator.allocate(order, vector, rate).loads
+            np.testing.assert_allclose(loads, pr_loads(vector, rate), rtol=1e-12)
+        assert allocator.rebuilds == 1
+        assert allocator.incremental_ops == changes
