@@ -65,6 +65,7 @@ from repro.observability.instrumentation import (
     record_counter,
     trace_span,
 )
+from repro.protocol.execution import split_by_machine
 from repro.resilience.checkpoint import CheckpointStore, CoordinatorCheckpoint
 from repro.system.workload import PoissonWorkload, split_assignments
 from repro.types import AllocationResult, MechanismOutcome
@@ -455,19 +456,9 @@ class ShardedRound:
                 int(times.size), self._loads_full / total, service._rng
             )
             self._jobs_routed = int(times.size)
-            # One stable sort splits the stream into per-machine slices
-            # (bit-identical to the monolithic per-machine masking: the
-            # stable order preserves each machine's arrival sequence)
-            # instead of n_machines full-array comparisons.
-            n_live = sum(len(members) for members in self._live)
-            order = np.argsort(assignments, kind="stable")
-            counts = np.bincount(assignments, minlength=n_live)
-            pieces = np.split(times[order], np.cumsum(counts)[:-1])
-            args = []
-            cursor = 0
-            for members in self._live:
-                args.append((pieces[cursor : cursor + len(members)], payload))
-                cursor += len(members)
+            pieces = split_by_machine(times, assignments, self._loads_full.size)
+            ends = np.cumsum([len(members) for members in self._live]).tolist()
+            args = [(pieces[lo:hi], payload) for lo, hi in zip([0, *ends], ends)]
         else:
             args = [(None, payload) for _ in self._live]
         results = service._stage_values(self, "run_execution", args)

@@ -37,29 +37,22 @@ from repro.agents.base import Agent
 from repro.mechanism import pricing
 from repro.protocol.coordinator import ProtocolPhase, effective_bid
 from repro.protocol.estimator import verified_estimates
-from repro.protocol.execution import dispatch_batched
+from repro.protocol.execution import (
+    dispatch_batched,
+    round_machines,
+    split_by_machine,
+)
 from repro.protocol.monitoring import slowdown_alerts
 from repro.resilience.checkpoint import CheckpointStore, CoordinatorCheckpoint
 from repro.system.des import Simulator
 from repro.system.machine import LinearLatencyMachine
+from repro.system.workload import PoissonWorkload, split_assignments
 
 __all__ = ["ShardCrash", "CoordinatorShard", "partition_names"]
 
 
 class ShardCrash(RuntimeError):
     """Injected shard failure: the worker process died mid-phase."""
-
-
-def _deterministic_sampler(mean: float, _rng: np.random.Generator) -> float:
-    """Noise-free service: each job takes exactly its mean (picklable)."""
-    return mean
-
-
-def _deterministic_batch_sampler(
-    mean: float, size: int, _rng: np.random.Generator
-) -> np.ndarray:
-    """Vectorised twin of :func:`_deterministic_sampler` (picklable)."""
-    return np.full(size, mean)
 
 
 def partition_names(names: Sequence[str], n_shards: int) -> list[list[str]]:
@@ -163,20 +156,9 @@ class CoordinatorShard:
         # point of a *service* — per-round object churn is what the
         # monolithic runtime pays for at n=10^6) and are re-configured
         # and stat-reset at every round start.
-        sampler = _deterministic_sampler if deterministic_service else None
-        batch_sampler = (
-            _deterministic_batch_sampler if deterministic_service else None
-        )
-        self.machines: dict[str, LinearLatencyMachine] = {
-            name: LinearLatencyMachine(
-                name,
-                agent.execution_value(),
-                rng,
-                service_sampler=sampler,
-                batch_service_sampler=batch_sampler,
-            )
-            for name, agent in self.agents.items()
-        }
+        values = [agent.execution_value() for agent in agents]
+        machines = round_machines(names, values, rng, deterministic_service)
+        self.machines: dict[str, LinearLatencyMachine] = dict(zip(names, machines))
 
         # Per-round state.
         self.machine_names: list[str] = list(names)
@@ -288,11 +270,7 @@ class CoordinatorShard:
 
     # --------------------------------------------------------- execution
 
-    def execute(
-        self,
-        arrivals: Sequence[np.ndarray],
-        rng: np.random.Generator | None = None,
-    ) -> dict:
+    def execute(self, arrivals: Sequence[np.ndarray]) -> dict:
         """Run this shard's slice of the routed stream; report estimates.
 
         ``arrivals`` holds one absolute-arrival-time array per live
@@ -314,24 +292,12 @@ class CoordinatorShard:
                 f"expected {len(self.machine_names)} arrival arrays, "
                 f"got {len(arrivals)}"
             )
-        if rng is not None:
-            for name in self.machine_names:
-                self.machines[name]._rng = rng
 
         sim = Simulator()
         live_machines = [self.machines[name] for name in self.machine_names]
         for machine, load in zip(live_machines, self._loads):
             machine.configure(float(load))
-        times = (
-            np.concatenate([np.asarray(a, dtype=np.float64) for a in arrivals])
-            if arrivals
-            else np.empty(0)
-        )
-        assignments = np.concatenate(
-            [np.full(np.asarray(a).size, k, dtype=np.int64)
-             for k, a in enumerate(arrivals)]
-        ) if arrivals else np.empty(0, dtype=np.int64)
-        dispatch_batched(sim, live_machines, times, assignments)
+        dispatch_batched(sim, live_machines, arrivals)
         sim.run()
         self._simulated_time = sim.now
 
@@ -344,7 +310,7 @@ class CoordinatorShard:
         self._save_checkpoint()
         return self._report_payload()
 
-    def execute_local(self, rng: np.random.Generator | None = None) -> dict:
+    def execute_local(self) -> dict:
         """Deployment-mode execution: the shard draws its own substream.
 
         Poisson thinning makes the members' joint substream a Poisson
@@ -353,24 +319,17 @@ class CoordinatorShard:
         stream — statistically equivalent to :meth:`execute`, not
         bit-identical (the RNG streams differ by construction).
         """
-        from repro.system.workload import PoissonWorkload, split_assignments
-
         if self._loads is None:
             raise RuntimeError("no allocation applied yet")
-        rng = rng if rng is not None else self._rng
+        n = len(self.machine_names)
         local_rate = float(self._loads.sum())
-        arrivals: list[np.ndarray] = [
-            np.empty(0) for _ in self.machine_names
-        ]
-        if local_rate > 0.0:
-            times = PoissonWorkload(local_rate, rng).generate_times(self.duration)
-            assignments = split_assignments(
-                int(times.size), self._loads / local_rate, rng
-            )
-            arrivals = [
-                times[assignments == k] for k in range(len(self.machine_names))
-            ]
-        return self.execute(arrivals, rng=rng)
+        if local_rate == 0.0:
+            return self.execute([np.empty(0)] * n)
+        times = PoissonWorkload(local_rate, self._rng).generate_times(self.duration)
+        assignments = split_assignments(
+            int(times.size), self._loads / local_rate, self._rng
+        )
+        return self.execute(split_by_machine(times, assignments, n))
 
     def _derive_estimates(self) -> np.ndarray:
         """The shared estimator over this shard's reports.
@@ -529,7 +488,6 @@ class CoordinatorShard:
         self,
         arrivals: Sequence[np.ndarray] | None = None,
         include_payload: bool = True,
-        rng: np.random.Generator | None = None,
     ):
         """Execution stage: run jobs, return the shard's ``Q`` partial.
 
@@ -540,9 +498,9 @@ class CoordinatorShard:
         from repro.distributed.gather import PartialSum, ShardPartial
 
         if arrivals is None:
-            report = self.execute_local(rng=rng)
+            report = self.execute_local()
         else:
-            report = self.execute(arrivals, rng=rng)
+            report = self.execute(arrivals)
         payload = (
             {self.shard_id: {"estimates": report["estimates"]}}
             if include_payload

@@ -91,14 +91,15 @@ class ExperimentUnit:
         :func:`~repro.protocol.run_protocol`).  Campaigns default to
         ``"auto"`` so protocol units take the batched fast path.
     shards:
-        With ``shards > 1``, a protocol unit runs through the sharded
-        coordinator service
+        With ``shards > 1``, a batched protocol unit runs through the
+        sharded coordinator service
         (:class:`~repro.distributed.ShardedCoordinatorService`) in
         exact-aggregation serial mode, which is bit-identical to the
         single-coordinator path on the same seed — so the mechanism
         payload fields agree exactly; only ``total_messages`` differs
         (the aggregation tree's count instead of the per-agent message
-        count, which is the point).
+        count, which is the point).  Event units always run
+        single-coordinator.
     drift_rounds, drift_sigma:
         Horizon length and per-epoch log-step of a ``drift`` unit's
         true-value random walk (ignored — and excluded from the cache
@@ -164,16 +165,12 @@ class ExperimentUnit:
             object.__setattr__(self, "manipulator", coalition[0])
         if self.duration <= 0.0:
             raise ValueError("duration must be positive")
-        from repro.protocol.execution import EXECUTION_MODES, resolve_execution
+        from repro.protocol.execution import resolve_execution
 
-        if self.execution not in EXECUTION_MODES:
-            raise ValueError(
-                f"execution must be one of {EXECUTION_MODES}, "
-                f"got {self.execution!r}"
-            )
-        # Normalised at construction: "auto" and the engine it picks can
-        # only produce identical payloads, so they must compare equal,
-        # share one cache entry, and survive the as_config round trip.
+        # Validated and normalised at construction: "auto" and the engine
+        # it picks can only produce identical payloads, so they must
+        # compare equal, share one cache entry, and survive the
+        # as_config round trip.
         object.__setattr__(self, "execution", resolve_execution(self.execution))
         if self.shards < 1:
             raise ValueError("shards must be at least 1")
@@ -473,7 +470,9 @@ def _execute_protocol(unit: ExperimentUnit) -> dict:
                 unit.execution_factor,
             )
     mechanism = None if unit.variant == "observed" else _mechanism_for(unit.variant)
-    if unit.shards > 1:
+    if unit.shards > 1 and unit.execution == "batched":
+        # The shards run only the batched engine; event units stay
+        # monolithic so their payload keeps its own RNG stream.
         return _execute_protocol_sharded(unit, agents, mechanism)
     result = run_protocol(
         agents,

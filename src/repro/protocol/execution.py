@@ -1,37 +1,46 @@
-"""Batched job-event execution engine for protocol rounds.
+"""The protocol's execute step, written once for every round path.
 
-The paper's linear-latency machines serve jobs *concurrently* with
-i.i.d. service draws, so per-job event interleaving carries no
-information the verification estimator uses: the estimate is a mean of
-sojourn times, and each sojourn is exactly the drawn duration.  The
-whole job lifecycle is therefore batchable — generate the Poisson
-stream in one draw, route it with one vectorised multinomial, sample
-every machine's service times in one draw, and advance the simulator
-clock with a single *event-horizon* no-op instead of two heap events
-per job.  Only the O(n) control messages (bids, allocation, reports,
-payments) remain as discrete events, so the coordinator phase machine
-and the message-count claim are untouched (DESIGN.md §11).
+A round's jobs are routed with one vectorised draw
+(:func:`~repro.system.workload.split_assignments`), split per machine
+with one stable sort (:func:`split_by_machine`), and served by one of
+two dispatchers with the same signature: :func:`dispatch_events`, one
+heap event per arrival and per completion, or :func:`dispatch_batched`,
+one vectorised service draw per machine and a single *event-horizon*
+no-op that advances the clock to the last completion.  The paper's
+linear-latency machines serve jobs concurrently, so the interleaving
+carries nothing the verification estimator uses; only the O(n) control
+messages stay discrete events (DESIGN.md §11).  :func:`execute_jobs` is
+the whole step for the message-driven rounds; the sharded service and
+the horizon-fused engine share its split.
 
-Contract: with deterministic service the batched engine is
-bit-identical to the per-job event engine — same RNG stream, same
-per-job sojourn floats (``(arrival + duration) - arrival``), same
-per-machine aggregation order, same final clock.  With stochastic
-service it consumes the same RNG stream *shape* (one draw per machine
-instead of one per job) and matches estimates to statistical
+Contract: with deterministic service the two engines are bit-identical
+— same RNG stream, same per-job sojourn floats (``(arrival + duration)
+- arrival``), same per-machine order, same final clock.  With
+stochastic service the batched engine draws one batch per machine
+instead of one draw per job and matches estimates to statistical
 tolerance.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.observability.instrumentation import record_gauge
 from repro.system.des import Simulator
 from repro.system.machine import LinearLatencyMachine
+from repro.system.workload import Job, split_assignments
 
-__all__ = ["EXECUTION_MODES", "resolve_execution", "dispatch_batched"]
+__all__ = [
+    "EXECUTION_MODES",
+    "resolve_execution",
+    "split_by_machine",
+    "dispatch_batched",
+    "dispatch_events",
+    "round_machines",
+    "execute_jobs",
+]
 
 EXECUTION_MODES = ("event", "batched", "auto")
 
@@ -55,13 +64,34 @@ def resolve_execution(execution: str) -> str:
     return "batched" if execution == "auto" else execution
 
 
+def split_by_machine(
+    arrival_times: np.ndarray, assignments: np.ndarray, n: int
+) -> list[np.ndarray]:
+    """Each machine's arrivals, in arrival order, from one stable sort.
+
+    Entry ``k`` is byte-identical to masking the stream with
+    ``assignments`` equal to ``k`` (the stable sort keeps each machine's
+    arrival sequence), but costs one sort of the jobs instead of ``n``
+    full-stream comparisons — at ``n = 10^4`` that is the difference
+    between a few and tens of milliseconds per round.  Machines with
+    no jobs get empty arrays.
+
+    >>> split_by_machine(np.array([0.5, 1.0, 1.5, 2.0]), np.array([1, 0, 1, 1]), 3)
+    [array([1.]), array([0.5, 1.5, 2. ]), array([], dtype=float64)]
+    """
+    times = np.asarray(arrival_times, dtype=np.float64)
+    order = np.argsort(assignments, kind="stable")
+    ordered = times[order]
+    ends = np.cumsum(np.bincount(assignments, minlength=n)).tolist()
+    return [ordered[lo:hi] for lo, hi in zip([0, *ends], ends[:n])]
+
+
 def dispatch_batched(
     sim: Simulator,
     machines: Sequence[LinearLatencyMachine],
-    arrival_times: np.ndarray,
-    assignments: np.ndarray,
+    arrivals: Sequence[np.ndarray],
 ) -> int:
-    """Execute a routed arrival stream without per-job heap events.
+    """Execute each machine's arrivals without per-job heap events.
 
     Parameters
     ----------
@@ -71,27 +101,112 @@ def dispatch_batched(
         event engine's last completion event would have taken it.
     machines:
         The round's machines, already ``configure``-d with their loads.
-    arrival_times:
-        Absolute arrival times (round start already added), in arrival
-        order — the same floats the event engine would schedule.
-    assignments:
-        Machine index per job, from
-        :func:`~repro.system.workload.split_assignments`.
+    arrivals:
+        One array of absolute arrival times per machine, in arrival
+        order (:func:`split_by_machine`) — the same floats
+        :func:`dispatch_events` would schedule.
 
     Returns the number of jobs routed.  Records the
     ``protocol.events_skipped`` gauge: the event engine would have
     pushed two heap events per job (arrival + completion) where this
     engine pushes one horizon event total.
     """
-    arrival_times = np.asarray(arrival_times, dtype=np.float64)
-    count = int(arrival_times.size)
+    count = 0
+    horizon = -np.inf
+    for machine, times in zip(machines, arrivals):
+        completions = machine.submit_batch(times)
+        if completions.size:
+            count += int(completions.size)
+            horizon = max(horizon, float(completions.max()))
     if count == 0:
         return 0
-    horizon = -np.inf
-    for index, machine in enumerate(machines):
-        completions = machine.submit_batch(arrival_times[assignments == index])
-        if completions.size:
-            horizon = max(horizon, float(completions.max()))
     sim.schedule_at(horizon, lambda s: None)
     record_gauge("protocol.events_skipped", 2 * count - 1)
     return count
+
+
+def dispatch_events(
+    sim: Simulator,
+    machines: Sequence[LinearLatencyMachine],
+    arrivals: Sequence[np.ndarray],
+) -> int:
+    """The per-job event engine: one arrival event per job.
+
+    Same signature as :func:`dispatch_batched`.  Jobs are scheduled
+    machine by machine, each machine's in arrival order, so
+    simultaneous events leave the heap in that order; each arrival's
+    :meth:`~repro.system.machine.LinearLatencyMachine.submit` then
+    schedules its completion.  Returns the number of jobs routed.
+    """
+    count = 0
+    for machine, times in zip(machines, arrivals):
+        for job_id, arrival in enumerate(np.asarray(times).tolist()):
+            sim.schedule_at(
+                arrival,
+                lambda s, m=machine, j=Job(job_id, arrival): m.submit(s, j),
+            )
+        count += len(times)
+    return count
+
+
+def _exact_service(mean: float, _rng: np.random.Generator) -> float:
+    """Noise-free service: each job takes exactly its mean (picklable)."""
+    return mean
+
+
+def _exact_service_batch(
+    mean: float, size: int, _rng: np.random.Generator
+) -> np.ndarray:
+    """Vectorised twin of :func:`_exact_service` (picklable)."""
+    return np.full(size, mean)
+
+
+def round_machines(
+    names: Sequence[str],
+    execution_values: Sequence[float],
+    rng: np.random.Generator,
+    deterministic_service: bool,
+) -> list[LinearLatencyMachine]:
+    """One :class:`~repro.system.machine.LinearLatencyMachine` per name.
+
+    Every machine draws service noise from the shared ``rng``, or, with
+    ``deterministic_service``, takes exactly its mean per job.
+    """
+    sampler, batch_sampler = (
+        (_exact_service, _exact_service_batch)
+        if deterministic_service
+        else (None, None)
+    )
+    return [
+        LinearLatencyMachine(
+            name,
+            value,
+            rng,
+            service_sampler=sampler,
+            batch_service_sampler=batch_sampler,
+        )
+        for name, value in zip(names, execution_values)
+    ]
+
+
+def execute_jobs(
+    sim: Simulator,
+    machines: Sequence[LinearLatencyMachine],
+    loads: np.ndarray,
+    times: np.ndarray,
+    rng: np.random.Generator,
+    dispatch: Callable[..., int],
+) -> int:
+    """The round's execute step: configure, route, split, dispatch.
+
+    ``times`` are the round's arrival times relative to ``sim.now``;
+    each job goes to machine ``k`` with probability ``loads[k] / sum``
+    (one :func:`~repro.system.workload.split_assignments` draw).
+    ``dispatch`` is :func:`dispatch_batched` or :func:`dispatch_events`.
+    Returns the number of jobs routed.
+    """
+    for machine, load in zip(machines, loads):
+        machine.configure(float(load))
+    assignments = split_assignments(int(times.size), loads / loads.sum(), rng)
+    arrivals = split_by_machine(sim.now + times, assignments, len(machines))
+    return dispatch(sim, machines, arrivals)

@@ -6,7 +6,7 @@ happens: a fresh discrete-event simulator, ~5n messages through the
 network layer, a write-ahead checkpoint per bid (O(n²) dict copies per
 round), per-job Python CUSUM loops, and a pile of per-round dataclass
 churn.  On a fault-free horizon every one of those rounds computes the
-same *kind* of thing — bids, one PR solve, one Poisson window, masked
+same *kind* of thing — bids, one PR solve, one Poisson window,
 per-machine sojourn statistics, one mechanism evaluation — so this
 module evaluates maximal fault-free runs of rounds as one fused
 segment instead.
@@ -66,14 +66,16 @@ same seed — every float in every :class:`RoundResult`, through
    routing ``choice`` draw, then (stochastic service only) one
    exponential batch per machine with jobs, in machine-index order.
    Phase A replays exactly that order; notably the workload is drawn
-   per round (``PoissonWorkload.horizon_times`` documents why a
-   single segment-level draw is off the table) and backoff RNG is
+   per round — the sequential round interleaves each round's count,
+   position and routing draws, so one segment-level draw would
+   consume the stream in a different order — and backoff RNG is
    never consumed because clean rounds never retry.
 2. **Zero-delay timing.**  The simulated network delivers at delay
    0.0, so allocation fires at ``sim.now == 0.0`` and the dispatched
    arrival times are ``0.0 + times`` — bitwise the raw draw.
    Sojourns are ``(times_k + duration) - times_k`` per machine on the
-   same mask-selected subarrays ``dispatch_batched`` builds.
+   per-machine arrivals of the one shared split,
+   :func:`~repro.protocol.execution.split_by_machine`.
 3. **Dual loads.**  The sequential round uses the *incremental
    allocator's* loads for machine configuration, routing fractions,
    and execution-value estimates, but the *mechanism's* fresh PR
@@ -103,6 +105,7 @@ from repro.observability.instrumentation import (
 )
 from repro.protocol.coordinator import effective_bid
 from repro.protocol.estimator import verified_estimates
+from repro.protocol.execution import split_by_machine
 from repro.protocol.monitoring import slowdown_alerts
 from repro.system.workload import split_assignments
 from repro.types import AllocationResult, MechanismOutcome, PaymentResult
@@ -245,15 +248,14 @@ def _run_fused_segment(supervisor: "RoundSupervisor", count: int) -> list:
             jobs_routed, alloc_loads / alloc_loads.sum(), supervisor._rng
         )
 
-        # Per-machine execution statistics on the same mask-selected
-        # subarrays dispatch_batched builds (arrivals are 0.0 + times,
-        # bitwise the raw draws under the zero-delay network).
+        # Per-machine execution statistics on the same per-machine
+        # arrivals the sequential round dispatches (0.0 + times, bitwise
+        # the raw draws under the zero-delay network).
         n = len(admitted)
         counts = np.zeros(n, dtype=np.int64)
         mean_sojourns = np.zeros(n)
         machine_sojourns: list[np.ndarray | None] = [None] * n
-        for k in range(n):
-            sub = times[assignments == k]
+        for k, sub in enumerate(split_by_machine(times, assignments, n)):
             size = int(sub.size)
             counts[k] = size
             if size == 0:

@@ -29,11 +29,16 @@ from repro.protocol.coordinator import (
     MechanismCoordinator,
     ProtocolPhase,
 )
-from repro.protocol.execution import dispatch_batched, resolve_execution
+from repro.protocol.execution import (
+    dispatch_batched,
+    dispatch_events,
+    execute_jobs,
+    resolve_execution,
+    round_machines,
+)
 from repro.protocol.network import NetworkStats, SimulatedNetwork
 from repro.system.des import Simulator
-from repro.system.machine import LinearLatencyMachine
-from repro.system.workload import PoissonWorkload, split_assignments, split_workload
+from repro.system.workload import PoissonWorkload
 from repro.types import MechanismOutcome
 
 __all__ = ["ProtocolResult", "run_protocol"]
@@ -175,26 +180,16 @@ def _run_round(
     else:
         network = SimulatedNetwork(sim)
 
-    sampler = (lambda mean, _rng: mean) if deterministic_service else None
-    batch_sampler = (
-        (lambda mean, size, _rng: np.full(size, mean))
-        if deterministic_service
-        else None
-    )
     names = [f"C{i + 1}" for i in range(len(agents))]
+    values = [agent.execution_value() for agent in agents]
+    machines = round_machines(names, values, rng, deterministic_service)
     nodes: list[MachineNode] = []
-    for name, agent in zip(names, agents):
-        machine = LinearLatencyMachine(
-            name,
-            agent.execution_value(),
-            rng,
-            service_sampler=sampler,
-            batch_service_sampler=batch_sampler,
-        )
+    for name, agent, machine in zip(names, agents, machines):
         node = MachineNode(name=name, agent=agent, machine=machine, network=network)
         network.register(name, node.handle)
         nodes.append(node)
 
+    dispatch = dispatch_batched if execution == "batched" else dispatch_events
     jobs_routed = 0
 
     def on_allocated(loads: np.ndarray) -> None:
@@ -203,28 +198,8 @@ def _run_round(
         # routed to it, so the dispatcher configures it directly; the
         # AllocationNotice control message may still be in flight (it
         # can be retransmitted on lossy links) without delaying jobs.
-        for node, load in zip(nodes, loads):
-            node.machine.configure(float(load))
-        workload = PoissonWorkload(arrival_rate, rng)
-        start = sim.now
-        if execution == "batched":
-            times = workload.generate_times(duration)
-            assignments = split_assignments(
-                int(times.size), loads / loads.sum(), rng
-            )
-            jobs_routed = dispatch_batched(
-                sim, [node.machine for node in nodes], start + times, assignments
-            )
-            return
-        jobs = workload.generate(duration)
-        jobs_routed = len(jobs)
-        buckets = split_workload(jobs, loads / loads.sum(), rng)
-        for node, bucket in zip(nodes, buckets):
-            for job in bucket:
-                sim.schedule_at(
-                    start + job.arrival_time,
-                    lambda s, n=node, j=job: n.machine.submit(s, j),
-                )
+        times = PoissonWorkload(arrival_rate, rng).generate_times(duration)
+        jobs_routed = execute_jobs(sim, machines, loads, times, rng, dispatch)
 
     coordinator = MechanismCoordinator(
         mechanism=mechanism,

@@ -126,7 +126,7 @@ def check_round_invariants(
         for name, kind in result.fault_kinds.items()
     )
     if honest_names and not distorted:
-        for name in live:
+        for name in result.loads:  # dict order: deterministic across runs
             if name not in honest_names:
                 continue
             utility = result.utilities.get(name, 0.0)

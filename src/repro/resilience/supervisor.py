@@ -67,15 +67,15 @@ from repro.resilience.checkpoint import CheckpointStore, CoordinatorCheckpoint
 from repro.resilience.quarantine import CircuitState, QuarantinePolicy
 from repro.resilience.retry import BackoffPolicy
 from repro.system.des import Simulator
-from repro.protocol.execution import dispatch_batched, resolve_execution
-from repro.system.machine import LinearLatencyMachine
-from repro.system.workload import (
-    ArrivalSchedule,
-    Job,
-    PoissonWorkload,
-    split_assignments,
-    split_workload,
+from repro.protocol.execution import (
+    dispatch_batched,
+    dispatch_events,
+    execute_jobs,
+    resolve_execution,
+    round_machines,
 )
+from repro.system.machine import LinearLatencyMachine
+from repro.system.workload import ArrivalSchedule, PoissonWorkload
 from repro.types import AllocationResult, MechanismOutcome
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (chaos imports us)
@@ -542,10 +542,10 @@ class RoundSupervisor:
         overrides, detector calibration, skipped rounds) before the
         next round runs.
     shards / shard_executor:
-        With ``shards > 1``, clean rounds (no injected faults, no
-        message drops, no coordinator crash) run through the sharded
-        coordinator service
-        (:class:`~repro.distributed.ShardedCoordinatorService`) in
+        With ``shards > 1``, clean batched rounds (no injected faults,
+        no message drops, no coordinator crash; ``execution="event"``
+        always runs monolithic) run through the sharded coordinator
+        service (:class:`~repro.distributed.ShardedCoordinatorService`) in
         exact-aggregation mode: the admitted machines are partitioned
         over that many coordinator workers and the round is
         bit-identical to the monolithic path on the same seed (the
@@ -860,14 +860,16 @@ class RoundSupervisor:
 
         if (
             self.shards > 1
+            and self.execution == "batched"
             and not machine_faults
             and drop == 0.0
             and coordinator_crash is None
             and self.arrival_schedule is None
         ):
-            # Clean rounds shard; faulted rounds need the message-driven
-            # path (drops, crashes, and probes live in the network
-            # machinery the chaos harness instruments).
+            # Clean batched rounds shard; faulted rounds need the
+            # message-driven path (drops, crashes, and probes live in the
+            # network machinery the chaos harness instruments), and the
+            # shards run only the batched engine.
             return self._run_round_sharded(head)
 
         # ---------------------------------------------------------- wiring
@@ -877,69 +879,39 @@ class RoundSupervisor:
         else:
             network = SimulatedNetwork(sim)
 
-        sampler = (
-            (lambda mean, _rng: mean) if self.deterministic_service else None
-        )
-        batch_sampler = (
-            (lambda mean, size, _rng: np.full(size, mean))
-            if self.deterministic_service
-            else None
-        )
-        nodes: dict[str, _SupervisedNode] = {}
+        execution_values = []
         for name in admitted:
-            agent = self.agents[name]
-            execution_value = agent.execution_value()
+            value = self.agents[name].execution_value()
             fault = machine_faults.get(name)
             if fault is not None and fault.kind == "slow_execution":
-                execution_value *= fault.slowdown
-            machine = LinearLatencyMachine(
-                name,
-                execution_value,
-                self._rng,
-                service_sampler=sampler,
-                batch_service_sampler=batch_sampler,
-            )
-            node = _SupervisedNode(
-                MachineNode(name=name, agent=agent, machine=machine, network=network),
-                fault=fault,
-            )
+                value *= fault.slowdown
+            execution_values.append(value)
+        machines = round_machines(
+            admitted, execution_values, self._rng, self.deterministic_service
+        )
+        nodes: dict[str, _SupervisedNode] = {}
+        for name, machine in zip(admitted, machines):
+            inner = MachineNode(name, self.agents[name], machine, network)
+            node = _SupervisedNode(inner, fault=machine_faults.get(name))
             network.register(name, node.handle)
             nodes[name] = node
 
+        # Looked up per round, so a patched module-level dispatcher applies.
+        dispatch = dispatch_batched if self.execution == "batched" else dispatch_events
         jobs_routed = 0
         current: dict[str, SupervisedCoordinator] = {}
 
         def on_allocated(loads: np.ndarray) -> None:
             nonlocal jobs_routed
             names = current["coordinator"].machine_names
-            for name, load in zip(names, loads):
-                nodes[name].machine.configure(float(load))
-            start = sim.now
-            times = self._generate_times(head["index"])
-            if self.execution == "batched":
-                assignments = split_assignments(
-                    int(times.size), loads / loads.sum(), self._rng
-                )
-                jobs_routed = dispatch_batched(
-                    sim,
-                    [nodes[name].machine for name in names],
-                    start + times,
-                    assignments,
-                )
-                return
-            jobs = [
-                Job(job_id=i, arrival_time=float(t))
-                for i, t in enumerate(times)
-            ]
-            jobs_routed = len(jobs)
-            buckets = split_workload(jobs, loads / loads.sum(), self._rng)
-            for name, bucket in zip(names, buckets):
-                node = nodes[name]
-                for job in bucket:
-                    sim.schedule_at(
-                        start + job.arrival_time,
-                        lambda s, n=node, j=job: n.machine.submit(s, j),
-                    )
+            jobs_routed = execute_jobs(
+                sim,
+                [nodes[name].machine for name in names],
+                loads,
+                self._generate_times(head["index"]),
+                self._rng,
+                dispatch,
+            )
 
         store = CheckpointStore()
         coordinator = SupervisedCoordinator(

@@ -17,7 +17,6 @@ from repro.system.workload import (
     ConstantSchedule,
     PiecewiseConstantSchedule,
     SinusoidalSchedule,
-    split_workload,
 )
 from repro.system.des import Event, EventQueue, Simulator
 from repro.system.machine import MachineStats, LinearLatencyMachine, QueueingMachine
@@ -43,7 +42,6 @@ __all__ = [
     "ConstantSchedule",
     "PiecewiseConstantSchedule",
     "SinusoidalSchedule",
-    "split_workload",
     "Event",
     "EventQueue",
     "Simulator",

@@ -47,6 +47,11 @@ class MachineStats:
         return self.completed == 0
 
 
+def _exponential_service(mean: float, rng: np.random.Generator) -> float:
+    """The default service draw: exponential with the given mean."""
+    return float(rng.exponential(mean))
+
+
 class _RecordingMachine:
     """Shared bookkeeping: per-job sojourn records."""
 
@@ -77,8 +82,9 @@ class LinearLatencyMachine(_RecordingMachine):
         Random generator for service-time draws.
     service_sampler:
         Optional override mapping a mean to one sampled service time;
-        defaults to exponential.  Pass ``lambda mean, rng: mean`` for a
-        deterministic machine (used in noise-free protocol tests).
+        defaults to exponential.  A sampler returning ``mean`` itself
+        gives a deterministic machine
+        (:func:`~repro.protocol.execution.round_machines` builds those).
     batch_service_sampler:
         Optional vectorised counterpart mapping ``(mean, size, rng)``
         to an array of ``size`` sampled service times; used by
@@ -103,9 +109,7 @@ class LinearLatencyMachine(_RecordingMachine):
         )
         self._rng = rng
         self._default_sampler = service_sampler is None
-        self._sampler = service_sampler or (
-            lambda mean, rng: float(rng.exponential(mean))
-        )
+        self._sampler = service_sampler or _exponential_service
         self._batch_sampler = batch_service_sampler
         self._configured_load: float | None = None
 
@@ -220,9 +224,7 @@ class QueueingMachine(_RecordingMachine):
         super().__init__(name)
         self.service_rate = check_positive_scalar(service_rate, "service_rate")
         self._rng = rng
-        self._sampler = service_sampler or (
-            lambda mean, rng: float(rng.exponential(mean))
-        )
+        self._sampler = service_sampler or _exponential_service
         self._free_at = 0.0  # time the server finishes its current backlog
 
     def submit(self, sim: Simulator, job: Job) -> None:

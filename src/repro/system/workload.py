@@ -35,7 +35,6 @@ __all__ = [
     "ConstantSchedule",
     "PiecewiseConstantSchedule",
     "SinusoidalSchedule",
-    "split_workload",
     "split_assignments",
 ]
 
@@ -68,35 +67,13 @@ class PoissonWorkload:
 
         Draws the count from Poisson(rate * duration) and positions
         uniformly — equivalent to sequential exponential gaps but one
-        vectorised draw instead of a Python loop.  This is the batched
-        execution engine's entry point; :meth:`generate` wraps it, so
-        both consume the identical RNG stream.
+        vectorised draw instead of a Python loop.  Both execution
+        engines draw through it; :meth:`generate` wraps it, so both
+        consume the identical RNG stream.
         """
         duration = check_positive_scalar(duration, "duration")
         count = int(self._rng.poisson(self.rate * duration))
         return np.sort(self._rng.uniform(0.0, duration, size=count))
-
-    def horizon_times(self, duration: float, n_rounds: int) -> list[np.ndarray]:
-        """Arrival times for ``n_rounds`` consecutive windows of ``duration``.
-
-        The horizon-fused round engine's entry point: one call covers a
-        whole fusible segment.  Entry ``r`` holds round ``r``'s sorted
-        arrival times, each relative to its own window start.
-
-        The draws are intentionally *not* collapsed into a single
-        Poisson sample for the segment: the sequential supervisor
-        interleaves each round's count draw, position draws, and
-        routing draws, so a segment-level draw would consume the RNG
-        stream in a different order and break the engine's bit-parity
-        contract.  This method therefore loops :meth:`generate_times`
-        per round — the fusion win comes from skipping the per-round
-        protocol machinery, not from merging the (already vectorised)
-        workload draws.
-        """
-        n_rounds = int(n_rounds)
-        if n_rounds < 0:
-            raise ValueError("n_rounds must be non-negative")
-        return [self.generate_times(duration) for _ in range(n_rounds)]
 
     def generate(self, duration: float) -> list[Job]:
         """All jobs arriving in ``[0, duration)`` as :class:`Job` objects."""
@@ -190,28 +167,6 @@ class ArrivalSchedule:
             self.rate(start + times), dtype=np.float64
         )
         return times[accept]
-
-    def horizon_times(
-        self,
-        rng: np.random.Generator,
-        start: float,
-        duration: float,
-        n_rounds: int,
-    ) -> list[np.ndarray]:
-        """Per-round arrival times for ``n_rounds`` consecutive windows.
-
-        Loops :meth:`generate_times` window by window for the same
-        stream-parity reason as :meth:`PoissonWorkload.horizon_times`:
-        the sequential supervisor interleaves each round's draws, so a
-        merged segment-level draw would break bit parity.
-        """
-        n_rounds = int(n_rounds)
-        if n_rounds < 0:
-            raise ValueError("n_rounds must be non-negative")
-        return [
-            self.generate_times(rng, start + r * duration, duration)
-            for r in range(n_rounds)
-        ]
 
 
 class ConstantSchedule(ArrivalSchedule):
@@ -369,33 +324,6 @@ class SinusoidalSchedule(ArrivalSchedule):
         )
 
 
-def split_workload(
-    jobs: list[Job],
-    fractions: np.ndarray,
-    rng: np.random.Generator,
-) -> list[list[Job]]:
-    """Route a job stream to machines with the given probabilities.
-
-    Probabilistic routing preserves the Poisson property of each
-    substream (thinning), which is what makes the per-machine arrival
-    rate ``x_i = fraction_i * R`` well defined for the latency models.
-
-    Parameters
-    ----------
-    jobs:
-        The incoming stream, in arrival order.
-    fractions:
-        Routing probabilities, one per machine; must sum to 1.
-    rng:
-        Random generator for the routing draws.
-    """
-    choices = split_assignments(len(jobs), fractions, rng)
-    buckets: list[list[Job]] = [[] for _ in range(int(np.asarray(fractions).size))]
-    for job, machine in zip(jobs, choices):
-        buckets[int(machine)].append(job)
-    return buckets
-
-
 def split_assignments(
     count: int,
     fractions: np.ndarray,
@@ -403,10 +331,12 @@ def split_assignments(
 ) -> np.ndarray:
     """Machine index for each of ``count`` jobs, drawn in one call.
 
-    The vectorised core of :func:`split_workload`: validates the
-    routing probabilities and draws all assignments with a single
-    ``rng.choice``, so the batched execution engine consumes exactly
-    the RNG stream the per-job event path consumes.
+    Probabilistic routing preserves the Poisson property of each
+    substream (thinning), which is what makes the per-machine arrival
+    rate ``x_i = fraction_i * R`` well defined for the latency models.
+    Validates the routing probabilities (non-negative, summing to 1)
+    and draws all assignments with a single ``rng.choice``, so both
+    execution engines consume the identical RNG stream.
     """
     fractions = np.asarray(fractions, dtype=np.float64)
     if fractions.ndim != 1 or fractions.size == 0:

@@ -341,6 +341,18 @@ class TestCampaignUnits:
             else:
                 assert mono[key] == sharded[key], key
 
+    def test_event_protocol_unit_stays_single_coordinator(self):
+        # The shards run only the batched engine; an event unit must not
+        # be silently re-run on it (its stochastic payload would change).
+        base = dict(
+            kind="protocol", scenario="s1", bid_factor=2.0,
+            execution_factor=1.5, true_values=TRUE_VALUES,
+            arrival_rate=RATE, seed=11, duration=60.0, execution="event",
+        )
+        mono = execute_unit(ExperimentUnit(**base))
+        sharded = execute_unit(ExperimentUnit(**base, shards=3))
+        assert sharded == mono
+
     def test_shards_only_enter_cache_key_when_sharded(self):
         base = dict(
             kind="protocol", scenario="s1", bid_factor=1.0,

@@ -87,28 +87,6 @@ class TestThinningStaysInsideTheWindow:
         assert np.all(times < duration)
         assert np.all(np.diff(times) >= 0.0)
 
-    @settings(max_examples=30, deadline=None)
-    @given(schedule=schedules, seed=seeds)
-    def test_horizon_times_partition_like_per_window_calls(
-        self, schedule, seed
-    ):
-        # horizon_times must consume the stream window by window —
-        # exactly what a sequential supervisor would draw round by
-        # round. This equality is the schedule half of the fused
-        # engine's bit-parity contract.
-        rounds, duration = 4, 20.0
-        fused = schedule.horizon_times(
-            np.random.default_rng(seed), 0.0, duration, rounds
-        )
-        rng = np.random.default_rng(seed)
-        sequential = [
-            schedule.generate_times(rng, r * duration, duration)
-            for r in range(rounds)
-        ]
-        assert len(fused) == rounds
-        for left, right in zip(fused, sequential):
-            assert np.array_equal(left, right)
-
 
 class TestSeedReproducibility:
     @settings(max_examples=60, deadline=None)

@@ -215,9 +215,7 @@ class TestEventHorizonSkip:
         sim = Simulator()
         machine = LinearLatencyMachine("C1", 1.0, rng)
         machine.configure(1.0)
-        routed = dispatch_batched(
-            sim, [machine], np.empty(0), np.empty(0, dtype=np.int64)
-        )
+        routed = dispatch_batched(sim, [machine], [np.empty(0)])
         assert routed == 0
         assert sim.pending() == 0
 

@@ -121,6 +121,26 @@ class TestInvariantChecking:
         violations = check_round_invariants(result)
         assert any(v.invariant == "unverified-paid" for v in violations)
 
+    def test_participation_violations_follow_loads_order(self):
+        # Set iteration would order these by string hash, which changes
+        # with PYTHONHASHSEED; the report must follow the round's order.
+        names = [f"M{k}" for k in range(12)]
+        agents = [TruthfulAgent(1.0 + 0.1 * k) for k in range(12)]
+        sup = RoundSupervisor(
+            agents, 3.0, machine_names=names, rng=np.random.default_rng(0)
+        )
+        result = sup.run_round()
+        for name in result.utilities:
+            result.utilities[name] = -1.0
+        violations = check_round_invariants(
+            result, honest_names=sup.honest_names()
+        )
+        assert [v.invariant for v in violations] == [
+            "voluntary-participation"
+        ] * 12
+        assert [v.detail.split()[2] for v in violations] == list(result.loads)
+        assert list(result.loads) == names
+
     def test_violation_string_names_round_and_invariant(self):
         violation = InvariantViolation(4, "feasibility", "off by 1")
         assert "round 4" in str(violation)

@@ -127,8 +127,13 @@ class TestFusedEqualsSequential:
 class TestShardedEqualsMonolithic:
     @pytest.mark.parametrize(
         "kwargs, rounds",
-        [(dict(), 4), (dict(slow=True), 12), (dict(overrides=True), 3)],
-        ids=["clean", "slow-machine", "bid-overrides"],
+        [
+            (dict(), 4),
+            (dict(slow=True), 12),
+            (dict(overrides=True), 3),
+            (dict(execution="event", deterministic=False), 4),
+        ],
+        ids=["clean", "slow-machine", "bid-overrides", "event-stochastic"],
     )
     def test_round_results_are_bit_identical(self, kwargs, rounds):
         def run(shards: int):

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.system import DeterministicWorkload, PoissonWorkload, split_workload
+from repro.protocol.execution import split_by_machine
+from repro.system import DeterministicWorkload, PoissonWorkload
 from repro.system.workload import split_assignments
 from repro.system.workload import Job
 
@@ -63,45 +64,46 @@ class TestDeterministicWorkload:
         np.testing.assert_allclose(gaps, 0.25)
 
 
+def split_workload(count, fractions, rng):
+    """Route ``count`` jobs (ids ``0..count-1``) to per-machine id arrays."""
+    ids = np.arange(count, dtype=np.float64)
+    choices = split_assignments(count, fractions, rng)
+    return split_by_machine(ids, choices, np.asarray(fractions).size)
+
+
 class TestSplitWorkload:
-    def _jobs(self, n: int) -> list[Job]:
-        return [Job(job_id=i, arrival_time=float(i)) for i in range(n)]
+    """Routing a stream: ``split_assignments`` then ``split_by_machine``."""
 
     def test_every_job_routed_exactly_once(self, rng):
-        jobs = self._jobs(1000)
-        buckets = split_workload(jobs, np.array([0.5, 0.3, 0.2]), rng)
-        assert sum(len(b) for b in buckets) == 1000
-        seen = sorted(j.job_id for b in buckets for j in b)
-        assert seen == list(range(1000))
+        buckets = split_workload(1000, np.array([0.5, 0.3, 0.2]), rng)
+        assert sum(b.size for b in buckets) == 1000
+        assert sorted(np.concatenate(buckets).tolist()) == list(range(1000))
 
     def test_fractions_respected_on_average(self, rng):
-        jobs = self._jobs(20000)
-        buckets = split_workload(jobs, np.array([0.7, 0.3]), rng)
-        assert len(buckets[0]) / 20000 == pytest.approx(0.7, abs=0.02)
+        buckets = split_workload(20000, np.array([0.7, 0.3]), rng)
+        assert buckets[0].size / 20000 == pytest.approx(0.7, abs=0.02)
 
     def test_zero_fraction_gets_nothing(self, rng):
-        jobs = self._jobs(100)
-        buckets = split_workload(jobs, np.array([1.0, 0.0]), rng)
-        assert len(buckets[1]) == 0
+        buckets = split_workload(100, np.array([1.0, 0.0]), rng)
+        assert buckets[1].size == 0
 
     def test_empty_stream(self, rng):
-        buckets = split_workload([], np.array([0.5, 0.5]), rng)
-        assert buckets == [[], []]
+        buckets = split_workload(0, np.array([0.5, 0.5]), rng)
+        assert [b.size for b in buckets] == [0, 0]
+        assert all(b.dtype == np.float64 for b in buckets)
 
     def test_fractions_must_sum_to_one(self, rng):
         with pytest.raises(ValueError, match="sum to 1"):
-            split_workload(self._jobs(5), np.array([0.5, 0.6]), rng)
+            split_workload(5, np.array([0.5, 0.6]), rng)
 
     def test_negative_fraction_rejected(self, rng):
         with pytest.raises(ValueError):
-            split_workload(self._jobs(5), np.array([1.5, -0.5]), rng)
+            split_workload(5, np.array([1.5, -0.5]), rng)
 
     def test_order_preserved_within_bucket(self, rng):
-        jobs = self._jobs(500)
-        buckets = split_workload(jobs, np.array([0.5, 0.5]), rng)
+        buckets = split_workload(500, np.array([0.5, 0.5]), rng)
         for bucket in buckets:
-            ids = [j.job_id for j in bucket]
-            assert ids == sorted(ids)
+            assert np.all(np.diff(bucket) > 0)
 
 
 class TestGenerateTimes:
@@ -129,13 +131,12 @@ class TestGenerateTimes:
 class TestSplitAssignments:
     """The vectorised routing core shared by both execution engines."""
 
-    def test_same_buckets_as_split_workload(self):
-        jobs = [Job(i, float(i)) for i in range(300)]
+    def test_buckets_are_the_assignment_masks(self):
         fractions = np.array([0.2, 0.5, 0.3])
-        buckets = split_workload(jobs, fractions, np.random.default_rng(8))
-        choices = split_assignments(len(jobs), fractions, np.random.default_rng(8))
+        buckets = split_workload(300, fractions, np.random.default_rng(8))
+        choices = split_assignments(300, fractions, np.random.default_rng(8))
         for machine, bucket in enumerate(buckets):
-            assert [j.job_id for j in bucket] == list(np.flatnonzero(choices == machine))
+            assert bucket.tolist() == np.flatnonzero(choices == machine).tolist()
 
     def test_empty_stream_consumes_no_randomness(self):
         rng_a = np.random.default_rng(9)
