@@ -1,8 +1,8 @@
 """Ablation A8 — distributed payment handling (the paper's future work).
 
 Compares the centralised protocol against the fully distributed
-mechanism (every machine computes its own payment from two tree-sum
-rounds), across overlay shapes and with the privacy layer on:
+mechanism (every machine computes its own payment from the (S, Q) of
+two gather rounds), across overlay shapes and with the privacy layer on:
 
 * outcome equality (payments identical to the centralised mechanism),
 * message counts (4 per machine, any tree) and hop latency (tree depth),

@@ -5,9 +5,10 @@
 payments and the agents privacy."  This example runs that future work:
 
 1. the machines compute the whole mechanism themselves over a spanning
-   tree — two global-sum rounds (`S = sum 1/b_j`, then the realised
-   latency `L`) are all anyone needs, and every machine derives its own
-   allocation and payment locally;
+   tree — two global-sum rounds (`S = sum 1/b_j`, then
+   `Q = sum t_j/b_j^2`, which fixes the realised latency) are all anyone
+   needs, and every machine derives its own allocation and payment
+   locally;
 2. the same run with additive secret sharing across three independent
    aggregators, so no single party — the tree root included — ever sees
    an individual machine's bid or observed cost;

@@ -6,19 +6,20 @@ subpackage implements both, in the style of the distributed algorithmic
 mechanism design line the paper cites (Feigenbaum et al., refs [4-6]):
 
 * :mod:`repro.distributed.topology` — overlay topologies (star, k-ary
-  tree, random spanning tree) built on :mod:`networkx`;
-* :mod:`repro.distributed.aggregation` — convergecast/broadcast rounds
-  computing global sums over a spanning tree with exactly ``2(n-1)``
-  messages per round;
+  tree, random spanning tree), each a rooted parent map;
+* :mod:`repro.distributed.gather` — the one tree aggregation:
+  compensated partial sums merged up an overlay (convergecast) and
+  broadcast back down, one message per edge each way;
 * :mod:`repro.distributed.privacy` — additive secret sharing so that no
   single aggregator learns any individual bid or cost;
 * :mod:`repro.distributed.mechanism` — the distributed verification
   mechanism: every machine computes its *own* payment from two global
-  aggregates (``S = sum 1/b_j`` and the realised latency ``L``), with
-  no central trusted payment computer.  Its outcome equals the
-  centralised mechanism's to machine precision (tested);
-* :mod:`repro.distributed.shard` / :mod:`~repro.distributed.gather` /
-  :mod:`~repro.distributed.service` — the sharded coordinator service:
+  aggregates (``S = sum 1/b_j`` and ``Q = sum t̃_j/b_j^2``) gathered
+  with each machine as its own shard, with no central trusted payment
+  computer.  Its outcome equals the centralised mechanism's to ~1e-12
+  (tested);
+* :mod:`repro.distributed.shard` / :mod:`~repro.distributed.service` —
+  the sharded coordinator service:
   agents partitioned across long-lived coordinator workers, rounds run
   as staged fan-outs, only the (S, Q) partial sums crossing shard
   boundaries, per-shard crash recovery through the checkpoint/ledger
@@ -31,7 +32,6 @@ from repro.distributed.topology import (
     tree_overlay,
     random_tree_overlay,
 )
-from repro.distributed.aggregation import AggregationStats, tree_sum
 from repro.distributed.privacy import (
     share_additively,
     reconstruct_sum,
@@ -41,12 +41,8 @@ from repro.distributed.mechanism import (
     DistributedOutcome,
     DistributedVerificationMechanism,
 )
-from repro.distributed.audit import (
-    TamperingCheck,
-    tree_sum_with_relay_faults,
-    double_tree_check,
-)
 from repro.distributed.gather import (
+    AggregationStats,
     PartialSum,
     ShardPartial,
     aggregate_shards,
@@ -72,15 +68,11 @@ __all__ = [
     "tree_overlay",
     "random_tree_overlay",
     "AggregationStats",
-    "tree_sum",
     "share_additively",
     "reconstruct_sum",
     "SecureSumAggregation",
     "DistributedOutcome",
     "DistributedVerificationMechanism",
-    "TamperingCheck",
-    "tree_sum_with_relay_faults",
-    "double_tree_check",
     "PartialSum",
     "ShardPartial",
     "aggregate_shards",

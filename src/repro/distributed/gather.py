@@ -1,4 +1,4 @@
-"""Partial-sum gathering for the sharded coordinator service.
+"""Partial-sum gathering: the one tree aggregation.
 
 The mechanism needs exactly two global scalars per round (DESIGN.md §13,
 ``docs/distributed.md``):
@@ -8,11 +8,13 @@ The mechanism needs exactly two global scalars per round (DESIGN.md §13,
 * ``Q = sum_j t̂_j / b_j^2`` — fixes the realised latency through
   ``L = (R/S)^2 Q``, hence every bonus ``B_i = L_{-i} - L``.
 
-Both are plain sums, so each shard contributes one :class:`PartialSum`
-and the existing aggregation tree (:mod:`repro.distributed.topology`)
-combines them with the same message count as
-:func:`~repro.distributed.aggregation.tree_sum`: one message per edge
-up (convergecast), one per edge down (broadcast).
+Both are plain sums, so each participant contributes one
+:class:`PartialSum` and :func:`aggregate_shards` combines them over an
+overlay tree (:mod:`repro.distributed.topology`): one message per edge
+up (convergecast), one per edge down (broadcast).  The participants are
+the coordinator shards of the sharded service, or the machines
+themselves in :class:`~repro.distributed.DistributedVerificationMechanism`
+(each machine its own one-agent shard).
 
 Floating-point care: a sum's value depends on association order, so a
 naive partial-sum merge would make payments depend on how agents were
@@ -40,15 +42,29 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.distributed.aggregation import AggregationStats
 from repro.distributed.topology import ROOT, Overlay
 
 __all__ = [
+    "AggregationStats",
     "PartialSum",
     "ShardPartial",
     "aggregate_shards",
     "concatenate_payload",
 ]
+
+
+@dataclass(frozen=True)
+class AggregationStats:
+    """Accounting for one aggregation round."""
+
+    messages_up: int
+    messages_down: int
+    rounds_of_latency: int
+
+    @property
+    def total_messages(self) -> int:
+        """Messages over the wire for the full round."""
+        return self.messages_up + self.messages_down
 
 
 @dataclass
@@ -146,11 +162,9 @@ def aggregate_shards(
     """Convergecast shard partials up the overlay tree to the root.
 
     The overlay's machine nodes ``0 .. k-1`` stand for the ``k``
-    coordinator shards; walking :meth:`Overlay.bottom_up_order`, every
-    internal node merges its children's partials into its own before
-    forwarding one message to its parent — the exact communication
-    pattern of :func:`~repro.distributed.aggregation.tree_sum`, with a
-    :class:`ShardPartial` as the message body instead of a float.
+    shards; walking :meth:`Overlay.bottom_up_order`, every internal
+    node merges its children's partials into its own before forwarding
+    one message (a :class:`ShardPartial`) to its parent.
 
     Returns the fully merged partial as the root sees it, plus the
     message accounting (one message per edge per direction; the

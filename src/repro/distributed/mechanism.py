@@ -7,29 +7,35 @@ global sums** plus its local state —
 * ``S = sum_j 1/b_j`` (from the bidding phase) gives machine ``i`` its
   own load ``x_i = R (1/b_i) / S`` *and* its leave-one-out term
   ``L_{-i} = R^2 / (S - 1/b_i)``;
-* ``L = sum_j t̃_j x_j^2`` (from the execution phase) completes its
-  bonus ``B_i = L_{-i} - L``; with the locally known compensation
+* ``Q = sum_j t̃_j / b_j^2`` (from the execution phase) gives the
+  realised latency ``L = (R/S)^2 Q``, completing its bonus
+  ``B_i = L_{-i} - L``; with the locally known compensation
   ``t̃_i x_i^2`` the payment is ``P_i = C_i + B_i``.
 
-So the protocol is two tree-aggregation rounds (4 messages per machine
-on any spanning tree) and zero central computation — the root only
-relays sums.  With privacy enabled, each contribution to the two sums
-is additively secret-shared across ``k`` aggregators, so no single
-party (root included) learns any machine's bid or observed cost.
+These are the sharded service's two sufficient statistics, so the
+protocol is that service's gather with every machine as its own
+one-agent shard: two :func:`~repro.distributed.gather.aggregate_shards`
+rounds (4 messages per machine on any spanning tree) and zero central
+computation — the root only relays sums — priced through the same
+:func:`~repro.mechanism.pricing.price_gathered` step as a shard's
+settle.  With privacy enabled, each machine's contribution is
+additively secret-shared across ``k`` aggregators instead, so no
+single party (root included) learns any machine's bid or observed cost.
 
-The outcome provably equals the centralised mechanism's; the test suite
-asserts equality to machine precision, and ``bench_distributed.py``
-compares message counts and latency across overlay shapes.
+The outcome equals the centralised mechanism's to ~1e-12 (tested), and
+``bench_distributed.py`` compares message counts and latency across
+overlay shapes.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro._validation import check_mechanism_inputs
-from repro.distributed.aggregation import AggregationStats, tree_sum
+from repro.distributed.gather import PartialSum, ShardPartial, aggregate_shards
 from repro.distributed.privacy import SecureSumAggregation
 from repro.distributed.topology import Overlay, tree_overlay
 from repro.mechanism import pricing
@@ -77,6 +83,12 @@ class DistributedVerificationMechanism:
         rng: np.random.Generator | None = None,
     ) -> None:
         self.overlay = overlay
+        try:
+            n_aggregators = operator.index(n_aggregators)
+        except TypeError:
+            raise TypeError(
+                f"n_aggregators must be an integer, got {n_aggregators!r}"
+            ) from None
         if n_aggregators < 0:
             raise ValueError("n_aggregators must be non-negative")
         if n_aggregators > 0 and rng is None:
@@ -86,26 +98,42 @@ class DistributedVerificationMechanism:
 
     # ------------------------------------------------------------ protocol
 
-    def _aggregate(
-        self, overlay: Overlay, values: np.ndarray
-    ) -> tuple[float, AggregationStats, int]:
-        """One global-sum round, optionally through secret sharing."""
-        if self.n_aggregators == 0:
-            total, stats = tree_sum(overlay, values)
-            return total, stats, 0
+    def _partials(
+        self, inverse: np.ndarray, quotient: np.ndarray | None = None
+    ) -> list[ShardPartial]:
+        """One partial per machine, each machine its own one-agent shard.
 
-        # Privacy mode: machines secret-share their contributions; the
-        # tree then carries k masked sums instead of one plain sum (the
-        # per-round message count is unchanged: shares ride in one
-        # message), and the aggregators combine at the end.
+        In privacy mode a machine's tree message carries masked shares
+        instead of its plain terms, so its partial is empty.
+        """
+        if self.n_aggregators:
+            return [ShardPartial(machine, 1) for machine in range(inverse.size)]
+        quotients = (
+            [None] * inverse.size
+            if quotient is None
+            else [PartialSum(q) for q in quotient.tolist()]
+        )
+        return [
+            ShardPartial(machine, 1, PartialSum(s), q)
+            for machine, (s, q) in enumerate(zip(inverse.tolist(), quotients))
+        ]
+
+    def _total(
+        self, gathered: PartialSum | None, values: np.ndarray
+    ) -> tuple[float, int]:
+        """A gathered sum and the privacy shares sent (none).
+
+        In privacy mode the sum is the aggregators' secure sum of
+        ``values`` instead.
+        """
+        if not self.n_aggregators:
+            assert gathered is not None
+            return gathered.value, 0
         assert self._rng is not None
         secure = SecureSumAggregation(self.n_aggregators, self._rng)
         for value in values:
             secure.contribute(float(value))
-        # The masked subtotals still travel the same tree (same message
-        # count); reuse tree_sum on a zero vector for the accounting.
-        _, stats = tree_sum(overlay, np.zeros_like(values))
-        return secure.result(), stats, secure.messages_sent()
+        return secure.result(), secure.messages_sent()
 
     def run(
         self,
@@ -132,22 +160,20 @@ class DistributedVerificationMechanism:
                 f"overlay has {overlay.n_machines} machines but {bids.size} bids given"
             )
 
-        # --- Round 1: aggregate S = sum 1/b_j; every node learns it. ---
-        total_inverse, stats1, shares1 = self._aggregate(overlay, 1.0 / bids)
+        inverse = 1.0 / bids
+        quotient = execution_values / bids**2
 
-        # Each machine now computes its own load locally.
-        _, loads = pricing.allocate(bids, arrival_rate, total_inverse)
-        loads_sq = loads**2
+        # --- Round 1 (bids): gather S = sum 1/b_j; every node learns it. ---
+        root, stats1 = aggregate_shards(overlay, self._partials(inverse))
+        total_inverse, shares1 = self._total(root.inverse_sum, inverse)
 
-        # --- Round 2: aggregate L = sum t̃_j x_j^2 (each t̃_i x_i^2 is local). ---
-        realised_latency, stats2, shares2 = self._aggregate(
-            overlay, execution_values * loads_sq
-        )
+        # --- Round 2 (execution): gather S and Q = sum t̃_j / b_j^2. ---
+        root, stats2 = aggregate_shards(overlay, self._partials(inverse, quotient))
+        total_quotient, shares2 = self._total(root.quotient_sum, quotient)
 
         # --- Local payment computation at every machine. ---
-        compensation, bonus, valuation = pricing.price_members(
-            "observed", bids, execution_values, loads_sq, total_inverse,
-            realised_latency, arrival_rate,
+        loads, compensation, bonus, valuation = pricing.price_gathered(
+            bids, execution_values, total_inverse, total_quotient, arrival_rate
         )
 
         allocation = AllocationResult(

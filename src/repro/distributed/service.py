@@ -46,8 +46,8 @@ import numpy as np
 
 from repro._validation import check_positive_scalar
 from repro.agents.base import Agent
-from repro.distributed.aggregation import AggregationStats
 from repro.distributed.gather import (
+    AggregationStats,
     ShardPartial,
     aggregate_shards,
     concatenate_payload,
@@ -57,7 +57,7 @@ from repro.distributed.shard import (
     ShardCrash,
     partition_names,
 )
-from repro.distributed.topology import Overlay, star_overlay, tree_overlay
+from repro.distributed.topology import Overlay, tree_overlay
 from repro.mechanism.base import Mechanism
 from repro.mechanism.compensation_bonus import VerificationMechanism
 from repro.observability.instrumentation import (
@@ -590,8 +590,6 @@ class ShardedCoordinatorService:
         shard).  Bit-parity holds on every executor under
         deterministic service; with stochastic service it holds only
         for ``"serial"`` (shared RNG stream).
-    overlay_arity:
-        Fan-in of the aggregation tree over the shards.
     allocator:
         Optional ``(names, bids, R) -> AllocationResult`` override used
         at the root in exact mode (the supervisor passes its
@@ -614,7 +612,6 @@ class ShardedCoordinatorService:
         aggregation: str = "exact",
         workload: str = "global",
         executor: str = "serial",
-        overlay_arity: int = 2,
         deterministic_service: bool = True,
         rng: np.random.Generator | None = None,
         machine_names: Sequence[str] | None = None,
@@ -662,11 +659,7 @@ class ShardedCoordinatorService:
         self._rng = rng if rng is not None else np.random.default_rng(0)
         self._agents: dict[str, Agent] = dict(zip(machine_names, agents))
         self.partition = partition_names(list(machine_names), shards)
-        self.overlay: Overlay = (
-            tree_overlay(shards, arity=overlay_arity)
-            if shards > 1
-            else star_overlay(1)
-        )
+        self.overlay: Overlay = tree_overlay(shards)
         self.stores = [CheckpointStore() for _ in range(shards)]
         self.restarts_total = 0
         self._round_index = 0

@@ -378,21 +378,16 @@ class CoordinatorShard:
     ) -> dict[str, tuple[float, float, float]]:
         """Per-member payments from the two global scalars (scalar mode).
 
-        With ``S`` and ``Q`` broadcast down the tree, the realised
-        latency is ``L = (R/S)^2 Q`` and each member's amounts follow
-        from its own bid and estimate alone, through the same per-agent
-        step as every other pricing path
-        (:func:`repro.mechanism.pricing.price_members`).
+        With ``S`` and ``Q`` broadcast down the tree, each member's
+        amounts follow from its own bid and estimate alone, through the
+        gathered-pricing step the distributed mechanism shares
+        (:func:`repro.mechanism.pricing.price_gathered`).
         """
         if self._estimates is None:
             raise RuntimeError("no execution reports yet")
-        bids = self.bids_vector()
-        rate = self.arrival_rate
-        _, loads = pricing.allocate(bids, rate, total_inverse)
-        realised = (rate / total_inverse) ** 2 * total_quotient
-        compensation, bonus, _ = pricing.price_members(
-            "observed", bids, self._estimates, loads**2, total_inverse,
-            realised, rate,
+        _, compensation, bonus, _ = pricing.price_gathered(
+            self.bids_vector(), self._estimates, total_inverse,
+            total_quotient, self.arrival_rate,
         )
         payment = compensation + bonus
         return {

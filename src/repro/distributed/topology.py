@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 __all__ = ["Overlay", "star_overlay", "tree_overlay", "random_tree_overlay"]
@@ -25,101 +24,93 @@ class Overlay:
 
     Attributes
     ----------
-    graph:
-        The underlying undirected tree, containing the machine nodes
-        and the distinguished ``"root"`` node.
     parent:
-        Parent of each machine node on the path to the root (the root
-        itself has no entry).
+        Parent of each machine node on the path to the distinguished
+        ``"root"`` node (the root itself has no entry).  The map alone
+        defines the tree; children, depth and the breadth-first orders
+        are derived from it once, at construction, with every node's
+        children in ascending order.
     """
 
-    graph: nx.Graph
-    parent: dict[int | str, int | str]
+    parent: dict[int, int | str]
 
     def __post_init__(self) -> None:
-        if not nx.is_tree(self.graph):
-            raise ValueError("overlay must be a tree")
-        if ROOT not in self.graph:
+        if ROOT not in self.parent.values():
             raise ValueError("overlay must contain the root node")
+        if ROOT in self.parent:
+            raise ValueError("the root node has no parent")
+        children: dict[int | str, list[int | str]] = {
+            node: [] for node in (ROOT, *self.parent)
+        }
+        for node in sorted(self.parent):
+            children.setdefault(self.parent[node], []).append(node)
+        order: list[int | str] = [ROOT]
+        depth = {ROOT: 0}
+        for node in order:  # breadth-first: the list grows as it is walked
+            for child in children[node]:
+                depth[child] = depth[node] + 1
+                order.append(child)
+        if len(order) != len(children):
+            raise ValueError("overlay must be a tree: every node reaches the root")
+        object.__setattr__(self, "_children", children)
+        object.__setattr__(self, "_order", order)
+        object.__setattr__(self, "_depth", max(depth.values()))
 
     @property
     def n_machines(self) -> int:
         """Number of machine nodes (root excluded)."""
-        return self.graph.number_of_nodes() - 1
+        return len(self.parent)
 
     @property
     def n_edges(self) -> int:
-        """Number of tree edges (= number of nodes - 1)."""
-        return self.graph.number_of_edges()
+        """Number of tree edges (one per machine node)."""
+        return len(self.parent)
 
     def children(self, node: int | str) -> list[int | str]:
-        """Children of ``node`` in the rooted tree."""
-        return [
-            neighbour
-            for neighbour in self.graph.neighbors(node)
-            if self.parent.get(neighbour) == node
-        ]
+        """Children of ``node`` in the rooted tree, ascending."""
+        return list(self._children[node])
 
     def depth(self) -> int:
         """Longest root-to-leaf path (protocol latency in hops)."""
-        lengths = nx.single_source_shortest_path_length(self.graph, ROOT)
-        return max(lengths.values())
+        return self._depth
 
     def bottom_up_order(self) -> list[int | str]:
         """Nodes ordered so every child precedes its parent (root last)."""
-        order = list(nx.bfs_tree(self.graph, ROOT).nodes())
-        order.reverse()
-        return order
+        return self._order[::-1]
 
     def top_down_order(self) -> list[int | str]:
-        """Nodes ordered so every parent precedes its children."""
-        return list(nx.bfs_tree(self.graph, ROOT).nodes())
+        """Nodes ordered so every parent precedes its children (root first)."""
+        return list(self._order)
 
 
-def _rooted(graph: nx.Graph) -> Overlay:
-    parent: dict[int | str, int | str] = {}
-    for child, p in nx.bfs_predecessors(graph, ROOT):
-        parent[child] = p
-    return Overlay(graph=graph, parent=parent)
+def _check_size(n_machines: int) -> None:
+    if n_machines < 1:
+        raise ValueError("n_machines must be at least 1")
 
 
 def star_overlay(n_machines: int) -> Overlay:
     """Every machine talks directly to the root (the centralised shape)."""
-    if n_machines < 1:
-        raise ValueError("n_machines must be at least 1")
-    graph = nx.Graph()
-    graph.add_node(ROOT)
-    graph.add_edges_from((ROOT, i) for i in range(n_machines))
-    return _rooted(graph)
+    _check_size(n_machines)
+    return Overlay({k: ROOT for k in range(n_machines)})
 
 
 def tree_overlay(n_machines: int, arity: int = 2) -> Overlay:
     """Balanced ``arity``-ary tree rooted at the mechanism node."""
-    if n_machines < 1:
-        raise ValueError("n_machines must be at least 1")
+    _check_size(n_machines)
     if arity < 1:
         raise ValueError("arity must be at least 1")
-    graph = nx.Graph()
-    graph.add_node(ROOT)
     # The first `arity` machines attach to the root; machine k >= arity
     # attaches to machine (k - arity) // arity, filling levels in order.
-    for k in range(n_machines):
-        if k < arity:
-            graph.add_edge(ROOT, k)
-        else:
-            graph.add_edge((k - arity) // arity, k)
-    return _rooted(graph)
+    return Overlay(
+        {k: ROOT if k < arity else (k - arity) // arity for k in range(n_machines)}
+    )
 
 
 def random_tree_overlay(n_machines: int, rng: np.random.Generator) -> Overlay:
     """Uniform random recursive tree: node k attaches to a random earlier node."""
-    if n_machines < 1:
-        raise ValueError("n_machines must be at least 1")
-    graph = nx.Graph()
-    graph.add_node(ROOT)
-    nodes: list[int | str] = [ROOT]
+    _check_size(n_machines)
+    parent: dict[int, int | str] = {}
     for k in range(n_machines):
-        attach = nodes[int(rng.integers(0, len(nodes)))]
-        graph.add_edge(attach, k)
-        nodes.append(k)
-    return _rooted(graph)
+        pick = int(rng.integers(0, k + 1))  # 0 is the root, j > 0 machine j-1
+        parent[k] = ROOT if pick == 0 else pick - 1
+    return Overlay(parent)

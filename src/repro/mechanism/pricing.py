@@ -8,9 +8,10 @@ profile is ``(n,)`` (the mechanisms' ``payments`` stages), a stack is
 ``(U, n)`` (``batch_run``, fused cohorts, horizon Phase B).
 
 The module splits at the totals ``S = sum_j 1/b_j`` and ``L``: callers
-that gather them elsewhere (shard settle from the broadcast ``(S, Q)``,
-the tree-summed distributed mechanism) price their members through the
-same :func:`price_members` step.
+that gather ``S`` and ``Q = sum_j t̃_j / b_j^2`` over a tree instead
+(shard settle from the broadcast totals, the distributed mechanism)
+price their members through :func:`price_gathered`, which derives
+``L = (R/S)^2 Q`` and takes the same :func:`price_members` step.
 
 Contract: a stacked row is byte-identical to its profile priced alone —
 last-axis sums and :func:`row_dots` reduce each row exactly as a lone
@@ -28,7 +29,7 @@ import numpy as np
 from repro.types import AllocationResult, PaymentResult
 
 __all__ = ["RULES", "Priced", "allocate", "price", "price_allocation",
-           "price_members", "row_dots"]
+           "price_gathered", "price_members", "row_dots"]
 
 #: Per :func:`repro.agents.kernels.kernel_mode_of` name: the slope the
 #: compensation repays and the slope the bonus's latency is charged at
@@ -93,6 +94,20 @@ def price_members(rule: str, bids, executions, loads_sq, total, latency, rates):
         bonus = _squared(rates) / s_minus - latency
     repaid = executions if RULES[rule][0] == "execution" else bids
     return repaid * loads_sq, bonus, -executions * loads_sq
+
+
+def price_gathered(bids, executions, total, quotient, rate):
+    """Observed-rule ``(loads, compensation, bonus, valuation)`` from ``(S, Q)``.
+
+    ``Q = sum_j t̃_j / b_j^2`` gives the realised latency as
+    ``L = (R/S)^2 Q``, so the members price themselves from their own
+    bids and executions plus the two gathered scalars.
+    """
+    _, loads = allocate(bids, rate, total)
+    latency = (rate / total) ** 2 * quotient
+    return (loads, *price_members(
+        "observed", bids, executions, loads**2, total, latency, rate,
+    ))
 
 
 def _charged(rule: str, bids, executions, loads_sq):

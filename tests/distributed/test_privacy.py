@@ -5,7 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.distributed import SecureSumAggregation, reconstruct_sum, share_additively
+from repro.distributed import (
+    DistributedVerificationMechanism,
+    SecureSumAggregation,
+    reconstruct_sum,
+    share_additively,
+)
 
 
 class TestShares:
@@ -73,3 +78,17 @@ class TestSecureSumAggregation:
 
     def test_reconstruct_sum_helper(self):
         assert reconstruct_sum(np.array([1.0, 2.0, -0.5])) == pytest.approx(2.5)
+
+
+class TestAggregatorCount:
+    @pytest.mark.parametrize("count", [2.5, float("nan"), "3"])
+    def test_non_integer_count_rejected(self, count, rng):
+        with pytest.raises(TypeError, match="n_aggregators"):
+            DistributedVerificationMechanism(n_aggregators=count, rng=rng)
+
+    def test_numpy_integer_count_accepted(self, rng):
+        mechanism = DistributedVerificationMechanism(
+            n_aggregators=np.int64(2), rng=rng
+        )
+        result = mechanism.run(np.array([1.0, 2.0, 4.0]), 3.0)
+        assert result.privacy_shares_sent == 2 * 3 * 2

@@ -6,8 +6,8 @@ Each backend pair is held to its declared contract (DESIGN.md §14.3):
   calls, and ``batch_run`` vs the scalar path, compared by ``tobytes()``;
 * ≤1e-12 relative — the paths that gather their totals in another
   summation order: shard scalar-mode ``local_payments`` (from the
-  broadcast ``(S, Q)``) and the tree-summed
-  ``DistributedVerificationMechanism``.
+  broadcast ``(S, Q)``) and the ``DistributedVerificationMechanism``
+  (the gathered ``(S, Q)``).
 """
 
 from __future__ import annotations

@@ -10,11 +10,13 @@ from hypothesis.extra.numpy import arrays
 
 from repro.distributed import (
     DistributedVerificationMechanism,
+    PartialSum,
+    ShardPartial,
+    aggregate_shards,
     random_tree_overlay,
     share_additively,
     star_overlay,
     tree_overlay,
-    tree_sum,
 )
 from repro.mechanism import VerificationMechanism
 
@@ -41,8 +43,14 @@ class TestTreeSumProperties:
             tree_overlay(n, arity=arity),
             random_tree_overlay(n, rng),
         ):
-            total, stats = tree_sum(overlay, values)
-            assert total == pytest.approx(float(values.sum()), abs=1e-7)
+            partials = [
+                ShardPartial(machine, 1, PartialSum(value))
+                for machine, value in enumerate(values.tolist())
+            ]
+            root, stats = aggregate_shards(overlay, partials)
+            assert root.inverse_sum.value == pytest.approx(
+                float(values.sum()), abs=1e-7
+            )
             assert stats.total_messages == 2 * n
 
 

@@ -10,6 +10,10 @@ from __future__ import annotations
 
 import importlib
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -45,6 +49,18 @@ class TestExports:
 
     def test_version_string(self):
         assert repro.__version__.count(".") == 2
+
+    def test_import_does_not_load_networkx(self):
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        probe = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro, repro.distributed; "
+             "print('networkx' in sys.modules)"],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert probe.stdout.strip() == "False"
 
 
 class TestDocstrings:
