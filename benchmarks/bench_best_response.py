@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 
 if __name__ == "__main__":  # standalone: make src/ importable without install
@@ -36,6 +35,8 @@ if __name__ == "__main__":  # standalone: make src/ importable without install
         sys.path.insert(0, str(_src))
 
 import numpy as np
+
+from timing import best_seconds
 
 SPEEDUP_TARGET = 10.0          # kernel vs brute force at n = 64
 UTILITY_TOLERANCE = 1e-9       # relative agreement of reported utilities
@@ -49,15 +50,6 @@ def _system(n: int, seed: int) -> tuple[np.ndarray, float]:
     rng = np.random.default_rng(20030422 + seed)
     true_values = rng.uniform(0.5, 10.0, n)
     return true_values, 0.5 * n
-
-
-def _best_seconds(fn, repeats: int) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def measure_best_response(
@@ -121,7 +113,7 @@ def measure_best_response(
                 method="vectorized", refine=False,
             )
 
-        fast_seconds = _best_seconds(fast_call, repeats)
+        fast_seconds = best_seconds(fast_call, repeats)
         brute_seconds = None
         speedup = None
         if n <= brute_max_n:
@@ -132,7 +124,7 @@ def measure_best_response(
                     method="bruteforce", refine=False,
                 )
 
-            brute_seconds = _best_seconds(brute_call, repeats)
+            brute_seconds = best_seconds(brute_call, repeats)
             speedup = brute_seconds / fast_seconds
             if n == 64:
                 speedup_at_64 = speedup

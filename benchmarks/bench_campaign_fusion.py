@@ -43,13 +43,14 @@ import argparse
 import json
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 if __name__ == "__main__":  # standalone: make src/ importable without install
     _src = Path(__file__).resolve().parent.parent / "src"
     if _src.is_dir() and str(_src) not in sys.path:
         sys.path.insert(0, str(_src))
+
+from timing import best_seconds
 
 SPEEDUP_TARGET = 10.0      # fused vs per-unit, tournament + figures campaigns
 GATED_CAMPAIGNS = ("tournament", "figures")
@@ -103,15 +104,6 @@ def _engine(fuse: str, workers: int):
     return CampaignEngine(workers=workers, cache=None, fuse=fuse)
 
 
-def _best_seconds(fn, repeats: int) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 def verify_parity(units: list) -> dict:
     """Payload-level equality of the two backends, checked before timing.
 
@@ -154,10 +146,10 @@ def measure_campaign(
 
     per_unit_engine = _engine("off", workers)
     fused_engine = _engine("auto", workers)
-    entry["per_unit_seconds"] = _best_seconds(
+    entry["per_unit_seconds"] = best_seconds(
         lambda: per_unit_engine.run(units), repeats
     )
-    entry["fused_seconds"] = _best_seconds(
+    entry["fused_seconds"] = best_seconds(
         lambda: fused_engine.run(units), repeats
     )
     entry["speedup"] = entry["per_unit_seconds"] / entry["fused_seconds"]

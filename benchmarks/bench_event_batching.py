@@ -28,7 +28,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 
 if __name__ == "__main__":  # standalone: make src/ importable without install
@@ -37,6 +36,8 @@ if __name__ == "__main__":  # standalone: make src/ importable without install
         sys.path.insert(0, str(_src))
 
 import numpy as np
+
+from timing import best_seconds
 
 SPEEDUP_TARGET = 10.0            # batched vs event at the target round
 ARRIVAL_RATE = 76.0              # ~15k jobs over the 200 s target window
@@ -85,15 +86,6 @@ def _identical(event, batched) -> bool:
     )
 
 
-def _best_seconds(fn, repeats: int) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 def measure_event_batching(
     *,
     durations: tuple[float, ...] = SCALING_DURATIONS,
@@ -131,7 +123,7 @@ def measure_event_batching(
         def batched_call():
             _round("batched", duration=duration, seed=1, deterministic=False)
 
-        batched_seconds = _best_seconds(batched_call, repeats)
+        batched_seconds = best_seconds(batched_call, repeats)
         jobs = _round(
             "batched", duration=duration, seed=1, deterministic=False
         ).jobs_routed
@@ -142,7 +134,7 @@ def measure_event_batching(
             def event_call():
                 _round("event", duration=duration, seed=1, deterministic=False)
 
-            event_seconds = _best_seconds(event_call, repeats)
+            event_seconds = best_seconds(event_call, repeats)
             speedup = event_seconds / batched_seconds
             if duration == TARGET_DURATION:
                 speedup_at_target = speedup

@@ -47,6 +47,8 @@ if __name__ == "__main__":  # standalone: make src/ importable without install
 
 import numpy as np
 
+from timing import best_seconds
+
 SPEEDUP_TARGET = 10.0          # kernel vs brute force at n = 64, per mechanism
 UTILITY_TOLERANCE = 1e-9       # relative agreement of reported utilities
 PARITY_N = 64
@@ -68,15 +70,6 @@ def _mechanism(variant: str):
     from repro.mechanism import ArcherTardosMechanism, VCGMechanism
 
     return VCGMechanism() if variant == "vcg" else ArcherTardosMechanism()
-
-
-def _best_seconds(fn, repeats: int) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def measure_kernels(
@@ -137,8 +130,8 @@ def measure_kernels(
                 method="bruteforce", refine=False,
             )
 
-        fast_seconds = _best_seconds(fast_call, repeats)
-        brute_seconds = _best_seconds(brute_call, repeats)
+        fast_seconds = best_seconds(fast_call, repeats)
+        brute_seconds = best_seconds(brute_call, repeats)
         out.append(
             {
                 "mechanism": variant,

@@ -138,9 +138,9 @@ class _AsyncShardExecutor(_SerialShardExecutor):
     """Stages fan out as asyncio tasks over a thread pool.
 
     Shards are independent within a stage (they share no mutable
-    state — each owns its members, machines, and RNG), so running the
-    per-shard stage bodies concurrently is safe; results come back in
-    shard order regardless of completion order.
+    state — each owns its members, execution values, and RNG), so
+    running the per-shard stage bodies concurrently is safe; results
+    come back in shard order regardless of completion order.
     """
 
     def __init__(self, shards, rebuild) -> None:

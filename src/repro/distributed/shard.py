@@ -5,9 +5,12 @@ agent population into contiguous slices and gives each slice to a
 :class:`CoordinatorShard`.  A shard is the single-coordinator round
 logic (:class:`~repro.protocol.MechanismCoordinator`) restricted to its
 members: it collects their bids, executes their share of the routed
-jobs through the batched execution engine, estimates their execution
-values with the identical estimator, and issues their payments through
-the identical write-ahead checkpoint/ledger discipline
+jobs through the batched execute kernel
+(:func:`~repro.protocol.execution.serve_batch`, on the execution
+values it read once at construction — a shard holds no machine
+objects), estimates their execution values with the identical
+estimator, and issues their payments through the identical
+write-ahead checkpoint/ledger discipline
 (:mod:`repro.resilience.checkpoint`) — so a crashed shard restores
 mid-phase and never pays a member twice.
 
@@ -35,17 +38,17 @@ import numpy as np
 
 from repro.agents.base import Agent
 from repro.mechanism import pricing
+from repro.observability.instrumentation import record_gauge
 from repro.protocol.coordinator import ProtocolPhase, effective_bid
 from repro.protocol.estimator import verified_estimates
 from repro.protocol.execution import (
-    dispatch_batched,
-    round_machines,
+    check_execution_values,
+    serve_batch,
+    sojourn_means,
     split_by_machine,
 )
 from repro.protocol.monitoring import slowdown_alerts
 from repro.resilience.checkpoint import CheckpointStore, CoordinatorCheckpoint
-from repro.system.des import Simulator
-from repro.system.machine import LinearLatencyMachine
 from repro.system.workload import PoissonWorkload, split_assignments
 
 __all__ = ["ShardCrash", "CoordinatorShard", "partition_names"]
@@ -152,13 +155,12 @@ class CoordinatorShard:
         self.fail_after_payments = fail_after_payments
         self._rng = rng
 
-        # Long-lived state: machines persist across rounds (that is the
-        # point of a *service* — per-round object churn is what the
-        # monolithic runtime pays for at n=10^6) and are re-configured
-        # and stat-reset at every round start.
-        values = [agent.execution_value() for agent in agents]
-        machines = round_machines(names, values, rng, deterministic_service)
-        self.machines: dict[str, LinearLatencyMachine] = dict(zip(names, machines))
+        # Long-lived state: each member's execution value, read once;
+        # execution serves members as arrays, with no machine objects.
+        values = check_execution_values(
+            [agent.execution_value() for agent in agents]
+        )
+        self._execution_values: dict[str, float] = dict(zip(names, values.tolist()))
 
         # Per-round state.
         self.machine_names: list[str] = list(names)
@@ -185,9 +187,6 @@ class CoordinatorShard:
         self._estimates = None
         self._simulated_time = 0.0
         self._reset_membership_caches()
-        for machine in self.machines.values():
-            machine.sojourn_times.clear()
-            machine._busy_time = 0.0
 
     def collect_bids(self) -> np.ndarray:
         """Ask every member for its bid; returns the local bid vector.
@@ -275,15 +274,16 @@ class CoordinatorShard:
 
         ``arrivals`` holds one absolute-arrival-time array per live
         member (the service routed the global stream).  Jobs run
-        through :func:`~repro.protocol.execution.dispatch_batched` on a
-        shard-local simulator — per-agent control messages stay inside
-        the shard as function calls; only the aggregation-tree messages
-        cross shard boundaries.
+        through the batched kernel
+        :func:`~repro.protocol.execution.serve_batch` — per-agent
+        control messages stay inside the shard as function calls; only
+        the aggregation-tree messages cross shard boundaries.
 
         Returns a dict with the local ``estimates`` vector, the
         ``quotients`` (``t̂_i / b_i^2``, the shard's ``Q`` contribution),
         per-member job counts and mean sojourns, CUSUM ``alerts`` (when
-        a detector threshold is configured), and the local clock.
+        a detector threshold is configured), and the local clock: the
+        last completion, or 0.0 when no job ran.
         """
         if self._loads is None:
             raise RuntimeError("no allocation applied yet")
@@ -293,22 +293,22 @@ class CoordinatorShard:
                 f"got {len(arrivals)}"
             )
 
-        sim = Simulator()
-        live_machines = [self.machines[name] for name in self.machine_names]
-        for machine, load in zip(live_machines, self._loads):
-            machine.configure(float(load))
-        dispatch_batched(sim, live_machines, arrivals)
-        sim.run()
-        self._simulated_time = sim.now
-
-        for name in self.machine_names:
-            stats = self.machines[name].stats()
-            self._reports[name] = (
-                stats.completed,
-                stats.mean_sojourn if stats.completed else 0.0,
-            )
+        sojourns, last = serve_batch(
+            arrivals,
+            [self._execution_values[name] for name in self.machine_names],
+            self._loads,
+            self._rng,
+            self.deterministic_service,
+        )
+        counts, means = sojourn_means(sojourns)
+        self._simulated_time = 0.0 if last is None else last
+        if last is not None:
+            record_gauge("protocol.events_skipped", 2 * int(counts.sum()) - 1)
+        self._reports.update(
+            zip(self.machine_names, zip(counts.tolist(), means.tolist()))
+        )
         self._save_checkpoint()
-        return self._report_payload()
+        return self._report_payload(sojourns)
 
     def execute_local(self) -> dict:
         """Deployment-mode execution: the shard draws its own substream.
@@ -345,7 +345,7 @@ class CoordinatorShard:
             [mean_sojourn for _, mean_sojourn in reports],
         )
 
-    def _report_payload(self) -> dict:
+    def _report_payload(self, sojourns: Sequence[np.ndarray]) -> dict:
         assert self._loads is not None
         self._estimates = self._derive_estimates()
         bids = self.bids_vector()
@@ -355,7 +355,7 @@ class CoordinatorShard:
                 self.machine_names,
                 bids,
                 self._loads,
-                [self.machines[name].sojourn_times for name in self.machine_names],
+                sojourns,
                 threshold=self.detector_threshold,
                 slack=self.detector_slack,
             )

@@ -5,20 +5,21 @@ A round's jobs are routed with one vectorised draw
 with one stable sort (:func:`split_by_machine`), and served by one of
 two dispatchers with the same signature: :func:`dispatch_events`, one
 heap event per arrival and per completion, or :func:`dispatch_batched`,
-one vectorised service draw per machine and a single *event-horizon*
+the batched kernel :func:`serve_batch` plus a single *event-horizon*
 no-op that advances the clock to the last completion.  The paper's
 linear-latency machines serve jobs concurrently, so the interleaving
 carries nothing the verification estimator uses; only the O(n) control
 messages stay discrete events (DESIGN.md §11).  :func:`execute_jobs` is
 the whole step for the message-driven rounds; the sharded service and
-the horizon-fused engine share its split.
+the horizon-fused engine share its split and call :func:`serve_batch`
+on plain arrays.
 
 Contract: with deterministic service the two engines are bit-identical
 — same RNG stream, same per-job sojourn floats (``(arrival + duration)
 - arrival``), same per-machine order, same final clock.  With
-stochastic service the batched engine draws one batch per machine
-instead of one draw per job and matches estimates to statistical
-tolerance.
+stochastic service the batched engine's one draw equals one draw per
+machine in machine order, and matches the event engine's estimates to
+statistical tolerance.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from repro._validation import check_positive_scalar
 from repro.observability.instrumentation import record_gauge
 from repro.system.des import Simulator
 from repro.system.machine import LinearLatencyMachine
@@ -36,6 +38,9 @@ __all__ = [
     "EXECUTION_MODES",
     "resolve_execution",
     "split_by_machine",
+    "check_execution_values",
+    "serve_batch",
+    "sojourn_means",
     "dispatch_batched",
     "dispatch_events",
     "round_machines",
@@ -49,12 +54,9 @@ def resolve_execution(execution: str) -> str:
     """Map an execution request to the engine that will run the jobs.
 
     ``"event"`` and ``"batched"`` are honoured verbatim.  ``"auto"``
-    picks the batched engine whenever the round's machines support
-    vectorised submission — true for every
-    :class:`~repro.system.machine.LinearLatencyMachine` round today, so
-    ``"auto"`` currently always resolves to ``"batched"``; the
-    indirection exists so future per-job observation hooks (or machine
-    models whose sojourns depend on the event interleaving) can fall
+    resolves to ``"batched"``: every machine model today serves jobs
+    concurrently, so nothing depends on the event interleaving.  The
+    indirection lets a future model whose sojourns do depend on it fall
     back to ``"event"`` without changing call sites.
     """
     if execution not in EXECUTION_MODES:
@@ -86,6 +88,66 @@ def split_by_machine(
     return [ordered[lo:hi] for lo, hi in zip([0, *ends], ends[:n])]
 
 
+def check_execution_values(values: Sequence[float]) -> np.ndarray:
+    """The execution values ``t̃`` as a float array, each finite and positive.
+
+    The first bad value raises the
+    :class:`~repro.system.machine.LinearLatencyMachine` error, so every
+    round path rejects it with one named error.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    bad = np.flatnonzero(~(np.isfinite(values) & (values > 0.0)))
+    if bad.size:
+        check_positive_scalar(values[bad[0]], "execution_value")
+    return values
+
+
+def serve_batch(
+    arrivals: Sequence[np.ndarray],
+    execution_values: Sequence[float],
+    loads: Sequence[float],
+    rng: np.random.Generator,
+    deterministic_service: bool,
+) -> tuple[list[np.ndarray], float | None]:
+    """Serve every machine's arrivals at once: the batched execute kernel.
+
+    Machine ``k``'s jobs have mean service time ``t̃_k x_k``.  One
+    ``rng.exponential`` call draws the floats, and leaves the generator
+    state, of ``rng.exponential(mean_k, size=count_k)`` per machine in
+    machine order; deterministic service takes the means themselves.
+    Sojourns are ``(arrival + duration) - arrival``, the float the event
+    engine reads off the clock.  Returns each machine's sojourns (empty
+    for no jobs) and the last completion time (``None`` if no job ran).
+    """
+    values = check_execution_values(execution_values)
+    loads = np.asarray(loads, dtype=np.float64)
+    counts = np.array([len(times) for times in arrivals], dtype=np.int64)
+    unloaded = np.flatnonzero((counts > 0) & ~(loads > 0.0))
+    if unloaded.size:
+        raise RuntimeError(
+            f"machine {unloaded[0]} received a job but was allocated zero load"
+        )
+    if not counts.any():
+        return [np.empty(0) for _ in arrivals], None
+    times = np.concatenate(arrivals).astype(np.float64, copy=False)
+    means = np.repeat(values * loads, counts)
+    durations = means if deterministic_service else rng.exponential(means)
+    completions = times + durations
+    sojourns = completions - times
+    ends = np.cumsum(counts).tolist()
+    return (
+        [sojourns[lo:hi] for lo, hi in zip([0, *ends], ends)],
+        float(completions.max()),
+    )
+
+
+def sojourn_means(sojourns: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-machine job counts and per-slice ``.mean()`` sojourns (0.0 for none)."""
+    counts = np.array([s.size for s in sojourns], dtype=np.int64)
+    means = np.array([s.mean() if s.size else 0.0 for s in sojourns])
+    return counts, means
+
+
 def dispatch_batched(
     sim: Simulator,
     machines: Sequence[LinearLatencyMachine],
@@ -100,27 +162,40 @@ def dispatch_batched(
         completion time so the clock advances exactly as far as the
         event engine's last completion event would have taken it.
     machines:
-        The round's machines, already ``configure``-d with their loads.
+        The round's machines, already ``configure``-d with their loads
+        and sharing one generator and service mode
+        (:func:`round_machines` builds them so).
     arrivals:
         One array of absolute arrival times per machine, in arrival
         order (:func:`split_by_machine`) — the same floats
         :func:`dispatch_events` would schedule.
 
+    The machines' execution values and loads go through
+    :func:`serve_batch`, and each machine records its sojourns.
     Returns the number of jobs routed.  Records the
     ``protocol.events_skipped`` gauge: the event engine would have
     pushed two heap events per job (arrival + completion) where this
     engine pushes one horizon event total.
     """
-    count = 0
-    horizon = -np.inf
-    for machine, times in zip(machines, arrivals):
-        completions = machine.submit_batch(times)
-        if completions.size:
-            count += int(completions.size)
-            horizon = max(horizon, float(completions.max()))
-    if count == 0:
+    if not machines:
         return 0
-    sim.schedule_at(horizon, lambda s: None)
+    modes = {(machine.rng, machine.deterministic_service) for machine in machines}
+    if len(modes) > 1:
+        raise ValueError("batched machines must share one generator and service mode")
+    ((rng, deterministic),) = modes
+    sojourns, last = serve_batch(
+        arrivals,
+        [machine.execution_value for machine in machines],
+        [machine.load for machine in machines],
+        rng,
+        deterministic,
+    )
+    for machine, served in zip(machines, sojourns):
+        machine.record_sojourns(served)
+    if last is None:
+        return 0
+    count = sum(served.size for served in sojourns)
+    sim.schedule_at(last, lambda s: None)
     record_gauge("protocol.events_skipped", 2 * count - 1)
     return count
 
@@ -149,18 +224,6 @@ def dispatch_events(
     return count
 
 
-def _exact_service(mean: float, _rng: np.random.Generator) -> float:
-    """Noise-free service: each job takes exactly its mean (picklable)."""
-    return mean
-
-
-def _exact_service_batch(
-    mean: float, size: int, _rng: np.random.Generator
-) -> np.ndarray:
-    """Vectorised twin of :func:`_exact_service` (picklable)."""
-    return np.full(size, mean)
-
-
 def round_machines(
     names: Sequence[str],
     execution_values: Sequence[float],
@@ -172,19 +235,8 @@ def round_machines(
     Every machine draws service noise from the shared ``rng``, or, with
     ``deterministic_service``, takes exactly its mean per job.
     """
-    sampler, batch_sampler = (
-        (_exact_service, _exact_service_batch)
-        if deterministic_service
-        else (None, None)
-    )
     return [
-        LinearLatencyMachine(
-            name,
-            value,
-            rng,
-            service_sampler=sampler,
-            batch_service_sampler=batch_sampler,
-        )
+        LinearLatencyMachine(name, value, rng, deterministic_service)
         for name, value in zip(names, execution_values)
     ]
 

@@ -40,9 +40,10 @@ A fused segment runs in two phases:
   ``RoundSupervisor._admit``, :func:`~repro.protocol.coordinator.effective_bid`,
   the incremental PR allocate (kept warm so later de-fused rounds see
   identical allocator state), the round's workload draw through the
-  *same* ``RoundSupervisor._generate_times``, vectorised per-machine
-  sojourn statistics,
-  :func:`~repro.protocol.estimator.verified_estimates`,
+  *same* ``RoundSupervisor._generate_times``, the batched execute
+  kernel :func:`~repro.protocol.execution.serve_batch` (the one
+  ``dispatch_batched`` serves through, on plain arrays instead of
+  machine objects), :func:`~repro.protocol.estimator.verified_estimates`,
   :func:`~repro.protocol.monitoring.slowdown_alerts`, and
   ``RoundSupervisor._close_round``.  Membership churn (an alert
   quarantining a machine mid-segment, probes re-admitted) is handled
@@ -63,9 +64,10 @@ same seed — every float in every :class:`RoundResult`, through
 
 1. **RNG stream order.**  A clean sequential round consumes, in
    order: the Poisson count draw, the uniform position draws, the
-   routing ``choice`` draw, then (stochastic service only) one
-   exponential batch per machine with jobs, in machine-index order.
-   Phase A replays exactly that order; notably the workload is drawn
+   routing ``choice`` draw, then (stochastic service only) the
+   kernel's one exponential draw over every machine's jobs in
+   machine-index order.  Phase A replays exactly that order through
+   the same kernel; notably the workload is drawn
    per round — the sequential round interleaves each round's count,
    position and routing draws, so one segment-level draw would
    consume the stream in a different order — and backoff RNG is
@@ -73,7 +75,7 @@ same seed — every float in every :class:`RoundResult`, through
 2. **Zero-delay timing.**  The simulated network delivers at delay
    0.0, so allocation fires at ``sim.now == 0.0`` and the dispatched
    arrival times are ``0.0 + times`` — bitwise the raw draw.
-   Sojourns are ``(times_k + duration) - times_k`` per machine on the
+   The kernel's sojourns are ``(times_k + duration) - times_k`` on the
    per-machine arrivals of the one shared split,
    :func:`~repro.protocol.execution.split_by_machine`.
 3. **Dual loads.**  The sequential round uses the *incremental
@@ -105,7 +107,7 @@ from repro.observability.instrumentation import (
 )
 from repro.protocol.coordinator import effective_bid
 from repro.protocol.estimator import verified_estimates
-from repro.protocol.execution import split_by_machine
+from repro.protocol.execution import serve_batch, sojourn_means, split_by_machine
 from repro.protocol.monitoring import slowdown_alerts
 from repro.system.workload import split_assignments
 from repro.types import AllocationResult, MechanismOutcome, PaymentResult
@@ -248,26 +250,17 @@ def _run_fused_segment(supervisor: "RoundSupervisor", count: int) -> list:
             jobs_routed, alloc_loads / alloc_loads.sum(), supervisor._rng
         )
 
-        # Per-machine execution statistics on the same per-machine
-        # arrivals the sequential round dispatches (0.0 + times, bitwise
-        # the raw draws under the zero-delay network).
-        n = len(admitted)
-        counts = np.zeros(n, dtype=np.int64)
-        mean_sojourns = np.zeros(n)
-        machine_sojourns: list[np.ndarray | None] = [None] * n
-        for k, sub in enumerate(split_by_machine(times, assignments, n)):
-            size = int(sub.size)
-            counts[k] = size
-            if size == 0:
-                continue  # submit_batch returns before sampling
-            mean = execution_values[k] * float(alloc_loads[k])
-            if supervisor.deterministic_service:
-                durations = np.full(size, mean)
-            else:
-                durations = supervisor._rng.exponential(mean, size=size)
-            sojourns = (sub + durations) - sub
-            machine_sojourns[k] = sojourns
-            mean_sojourns[k] = float(sojourns.mean())
+        # The batched kernel on the per-machine arrivals the sequential
+        # round dispatches (0.0 + times, bitwise the raw draws under the
+        # zero-delay network).
+        machine_sojourns, _ = serve_batch(
+            split_by_machine(times, assignments, len(admitted)),
+            execution_values,
+            alloc_loads,
+            supervisor._rng,
+            supervisor.deterministic_service,
+        )
+        counts, mean_sojourns = sojourn_means(machine_sojourns)
 
         estimates = verified_estimates(bids, alloc_loads, counts, mean_sojourns)
 

@@ -80,17 +80,12 @@ class LinearLatencyMachine(_RecordingMachine):
         The slope ``t̃`` the machine actually runs at.
     rng:
         Random generator for service-time draws.
-    service_sampler:
-        Optional override mapping a mean to one sampled service time;
-        defaults to exponential.  A sampler returning ``mean`` itself
-        gives a deterministic machine
-        (:func:`~repro.protocol.execution.round_machines` builds those).
-    batch_service_sampler:
-        Optional vectorised counterpart mapping ``(mean, size, rng)``
-        to an array of ``size`` sampled service times; used by
-        :meth:`submit_batch`.  When omitted, the batch path falls back
-        to one ``rng.exponential(mean, size)`` draw (default sampler)
-        or a per-job loop over ``service_sampler`` (custom sampler).
+    deterministic_service:
+        When true every job takes exactly its mean; otherwise service
+        times are exponential with that mean.
+
+    The event engine calls :meth:`submit` per job; the batched engine
+    records a round's sojourns through :meth:`record_sojourns`.
     """
 
     def __init__(
@@ -98,19 +93,14 @@ class LinearLatencyMachine(_RecordingMachine):
         name: str,
         execution_value: float,
         rng: np.random.Generator,
-        service_sampler: Callable[[float, np.random.Generator], float] | None = None,
-        batch_service_sampler: (
-            Callable[[float, int, np.random.Generator], np.ndarray] | None
-        ) = None,
+        deterministic_service: bool = False,
     ) -> None:
         super().__init__(name)
         self.execution_value = check_positive_scalar(
             execution_value, "execution_value"
         )
-        self._rng = rng
-        self._default_sampler = service_sampler is None
-        self._sampler = service_sampler or _exponential_service
-        self._batch_sampler = batch_service_sampler
+        self.rng = rng
+        self.deterministic_service = bool(deterministic_service)
         self._configured_load: float | None = None
 
     def configure(self, load: float) -> None:
@@ -124,18 +114,24 @@ class LinearLatencyMachine(_RecordingMachine):
             raise ValueError("load must be non-negative")
         self._configured_load = float(load)
 
-    def submit(self, sim: Simulator, job: Job) -> None:
-        """Accept a job now; schedules its completion event."""
+    @property
+    def load(self) -> float:
+        """The configured arrival rate; raises if :meth:`configure` never ran."""
         if self._configured_load is None:
             raise RuntimeError(f"machine {self.name} was not configured with a load")
-        if self._configured_load == 0.0:
+        return self._configured_load
+
+    def submit(self, sim: Simulator, job: Job) -> None:
+        """Accept a job now; schedules its completion event."""
+        if self.load == 0.0:
             raise RuntimeError(
                 f"machine {self.name} received a job but was allocated zero load"
             )
-        mean = self.execution_value * self._configured_load
-        duration = self._sampler(mean, self._rng)
-        if duration < 0.0:
-            raise ValueError("service_sampler returned a negative duration")
+        mean = self.execution_value * self.load
+        if self.deterministic_service:
+            duration = mean
+        else:
+            duration = _exponential_service(mean, self.rng)
         start = sim.now
 
         def complete(s: Simulator) -> None:
@@ -144,55 +140,10 @@ class LinearLatencyMachine(_RecordingMachine):
 
         sim.schedule(duration, complete)
 
-    def _sample_batch(self, mean: float, size: int) -> np.ndarray:
-        if self._batch_sampler is not None:
-            return np.asarray(
-                self._batch_sampler(mean, size, self._rng), dtype=np.float64
-            )
-        if self._default_sampler:
-            return self._rng.exponential(mean, size=size)
-        return np.asarray(
-            [self._sampler(mean, self._rng) for _ in range(size)],
-            dtype=np.float64,
-        )
-
-    def submit_batch(self, arrival_times: np.ndarray) -> np.ndarray:
-        """Accept a whole arrival stream at once; returns completion times.
-
-        The batched twin of :meth:`submit`: one vectorised service draw
-        covers every job, statistics are aggregated without touching
-        the event heap, and the absolute completion times come back so
-        the caller can advance the simulator clock with a single
-        horizon event.
-
-        Sojourns are recorded as ``(arrival + duration) - arrival``
-        elementwise — the exact float the event path's completion
-        handler computes from the clock — so a deterministic-service
-        round is bit-identical between the two execution engines.
-        """
-        arrival_times = np.asarray(arrival_times, dtype=np.float64)
-        if self._configured_load is None:
-            raise RuntimeError(f"machine {self.name} was not configured with a load")
-        if arrival_times.size == 0:
-            return arrival_times.copy()
-        if self._configured_load == 0.0:
-            raise RuntimeError(
-                f"machine {self.name} received a job but was allocated zero load"
-            )
-        mean = self.execution_value * self._configured_load
-        durations = self._sample_batch(mean, int(arrival_times.size))
-        if durations.shape != arrival_times.shape:
-            raise ValueError(
-                "batch_service_sampler returned "
-                f"{durations.shape} durations for {arrival_times.size} jobs"
-            )
-        if np.any(durations < 0.0):
-            raise ValueError("service sampler returned a negative duration")
-        completions = arrival_times + durations
-        sojourns = completions - arrival_times
+    def record_sojourns(self, sojourns: np.ndarray) -> None:
+        """Record a batch of completed jobs' sojourns, in arrival order."""
         self.sojourn_times.extend(sojourns.tolist())
         self._busy_time += float(sojourns.sum())
-        return completions
 
 
 class QueueingMachine(_RecordingMachine):

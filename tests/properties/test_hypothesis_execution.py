@@ -4,6 +4,8 @@ Every round path splits its routed stream with ``split_by_machine`` and
 runs it through one of the two dispatchers, so the split must be the
 per-machine masks byte for byte, and under deterministic service the
 two engines must leave identical sojourns and the same final clock.
+Under stochastic service the batched kernel's one draw must be the
+per-machine draws byte for byte, generator state included.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from repro.protocol.execution import (
     dispatch_batched,
     dispatch_events,
     round_machines,
+    serve_batch,
     split_by_machine,
 )
 from repro.system.des import Simulator
@@ -79,3 +82,36 @@ class TestDispatchersAgree:
         assert event[0] == batched[0] == times.size
         assert event[1] == batched[1]
         assert event[2] == batched[2]
+
+
+class TestBatchedKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        stream=routed_streams(max_machines=12, max_jobs=200),
+        seed=st.integers(0, 2**31),
+    )
+    def test_one_draw_equals_per_machine_blocks_under_stochastic_service(
+        self, stream, seed
+    ):
+        times, assignments, n = stream
+        arrivals = split_by_machine(times, assignments, n)
+        values = np.random.default_rng(n).uniform(0.5, 4.0, size=n)
+        loads = np.random.default_rng(n + 1).uniform(0.1, 2.0, size=n)
+        # A machine that gets no jobs may have no load at all.
+        loads[np.bincount(assignments, minlength=n) == 0] = 0.0
+
+        rng = np.random.default_rng(seed)
+        sojourns, last = serve_batch(arrivals, values, loads, rng, False)
+
+        # Reference: one exponential block per machine, in machine
+        # order, zero-job machines included.
+        reference = np.random.default_rng(seed)
+        completions = []
+        for k, sub in enumerate(arrivals):
+            done = sub + reference.exponential(values[k] * loads[k], size=sub.size)
+            completions.append(done)
+            assert sojourns[k].tobytes() == (done - sub).tobytes()
+        assert len(sojourns) == n
+        assert rng.bit_generator.state == reference.bit_generator.state
+        finished = np.concatenate(completions)
+        assert last == (float(finished.max()) if finished.size else None)

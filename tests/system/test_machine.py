@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.protocol.execution import dispatch_batched, serve_batch
 from repro.system import (
     LinearLatencyMachine,
     PoissonWorkload,
@@ -48,23 +49,11 @@ class TestLinearLatencyMachine:
         assert stats.mean_sojourn == pytest.approx(6.0, rel=0.05)
 
     def test_deterministic_sampler_is_exact(self, rng):
-        machine = LinearLatencyMachine(
-            "C1", 2.0, rng, service_sampler=lambda mean, r: mean
-        )
+        machine = LinearLatencyMachine("C1", 2.0, rng, deterministic_service=True)
         machine.configure(1.5)
         jobs = PoissonWorkload(1.5, rng).generate(50.0)
         _drive(machine, jobs)
         assert machine.stats().mean_sojourn == pytest.approx(3.0)
-
-    def test_negative_sampler_rejected(self, rng):
-        machine = LinearLatencyMachine(
-            "C1", 1.0, rng, service_sampler=lambda mean, r: -1.0
-        )
-        machine.configure(1.0)
-        from repro.system.workload import Job
-
-        with pytest.raises(ValueError, match="negative"):
-            _drive(machine, [Job(0, 0.0)])
 
     def test_negative_configuration_rejected(self, rng):
         machine = LinearLatencyMachine("C1", 1.0, rng)
@@ -79,83 +68,66 @@ class TestLinearLatencyMachine:
 
 
 class TestSubmitBatch:
+    """The batched path: the ``serve_batch`` kernel and ``dispatch_batched``."""
+
     def test_deterministic_batch_matches_per_job_exactly(self):
-        sampler = lambda mean, r: mean
-        batch_sampler = lambda mean, size, r: np.full(size, mean)
         per_job = LinearLatencyMachine(
-            "C1", 2.0, np.random.default_rng(1), service_sampler=sampler
+            "C1", 2.0, np.random.default_rng(1), deterministic_service=True
         )
         batched = LinearLatencyMachine(
-            "C1", 2.0, np.random.default_rng(1),
-            service_sampler=sampler, batch_service_sampler=batch_sampler,
+            "C1", 2.0, np.random.default_rng(1), deterministic_service=True
         )
         per_job.configure(1.5)
         batched.configure(1.5)
         jobs = PoissonWorkload(1.5, np.random.default_rng(2)).generate(50.0)
         _drive(per_job, jobs)
-        batched.submit_batch(np.array([j.arrival_time for j in jobs]))
-        # Bit-identical floats, not approximately equal: the batched
-        # path records (arrival + duration) - arrival on purpose.
+        sim = Simulator()
+        dispatch_batched(sim, [batched], [np.array([j.arrival_time for j in jobs])])
+        sim.run()
+        # Bit-identical floats, not approximately equal: the kernel
+        # records (arrival + duration) - arrival on purpose.
         assert batched.sojourn_times == per_job.sojourn_times
         assert batched._busy_time == per_job._busy_time
 
-    def test_default_sampler_draws_one_exponential_block(self, rng):
-        machine = LinearLatencyMachine("C1", 2.0, np.random.default_rng(3))
-        machine.configure(3.0)
+    def test_default_sampler_draws_one_exponential_block(self):
         arrivals = np.sort(np.random.default_rng(4).uniform(0, 3000.0, 9000))
-        completions = machine.submit_batch(arrivals)
-        assert completions.shape == arrivals.shape
-        assert np.all(completions >= arrivals)
-        assert machine.stats().mean_sojourn == pytest.approx(6.0, rel=0.05)
-
-    def test_custom_scalar_sampler_falls_back_to_a_loop(self):
-        calls = []
-
-        def sampler(mean, r):
-            calls.append(mean)
-            return mean
-
-        machine = LinearLatencyMachine(
-            "C1", 2.0, np.random.default_rng(5), service_sampler=sampler
-        )
-        machine.configure(1.0)
-        machine.submit_batch(np.array([0.0, 1.0, 2.0]))
-        assert calls == [2.0, 2.0, 2.0]
+        rng = np.random.default_rng(3)
+        (sojourns,), last = serve_batch([arrivals], [2.0], [3.0], rng, False)
+        block = np.random.default_rng(3).exponential(6.0, size=9000)
+        assert sojourns.tobytes() == ((arrivals + block) - arrivals).tobytes()
+        assert last == float((arrivals + block).max())
+        assert sojourns.mean() == pytest.approx(6.0, rel=0.05)
 
     def test_empty_batch_is_a_no_op(self, rng):
+        assert serve_batch([np.empty(0)], [1.0], [1.0], rng, False)[1] is None
         machine = LinearLatencyMachine("C1", 1.0, rng)
         machine.configure(1.0)
-        assert machine.submit_batch(np.empty(0)).size == 0
+        assert dispatch_batched(Simulator(), [machine], [np.empty(0)]) == 0
         assert machine.stats().is_empty
 
     def test_unconfigured_machine_rejected(self, rng):
         machine = LinearLatencyMachine("C1", 1.0, rng)
         with pytest.raises(RuntimeError, match="not configured"):
-            machine.submit_batch(np.array([0.0]))
+            dispatch_batched(Simulator(), [machine], [np.array([0.0])])
 
     def test_zero_load_refuses_jobs(self, rng):
+        with pytest.raises(RuntimeError, match="zero load"):
+            serve_batch([np.empty(0), np.array([0.0])], [1.0, 1.0], [1.0, 0.0],
+                        rng, False)
         machine = LinearLatencyMachine("C1", 1.0, rng)
         machine.configure(0.0)
         with pytest.raises(RuntimeError, match="zero load"):
-            machine.submit_batch(np.array([0.0]))
+            dispatch_batched(Simulator(), [machine], [np.array([0.0])])
 
-    def test_bad_batch_sampler_shape_rejected(self, rng):
-        machine = LinearLatencyMachine(
-            "C1", 1.0, rng,
-            batch_service_sampler=lambda mean, size, r: np.zeros(size + 1),
-        )
-        machine.configure(1.0)
-        with pytest.raises(ValueError, match="durations"):
-            machine.submit_batch(np.array([0.0, 1.0]))
-
-    def test_negative_batch_duration_rejected(self, rng):
-        machine = LinearLatencyMachine(
-            "C1", 1.0, rng,
-            batch_service_sampler=lambda mean, size, r: np.full(size, -1.0),
-        )
-        machine.configure(1.0)
-        with pytest.raises(ValueError, match="negative"):
-            machine.submit_batch(np.array([0.0]))
+    def test_machines_must_share_one_generator(self):
+        machines = [
+            LinearLatencyMachine(f"C{k}", 1.0, np.random.default_rng(k))
+            for k in (1, 2)
+        ]
+        for machine in machines:
+            machine.configure(1.0)
+        with pytest.raises(ValueError, match="one generator"):
+            dispatch_batched(Simulator(), machines, [np.array([0.0])] * 2)
 
 
 class TestQueueingMachine:

@@ -119,8 +119,7 @@ class TestTraceReplayThroughProtocolMachinery:
         def run(stream):
             sim = Simulator()
             machine = LinearLatencyMachine(
-                "C1", 2.0, np.random.default_rng(0),
-                service_sampler=lambda mean, r: mean,
+                "C1", 2.0, np.random.default_rng(0), deterministic_service=True
             )
             machine.configure(4.0)
             for job in stream:
