@@ -16,9 +16,12 @@ bench holds the engine's promises:
   forces mid-horizon de-fusion.  The timing arms only run once every
   comparison is clean.
 * **speed** — on a 1000-round fault-free horizon at n=64 the fused
-  engine clears >= 10x rounds/sec over the sequential supervisor loop
+  engine clears >= 3x rounds/sec over the sequential supervisor loop
   (the sequential arm pays a discrete-event simulator, ~5n messages,
-  and a per-bid write-ahead checkpoint per round).
+  and four phase snapshots plus a journal entry per bid, report and
+  payment per round).  The gate was 10x while the sequential loop
+  snapshotted on every bid, report and payment; most of that margin
+  measured the checkpoint tax, not fusion.
 * **drift row** — the stale-bid drift sweep
   (:func:`repro.dynamic.drift.drift_sweep`) scores a same-sized
   horizon as one stacked broadcast, making truthfulness-degradation-
@@ -49,7 +52,7 @@ if __name__ == "__main__":  # standalone: make src/ importable without install
 
 import numpy as np
 
-SPEEDUP_TARGET = 10.0  # fused vs sequential rounds/sec, fault-free horizon
+SPEEDUP_TARGET = 3.0  # fused vs sequential rounds/sec, fault-free horizon
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
 _ROUND_FIELDS = (

@@ -93,7 +93,7 @@ from repro.experiments import (
     figure6_truthful_structure,
 )
 
-__version__ = "1.15.0"
+__version__ = "1.16.0"
 
 __all__ = [
     "AllocationResult",

@@ -408,19 +408,22 @@ class CoordinatorShard:
         full round ledger, so a re-settle after recovery still reports
         every member's amounts.
 
-        Persistence is snapshot-plus-journal: the execution stage's
-        snapshot is the base, and each payment is an O(1) ledger append
-        on top of it.  A per-payment snapshot would make settling O(n²)
-        and is exactly what the A24 benchmark would catch.
+        Persistence is snapshot-plus-ledger: the execution stage's
+        snapshot is the base, and settle pays in ``machine_names``
+        order, so before the first notice one priced-amounts record
+        lists every still-unpaid member, and each notice first bumps
+        the record's sent-count watermark.  A per-payment snapshot
+        would make settling O(n²) and is exactly what the A24
+        benchmark would catch.
         """
         self.phase = ProtocolPhase.VERIFYING
-        if self.checkpoint_store is not None and not (
-            self.checkpoint_store.has_snapshot
-        ):
+        store = self.checkpoint_store
+        if store is not None and not store.has_snapshot:
             self._save_checkpoint()  # no prior stage ran: journal base
-        for name in self.machine_names:
-            if name in self.payments_sent:
-                continue  # issued before a crash: never pay twice
+        unpaid = [n for n in self.machine_names if n not in self.payments_sent]
+        if store is not None and unpaid:
+            store.append_ledger(unpaid, [amounts[name] for name in unpaid])
+        for name in unpaid:
             if (
                 self.fail_after_payments is not None
                 and len(self.payments_sent) >= self.fail_after_payments
@@ -431,10 +434,12 @@ class CoordinatorShard:
                     f"{len(self.payments_sent)} payments"
                 )
             payment, compensation, bonus = amounts[name]
-            entry = (float(payment), float(compensation), float(bonus))
             # Write-ahead: record and persist the intent, then send.
-            self.payments_sent[name] = entry
-            self._append_payment(name, entry)
+            self.payments_sent[name] = (
+                float(payment), float(compensation), float(bonus)
+            )
+            if store is not None:
+                store.mark_sent()
             self.payment_notices[name] = self.payment_notices.get(name, 0) + 1
         self.phase = ProtocolPhase.DONE
         # No closing snapshot: the ledger lives in the journal until the
@@ -550,12 +555,6 @@ class CoordinatorShard:
     def _save_checkpoint(self) -> None:
         if self.checkpoint_store is not None:
             self.checkpoint_store.save(self.checkpoint())
-
-    def _append_payment(
-        self, name: str, entry: tuple[float, float, float]
-    ) -> None:
-        if self.checkpoint_store is not None:
-            self.checkpoint_store.append_payment(name, entry)
 
     @classmethod
     def restore(

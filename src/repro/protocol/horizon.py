@@ -3,9 +3,9 @@
 The sequential :class:`~repro.resilience.supervisor.RoundSupervisor`
 pays full per-round protocol machinery even when nothing interesting
 happens: a fresh discrete-event simulator, ~5n messages through the
-network layer, a write-ahead checkpoint per bid (O(n²) dict copies per
-round), per-job Python CUSUM loops, and a pile of per-round dataclass
-churn.  On a fault-free horizon every one of those rounds computes the
+network layer, write-ahead checkpoints (four phase snapshots and a
+journal entry per bid, report and payment), per-job Python CUSUM
+loops, and a pile of per-round dataclass churn.  On a fault-free horizon every one of those rounds computes the
 same *kind* of thing — bids, one PR solve, one Poisson window,
 per-machine sojourn statistics, one mechanism evaluation — so this
 module evaluates maximal fault-free runs of rounds as one fused

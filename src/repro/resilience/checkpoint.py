@@ -5,9 +5,11 @@ machines have already burned cycles executing jobs, and naively
 restarting it either loses the round or — worse — pays twice.  The fix
 is the standard write-ahead pattern: the coordinator serialises its
 *inputs* (phase, collected bids, decided loads, received reports, and
-the set of payments already issued) at every state transition, and a
-restarted coordinator deterministically recomputes everything derived
-(estimates, outcome, remaining payments) from that record.
+the set of payments already issued) as they change — a snapshot at
+every phase transition, one journal entry per bid, report or payment
+between them — and a restarted coordinator deterministically
+recomputes everything derived (estimates, outcome, remaining payments)
+from that record.
 
 Two properties matter and are enforced by tests and the chaos harness:
 
@@ -28,7 +30,10 @@ serialisation boundary is what proves no live object sneaks through.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import Sequence
+
+import numpy as np
 
 from repro.observability.instrumentation import record_counter, timed_section
 
@@ -103,7 +108,10 @@ class CoordinatorCheckpoint:
     @classmethod
     def from_json(cls, payload: str) -> "CoordinatorCheckpoint":
         """Rebuild a checkpoint from its JSON representation."""
-        raw = json.loads(payload)
+        return cls._from_raw(json.loads(payload))
+
+    @classmethod
+    def _from_raw(cls, raw: dict) -> "CoordinatorCheckpoint":
         return cls(
             phase=raw["phase"],
             machine_names=list(raw["machine_names"]),
@@ -123,24 +131,51 @@ class CoordinatorCheckpoint:
         )
 
 
+@dataclass
+class _Ledger:
+    """One priced-amounts record: who is owed what, and how many were sent.
+
+    ``names`` is one JSON list and ``amounts`` the ``(k, 3)`` float64
+    rows as raw bytes (exact, like JSON's shortest repr); only the first
+    ``sent`` rows count as issued.
+    """
+
+    names: str
+    amounts: bytes
+    size: int
+    sent: int = 0
+
+    def issued(self) -> dict[str, list[float]]:
+        rows = np.frombuffer(self.amounts, dtype=np.float64).reshape(-1, 3)
+        names = json.loads(self.names)[: self.sent]
+        return dict(zip(names, rows[: self.sent].tolist()))
+
+
 class CheckpointStore:
-    """A durable slot for the latest checkpoint, plus a payment journal.
+    """A durable slot for a phase snapshot plus the events since it.
 
-    Stores the *serialised* form: every save round-trips through JSON,
-    so anything that would not survive a real process restart fails
-    loudly in tests rather than silently working in memory.
+    Stores the *serialised* form: every snapshot and every journal
+    entry is serialised when it is written, so anything that would not
+    survive a real process restart fails loudly in tests rather than
+    silently working in memory.
 
-    Snapshots are O(n) to write, which is fine once per phase but ruins
-    the settle phase if taken once per payment (O(n²) per round).  The
-    journal is the classic WAL answer: :meth:`append_payment` records a
-    single ledger entry in O(1) *on top of* the last snapshot, and
-    :meth:`load` folds the journal back into ``payments_sent``.  Saving
-    a fresh snapshot subsumes (and clears) the journal.
+    Snapshots are O(n) to write, which is fine once per phase but turns
+    a round quadratic if taken once per bid, report or payment.  So
+    :meth:`save` runs only at phase transitions, and each event between
+    them is one O(1) journal entry on top of the snapshot
+    (:meth:`append_bid`, :meth:`append_report`, :meth:`append_payment`).
+    A settle that pays a known list in order writes one priced-amounts
+    record (:meth:`append_ledger`) and bumps its sent-count watermark
+    before each notice (:meth:`mark_sent`).  :meth:`load` folds every
+    entry back into the snapshot in append order, so the rebuilt
+    checkpoint equals one snapshot taken at the same point.  A fresh
+    snapshot subsumes (and drops) the journal.
     """
 
     def __init__(self) -> None:
         self._payload: str | None = None
-        self._journal: list[str] = []
+        self._journal: list[str | _Ledger] = []
+        self._ledger: _Ledger | None = None
         self.saves = 0
         self.appends = 0
 
@@ -153,66 +188,76 @@ class CheckpointStore:
         """Persist ``checkpoint``, replacing any previous one."""
         with timed_section("resilience.checkpoint.save.seconds"):
             self._payload = checkpoint.to_json()
-        self._journal.clear()
+        self._drop_journal()
         self.saves += 1
         record_counter("resilience.checkpoint.saves")
+
+    def append_bid(self, name: str, bid: float) -> None:
+        """Journal one recorded bid."""
+        self._append(json.dumps(["bids", name, bid], default=float))
+
+    def append_report(self, name: str, report: tuple[int, float]) -> None:
+        """Journal one completion report: (jobs_completed, mean_sojourn)."""
+        self._append(json.dumps(["reports", name, report], default=float))
 
     def append_payment(
         self, name: str, amounts: tuple[float, float, float]
     ) -> None:
-        """Journal one issued payment in O(1), relative to the snapshot.
+        """Journal one issued payment: (payment, compensation, bonus)."""
+        self._append(json.dumps(["payments_sent", name, amounts], default=float))
 
-        The entry is serialised immediately — same durability discipline
-        as :meth:`save` — so a write-ahead per-payment record costs one
-        three-float JSON line instead of a full O(n) snapshot.
+    def append_ledger(self, names: Sequence[str], amounts: np.ndarray) -> None:
+        """Journal the priced amounts of ``names``, none issued yet.
+
+        ``amounts`` holds one (payment, compensation, bonus) row per
+        name; :meth:`mark_sent` then marks them issued in order.
         """
+        rows = np.asarray(amounts, dtype=np.float64).reshape(len(names), 3)
+        ledger = _Ledger(json.dumps(list(names)), rows.tobytes(), len(names))
+        self._append(ledger)
+        self._ledger = ledger
+
+    def mark_sent(self) -> None:
+        """Mark the next entry of the latest ledger record as issued."""
+        ledger = self._ledger
+        if ledger is None or ledger.sent >= ledger.size:
+            raise RuntimeError("no unsent ledger entry to mark")
+        ledger.sent += 1
+
+    def _append(self, entry: str | _Ledger) -> None:
         if self._payload is None:
-            raise RuntimeError(
-                "cannot journal a payment with no base snapshot saved"
-            )
-        payment, compensation, bonus = amounts
-        payment = float(payment)
-        compensation = float(compensation)
-        bonus = float(bonus)
-        # repr() of a finite float is shortest-round-trip decimal, which
-        # is valid JSON — the fast path skips the json encoder entirely
-        # (this is the per-payment hot path; see bench_sharded.py).
-        # Names needing escapes and non-finite values take the slow path.
-        if (
-            '"' not in name
-            and "\\" not in name
-            and name.isprintable()
-            and payment - payment == 0.0
-            and compensation - compensation == 0.0
-            and bonus - bonus == 0.0
-        ):
-            entry = f'["{name}", [{payment!r}, {compensation!r}, {bonus!r}]]'
-        else:
-            entry = json.dumps([name, [payment, compensation, bonus]])
+            raise RuntimeError("cannot journal an event with no base snapshot saved")
         self._journal.append(entry)
         self.appends += 1
+        record_counter("resilience.checkpoint.appends")
 
     def load(self) -> CoordinatorCheckpoint | None:
         """The most recent checkpoint, or ``None`` if nothing was saved.
 
-        Journalled payments are folded into ``payments_sent`` so the
-        restore path sees one coherent ledger regardless of whether the
-        entries arrived via snapshot or append.
+        Journal entries fold into their section (``bids``, ``reports``,
+        ``payments_sent``) in append order, so the restore path sees
+        one coherent record whether an entry arrived by snapshot or by
+        append.
         """
         if self._payload is None:
             return None
         with timed_section("resilience.checkpoint.load.seconds"):
-            checkpoint = CoordinatorCheckpoint.from_json(self._payload)
-            if self._journal:
-                payments = dict(checkpoint.payments_sent)
-                for line in self._journal:
-                    name, amounts = json.loads(line)
-                    payments[name] = tuple(float(x) for x in amounts)
-                checkpoint = replace(checkpoint, payments_sent=payments)
+            raw = json.loads(self._payload)
+            for entry in self._journal:
+                if isinstance(entry, _Ledger):
+                    raw["payments_sent"].update(entry.issued())
+                else:
+                    section, name, value = json.loads(entry)
+                    raw[section][name] = value
+            checkpoint = CoordinatorCheckpoint._from_raw(raw)
         record_counter("resilience.checkpoint.loads")
         return checkpoint
 
     def clear(self) -> None:
         """Drop the stored checkpoint (end of a completed round)."""
         self._payload = None
+        self._drop_journal()
+
+    def _drop_journal(self) -> None:
         self._journal.clear()
+        self._ledger = None

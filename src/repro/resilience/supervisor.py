@@ -104,8 +104,10 @@ class SupervisedCoordinator(FaultTolerantCoordinator):
     * ``allocator`` — optional override for the allocation step, so the
       supervisor can serve loads from its incremental PR state instead
       of recomputing from scratch;
-    * ``checkpoint_store`` — write-ahead persistence of phase, bids,
-      loads, reports, and issued payments at every state transition;
+    * ``checkpoint_store`` — write-ahead persistence: a snapshot of
+      phase, bids, loads, reports and issued payments at every phase
+      transition, and one journal entry per bid, report and payment
+      between them;
     * ``payments_sent`` — the at-most-once ledger: a payment is
       recorded (and checkpointed) *before* its notice is sent, and
       never re-issued by a restored coordinator;
@@ -144,21 +146,26 @@ class SupervisedCoordinator(FaultTolerantCoordinator):
 
     def _on_bid(self, reply) -> None:
         super()._on_bid(reply)
-        if self.phase is ProtocolPhase.BIDDING:
-            self._save_checkpoint()
+        store = self.checkpoint_store
+        # The last bid moves the round on, and that snapshot holds it.
+        if store is not None and self.phase is ProtocolPhase.BIDDING:
+            store.append_bid(reply.sender, self._bids[reply.sender])
 
     def _on_report(self, report) -> None:
         phase_before = self.phase
         super()._on_report(report)
-        if self.phase is phase_before:
-            self._save_checkpoint()
+        store = self.checkpoint_store
+        if store is not None and self.phase is phase_before:
+            store.append_report(
+                report.sender, (report.jobs_completed, report.mean_sojourn)
+            )
 
     def _set_phase(self, phase: ProtocolPhase) -> None:
-        # Snapshot at every phase boundary after the round opens (each
-        # bid snapshots itself), so a restore resumes from the phase.
+        # Snapshot at every phase boundary, so a restore resumes from
+        # the phase and each bid, report or payment journals on top.
         moved = phase is not self.phase
         super()._set_phase(phase)
-        if moved and phase is not ProtocolPhase.BIDDING:
+        if moved:
             self._save_checkpoint()
 
     def _allocate_to_responders(self) -> None:
@@ -184,9 +191,10 @@ class SupervisedCoordinator(FaultTolerantCoordinator):
                 f"coordinator died after issuing "
                 f"{len(self.payments_sent)} payments"
             )
-        # Write-ahead: record and persist the intent, then send.
+        # Write-ahead: record and journal the intent, then send.
         self.payments_sent[name] = amounts
-        self._save_checkpoint()
+        if self.checkpoint_store is not None:
+            self.checkpoint_store.append_payment(name, amounts)
         super()._pay(name, amounts)
 
     # --------------------------------------------------------- persistence

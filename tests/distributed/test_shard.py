@@ -81,6 +81,19 @@ class TestRoundStages:
         ckpt = store.load()
         assert set(ckpt.payments_sent) == set(shard.machine_names)
 
+    @pytest.mark.parametrize("members", [3, 50])
+    def test_settle_writes_one_ledger_record_whatever_the_size(self, members):
+        store = CheckpointStore()
+        shard = make_shard(values=[1.0 + k % 4 for k in range(members)], store=store)
+        shard.begin_round()
+        shard.collect_bids()
+        shard.allocate_from_total(float(np.sum(1.0 / shard.bids_vector())))
+        shard.run_execution()
+        saves, appends = store.saves, store.appends
+        shard.settle({n: (1.0, 0.5, 0.5) for n in shard.machine_names})
+        assert (store.saves - saves, store.appends - appends) == (0, 1)
+        assert len(store.load().payments_sent) == members
+
     def test_crash_hook_persists_ledger_before_raising(self):
         store = CheckpointStore()
         shard = make_shard(store=store, fail_after_payments=1)

@@ -166,6 +166,7 @@ class TestWiredHotPaths:
             assert spans[name]["count"] == 2
         assert instr.metrics.counter("supervisor.rounds").value == 2.0
         assert instr.metrics.counter("resilience.checkpoint.saves").value > 0
+        assert instr.metrics.counter("resilience.checkpoint.appends").value > 0
         assert instr.metrics.histogram("supervisor.jobs_routed").count == 2
 
     def test_chaos_round_annotates_injected_faults(self):

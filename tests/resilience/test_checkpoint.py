@@ -128,8 +128,8 @@ class TestPaymentJournal:
             store.append_payment("C1", (1.0, 0.0, 1.0))
 
     def test_awkward_values_round_trip(self):
-        # Escaped names and non-finite floats take the json fallback;
-        # exact float round-trip either way.
+        # Names that need escaping and non-finite floats round-trip
+        # exactly.
         store = self._base()
         store.append_payment('C"\\2', (float("inf"), float("nan"), 1e-300))
         entry = store.load().payments_sent['C"\\2']
@@ -143,6 +143,103 @@ class TestPaymentJournal:
         store.clear()
         assert store.load() is None
         assert not store.has_snapshot
+
+
+class TestEventJournal:
+    """Bid and report entries, and the settle ledger, on one snapshot."""
+
+    def _bidding(self):
+        store = CheckpointStore()
+        store.save(
+            CoordinatorCheckpoint(
+                phase="bidding",
+                machine_names=["C1", "C2", "C3"],
+                arrival_rate=6.0,
+                bids={"C2": 2.0},
+            )
+        )
+        return store
+
+    def test_bids_and_reports_fold_in_append_order(self):
+        store = self._bidding()
+        store.append_bid("C3", 3.0)
+        store.append_bid("C1", 1.0)
+        store.append_report("C3", (4, 0.75))
+        store.append_report("C1", (2, 0.5))
+        loaded = store.load()
+        assert list(loaded.bids.items()) == [
+            ("C2", 2.0), ("C3", 3.0), ("C1", 1.0),
+        ]
+        assert list(loaded.reports.items()) == [("C3", (4, 0.75)), ("C1", (2, 0.5))]
+        assert isinstance(loaded.reports["C3"][0], int)
+        assert store.appends == 4
+
+    def test_awkward_names_and_values_round_trip(self):
+        store = self._bidding()
+        name = 'C"\\ \n\u00e9'
+        store.append_bid(name, float("inf"))
+        store.append_report(name, (0, float("nan")))
+        store.append_payment(name, (-0.0, 5e-324, float("-inf")))
+        loaded = store.load()
+        assert loaded.bids[name] == float("inf")
+        jobs, sojourn = loaded.reports[name]
+        assert jobs == 0 and sojourn != sojourn
+        assert repr(loaded.payments_sent[name]) == repr((-0.0, 5e-324, float("-inf")))
+
+    def test_journal_without_snapshot_is_refused(self):
+        store = CheckpointStore()
+        with pytest.raises(RuntimeError, match="no base snapshot"):
+            store.append_bid("C1", 1.0)
+        with pytest.raises(RuntimeError, match="no base snapshot"):
+            store.append_report("C1", (1, 1.0))
+        with pytest.raises(RuntimeError, match="no base snapshot"):
+            store.append_ledger(["C1"], [(1.0, 1.0, 0.0)])
+        assert store.appends == 0
+
+    def test_ledger_folds_only_the_sent_entries(self):
+        store = self._bidding()
+        amounts = [(1.5, 1.0, 0.5), (float("nan"), -0.0, 1e-300), (3.0, 2.0, 1.0)]
+        store.append_ledger(["C1", 'C"2', "C3"], amounts)
+        assert store.load().payments_sent == {}  # watermark 0 folds nothing
+        store.mark_sent()
+        store.mark_sent()
+        paid = store.load().payments_sent
+        assert list(paid) == ["C1", 'C"2']
+        assert repr(paid['C"2']) == repr(amounts[1])
+        store.mark_sent()
+        with pytest.raises(RuntimeError, match="no unsent ledger entry"):
+            store.mark_sent()
+        assert store.appends == 1
+
+    def test_ledger_folds_after_earlier_payments(self):
+        store = self._bidding()
+        store.append_payment("C1", (1.0, 1.0, 0.0))
+        store.append_ledger(["C2", "C3"], np.array([[2.0, 2.0, 0.0], [3.0, 3.0, 0.0]]))
+        store.mark_sent()
+        assert list(store.load().payments_sent) == ["C1", "C2"]
+
+    @pytest.mark.parametrize("drop", ["save", "clear"])
+    def test_save_and_clear_drop_entries_and_ledger(self, drop):
+        store = self._bidding()
+        store.append_bid("C3", 3.0)
+        store.append_report("C3", (1, 1.0))
+        store.append_ledger(["C3"], [(9.0, 9.0, 0.0)])
+        store.mark_sent()
+        base = CoordinatorCheckpoint(
+            phase="executing", machine_names=["C1"], arrival_rate=1.0
+        )
+        if drop == "save":
+            store.save(base)
+            assert store.load() == base
+        else:
+            store.clear()
+            assert store.load() is None
+        with pytest.raises(RuntimeError, match="no unsent ledger entry"):
+            store.mark_sent()
+
+    def test_mark_sent_without_a_ledger_is_refused(self):
+        with pytest.raises(RuntimeError, match="no unsent ledger entry"):
+            self._bidding().mark_sent()
 
 
 class TestCheckpointProgression:
@@ -159,6 +256,25 @@ class TestCheckpointProgression:
         sim.run()
         assert store.load().phase == "done"
         assert len(store.load().payments_sent) == len(nodes)
+
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_clean_round_snapshots_once_per_phase(self, n):
+        # Snapshots count phases, not machines; every other write is a
+        # journal entry (n - 1 bids, n - 1 reports, n payments).
+        from repro.observability import instrumented
+        from repro.resilience import RoundSupervisor
+
+        supervisor = RoundSupervisor(
+            [TruthfulAgent(1.0 + k % 5) for k in range(n)],
+            0.5 * n,
+            duration=5.0,
+            rng=np.random.default_rng(0),
+        )
+        with instrumented() as instr:
+            supervisor.run(1)
+        counter = instr.metrics.counter
+        assert counter("resilience.checkpoint.saves").value == 4
+        assert counter("resilience.checkpoint.appends").value == 3 * n - 2
 
     def test_bids_checkpointed_as_they_arrive(self):
         store = CheckpointStore()
