@@ -24,6 +24,12 @@ import sys
 
 import numpy as np
 
+from repro.distributed.service import (
+    AGGREGATION_MODES,
+    SHARD_EXECUTORS,
+    WORKLOAD_MODES,
+)
+
 __all__ = ["main", "build_parser"]
 
 
@@ -612,7 +618,6 @@ def _cmd_serve(args: argparse.Namespace) -> str:
             "simulated_time": r.simulated_time,
             "total_payment": sum(a[0] for a in r.payments.values()),
             "cross_shard_messages": r.total_messages,
-            "alerts": r.alerts,
             "shard_restarts": r.shard_restarts,
             "realised_latency": (
                 None if r.outcome is None else float(r.outcome.realised_latency)
@@ -754,15 +759,12 @@ def _cmd_campaign(args: argparse.Namespace) -> str:
         )
     if args.duration <= 0:
         raise ValueError(f"--duration must be positive, got {args.duration}")
-    if args.shards < 1:
-        raise ValueError(f"--shards must be >= 1, got {args.shards}")
     config = table1_configuration()
     units = figures_campaign_units(
         config,
         seeds=tuple(range(args.seeds)),
         duration=args.duration,
         variant=args.variant,
-        shards=args.shards,
     )
     if args.variant == "drift":
         from dataclasses import replace
@@ -1221,12 +1223,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="export per-worker campaign.unit spans as JSON Lines to FILE",
     )
     campaign.add_argument(
-        "--shards", type=int, default=1,
-        help="coordinator shards per protocol replication (>1 routes the "
-        "replication through the sharded service; payloads stay "
-        "bit-identical — see docs/distributed.md)",
-    )
-    campaign.add_argument(
         "--fuse", choices=("auto", "on", "off"), default="auto",
         help="fused cohort backend: evaluate homogeneous closed-form "
         "misses as single stacked broadcasts (bit-identical, same cache "
@@ -1283,16 +1279,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument(
-        "--executor", choices=("serial", "async", "process"), default="serial",
+        "--executor", choices=SHARD_EXECUTORS, default="serial",
         help="stage executor (serial is the deterministic parity mode)",
     )
     serve.add_argument(
-        "--aggregation", choices=("exact", "scalar"), default="exact",
+        "--aggregation", choices=AGGREGATION_MODES, default="exact",
         help="exact reassembles canonical arrays at the root "
         "(bit-identical); scalar ships only the (S, Q) partial sums",
     )
     serve.add_argument(
-        "--workload", choices=("global", "local"), default="global",
+        "--workload", choices=WORKLOAD_MODES, default="global",
         help="global routes one Poisson stream from the root; local lets "
         "every shard draw its own thinned substream",
     )

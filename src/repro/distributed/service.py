@@ -68,7 +68,7 @@ from repro.observability.instrumentation import (
 from repro.protocol.execution import split_by_machine
 from repro.resilience.checkpoint import CheckpointStore, CoordinatorCheckpoint
 from repro.system.workload import PoissonWorkload, split_assignments
-from repro.types import AllocationResult, MechanismOutcome
+from repro.types import MechanismOutcome
 
 __all__ = [
     "AGGREGATION_MODES",
@@ -82,14 +82,6 @@ __all__ = [
 AGGREGATION_MODES = ("exact", "scalar")
 WORKLOAD_MODES = ("global", "local")
 SHARD_EXECUTORS = ("serial", "async", "process")
-
-
-class _ShardFailure(RuntimeError):
-    """Internal: shard ``shard_id`` crashed; its checkpoint is saved."""
-
-    def __init__(self, shard_id: int, message: str) -> None:
-        super().__init__(message)
-        self.shard_id = shard_id
 
 
 # ----------------------------------------------------------- executors
@@ -106,7 +98,9 @@ class _SerialShardExecutor:
     def __init__(
         self,
         shards: Sequence[CoordinatorShard],
-        rebuild: Callable[[int, CoordinatorCheckpoint], CoordinatorShard],
+        rebuild: Callable[
+            [int, CoordinatorCheckpoint, Mapping[str, int]], CoordinatorShard
+        ],
     ) -> None:
         self.shards = list(shards)
         self._rebuild = rebuild
@@ -127,8 +121,13 @@ class _SerialShardExecutor:
                 outcomes[k] = ("crash", str(exc))
         return outcomes
 
-    def restore(self, shard_id: int, checkpoint: CoordinatorCheckpoint) -> None:
-        self.shards[shard_id] = self._rebuild(shard_id, checkpoint)
+    def restore(
+        self,
+        shard_id: int,
+        checkpoint: CoordinatorCheckpoint,
+        notices: Mapping[str, int],
+    ) -> None:
+        self.shards[shard_id] = self._rebuild(shard_id, checkpoint, notices)
 
     def close(self) -> None:
         pass
@@ -177,16 +176,14 @@ def _shard_worker(conn, spec: dict) -> None:
     and replies ``("ok", result, checkpoint_json)`` — the parent owns
     the durable store, so every reply ships the post-stage checkpoint;
     a :class:`ShardCrash` replies ``("crash", checkpoint_json, msg)``;
-    ``("restore", checkpoint_json)`` rebuilds the shard from the
-    parent's copy of the checkpoint; ``("close",)`` exits.
+    ``("restore", checkpoint_json, notices)`` rebuilds the shard from
+    the parent's copy of the checkpoint, with the members' notice
+    counts the parent keeps; ``("close",)`` exits.
     """
     make_kwargs = dict(
         rng=np.random.default_rng(spec["seed_seq"]),
         duration=spec["duration"],
         deterministic_service=spec["deterministic_service"],
-        bid_overrides=spec["bid_overrides"],
-        detector_threshold=spec["detector_threshold"],
-        detector_slack=spec["detector_slack"],
     )
     agents = dict(zip(spec["names"], spec["agents"]))
     shard = CoordinatorShard(
@@ -206,6 +203,7 @@ def _shard_worker(conn, spec: dict) -> None:
                 CoordinatorCheckpoint.from_json(message[1]),
                 shard_id=spec["shard_id"],
                 agents=agents,
+                payment_notices=message[2],
                 **make_kwargs,
             )
             conn.send(("ok", None, shard.checkpoint().to_json()))
@@ -265,8 +263,13 @@ class _ProcessShardExecutor:
             self._conns[k].send(("call", method, tuple(args_per_shard[k])))
         return {k: self._receive(k) for k in picked}
 
-    def restore(self, shard_id: int, checkpoint: CoordinatorCheckpoint) -> None:
-        self._conns[shard_id].send(("restore", checkpoint.to_json()))
+    def restore(
+        self,
+        shard_id: int,
+        checkpoint: CoordinatorCheckpoint,
+        notices: Mapping[str, int],
+    ) -> None:
+        self._conns[shard_id].send(("restore", checkpoint.to_json(), notices))
         status, _ = self._receive(shard_id)
         if status != "ok":
             raise RuntimeError(f"shard {shard_id} failed to restore")
@@ -298,8 +301,6 @@ class ShardedRoundResult:
     loads: dict[str, float]
     payments: dict[str, tuple[float, float, float]]
     payment_notices: dict[str, int]
-    alerts: list[str]
-    dropped: list[str]
     jobs_routed: int
     simulated_time: float
     aggregation: list[AggregationStats] = field(default_factory=list)
@@ -323,110 +324,77 @@ class ShardedRound:
     """One in-flight round, stage by stage.
 
     Normal use is :meth:`ShardedCoordinatorService.run_round`, which
-    drives all four stages; the step-wise surface exists so tests (and
-    the supervisor's churn path) can interleave membership changes with
-    the phases — the scenario satellite 3 of ISSUE 7 guards: churn
-    between bidding and allocation must invalidate the cached bids
-    vector on **every** shard.
+    drives all four stages in order; each stage is its own method so a
+    caller (or a tracer) can observe the stages one at a time.
     """
 
     def __init__(self, service: "ShardedCoordinatorService", index: int) -> None:
         self._service = service
         self.index = index
         self.restarts = 0
-        self._live: list[list[str]] = [list(part) for part in service.partition]
-        self._dropped: list[str] = []
         self._partials: list[ShardPartial] | None = None
         self._stats: list[AggregationStats] = []
-        self._names: list[str] | None = None
         self._bids_full: np.ndarray | None = None
         self._loads_full: np.ndarray | None = None
         self._total_inverse: float | None = None
         self._estimates_full: np.ndarray | None = None
         self._total_quotient: float | None = None
-        self._alerts: list[str] = []
         self._jobs_routed = 0
         self._simulated_time = 0.0
         self._payments: dict[str, tuple[float, float, float]] = {}
         self._outcome: MechanismOutcome | None = None
-        service._run_stage(self, "begin_round", [() for _ in service.partition])
-
-    # ----------------------------------------------------------- helpers
-
-    @property
-    def live_names(self) -> list[str]:
-        """Live members in canonical (partition-concatenation) order."""
-        return [name for members in self._live for name in members]
+        # Each shard's payment-notice counts as the round opens: the
+        # parent's durable copy, which seeds a restored shard.
+        self._opening_notices: list[dict[str, int]] = service._stage_values(
+            self, "begin_round", [() for _ in service.partition]
+        )
 
     def _exact(self) -> bool:
         return self._service.aggregation == "exact"
 
-    # ------------------------------------------------------------ stages
+    def notices_at_restore(
+        self, k: int, checkpoint: CoordinatorCheckpoint
+    ) -> dict[str, int]:
+        """Shard ``k``'s notice counts when it crashed, for its restore.
 
-    def restrict(self, participants: Sequence[str]) -> list[str]:
-        """Limit the round to ``participants`` (pre-bidding membership).
-
-        The supervisor feeds its quarantine-admitted set through here;
-        agents outside it sit the round out on every shard.
+        The round's opening counts plus one for every member in the
+        checkpoint's ``payments_sent``: settle ledgers a member and
+        sends its notice in the same step, so a ledgered member was
+        notified.
         """
-        keep = set(participants)
-        return self.remove_agents(
-            [name for name in self.live_names if name not in keep]
-        )
+        notices = dict(self._opening_notices[k])
+        for name in checkpoint.payments_sent:
+            notices[name] += 1
+        return notices
+
+    # ------------------------------------------------------------ stages
 
     def collect_bids(self) -> None:
         """Stage 1: every shard asks its members for bids."""
         payload = self._exact()
         self._partials = self._service._stage_values(
-            self, "run_bidding", [(payload,) for _ in self._live]
+            self, "run_bidding", [(payload,) for _ in self._service.partition]
         )
-
-    def remove_agents(self, names: Sequence[str]) -> list[str]:
-        """Membership churn, mid-round safe.
-
-        Propagates the new live set to **every** shard — including
-        shards that lost nobody — so no shard can serve a stale cached
-        bids vector, and drops any already-gathered bid partials (they
-        described the old membership).
-        """
-        gone = set(names)
-        if not gone:
-            return []
-        dropped = [name for name in self.live_names if name in gone]
-        for k in range(len(self._live)):
-            self._live[k] = [n for n in self._live[k] if n not in gone]
-        self._service._run_stage(
-            self, "set_membership", [(list(part),) for part in self._live]
-        )
-        self._dropped.extend(dropped)
-        self._partials = None  # stale: described the old membership
-        return dropped
 
     def allocate(self) -> np.ndarray:
         """Stage 2: aggregate ``S`` up the tree, decide and apply loads."""
         service = self._service
         if self._partials is None:
-            # Bids were collected but membership churned since: rebuild
-            # the partials from each shard's (invalidated, hence fresh)
-            # bids vector without re-asking the agents.
-            self._partials = service._stage_values(
-                self, "bid_partial", [(self._exact(),) for _ in self._live]
-            )
+            raise RuntimeError("collect_bids() must run before allocate()")
         root, stats = aggregate_shards(service.overlay, self._partials)
         self._stats.append(stats)
-        self._names = self.live_names
         self._total_inverse = root.inverse_sum.value
         if self._exact():
             bids = concatenate_payload(root, "bids")
-            allocation = service._allocate(self._names, bids)
+            allocation = service.mechanism.allocate(bids, service.arrival_rate)
             loads = np.asarray(allocation.loads, dtype=np.float64)
-            offsets = np.cumsum([0] + [len(part) for part in self._live])
+            offsets = np.cumsum([0] + [len(part) for part in service.partition])
             service._run_stage(
                 self,
                 "apply_allocation",
                 [
                     (loads[offsets[k] : offsets[k + 1]],)
-                    for k in range(len(self._live))
+                    for k in range(service.n_shards)
                 ],
             )
             self._bids_full = bids
@@ -435,7 +403,7 @@ class ShardedRound:
             slices = self._service._stage_values(
                 self,
                 "allocate_from_total",
-                [(self._total_inverse,) for _ in self._live],
+                [(self._total_inverse,) for _ in service.partition],
             )
             self._loads_full = (
                 np.concatenate(slices) if slices else np.empty(0)
@@ -457,10 +425,10 @@ class ShardedRound:
             )
             self._jobs_routed = int(times.size)
             pieces = split_by_machine(times, assignments, self._loads_full.size)
-            ends = np.cumsum([len(members) for members in self._live]).tolist()
+            ends = np.cumsum([len(part) for part in service.partition]).tolist()
             args = [(pieces[lo:hi], payload) for lo, hi in zip([0, *ends], ends)]
         else:
-            args = [(None, payload) for _ in self._live]
+            args = [(None, payload) for _ in service.partition]
         results = service._stage_values(self, "run_execution", args)
         partials = [partial for partial, _meta in results]
         root, stats = aggregate_shards(service.overlay, partials)
@@ -470,7 +438,6 @@ class ShardedRound:
         if self._exact():
             self._estimates_full = concatenate_payload(root, "estimates")
         for _partial, meta in results:
-            self._alerts.extend(meta["alerts"])
             self._simulated_time = max(
                 self._simulated_time, float(meta["simulated_time"])
             )
@@ -488,7 +455,7 @@ class ShardedRound:
         and re-settled — the ledger makes that idempotent.
         """
         service = self._service
-        assert self._names is not None and self._loads_full is not None
+        assert self._loads_full is not None
         if self._exact():
             assert self._bids_full is not None
             assert self._estimates_full is not None
@@ -504,11 +471,11 @@ class ShardedRound:
             bonus = payments.bonus.tolist()
             amounts = {
                 name: (paid[k], comp[k], bonus[k])
-                for k, name in enumerate(self._names)
+                for k, name in enumerate(service.machine_names)
             }
             args = [
                 ({name: amounts[name] for name in members},)
-                for members in self._live
+                for members in service.partition
             ]
             ledgers = service._stage_values(self, "settle", args, recover=True)
         else:
@@ -519,7 +486,7 @@ class ShardedRound:
                 "settle_from_totals",
                 [
                     (self._total_inverse, self._total_quotient)
-                    for _ in self._live
+                    for _ in service.partition
                 ],
                 recover=True,
             )
@@ -530,21 +497,18 @@ class ShardedRound:
 
     def result(self) -> ShardedRoundResult:
         """Package the completed round."""
-        assert self._names is not None and self._loads_full is not None
-        notices = self._service._payment_notices()
+        assert self._loads_full is not None
+        names = self._service.machine_names
         return ShardedRoundResult(
             index=self.index,
-            names=list(self._names),
+            names=names,
             outcome=self._outcome,
             estimated_execution_values=self._estimates_full,
             loads={
-                name: float(load)
-                for name, load in zip(self._names, self._loads_full)
+                name: float(load) for name, load in zip(names, self._loads_full)
             },
             payments=dict(self._payments),
-            payment_notices=notices,
-            alerts=list(self._alerts),
-            dropped=list(self._dropped),
+            payment_notices=self._service._payment_notices(),
             jobs_routed=self._jobs_routed,
             simulated_time=self._simulated_time,
             aggregation=list(self._stats),
@@ -590,13 +554,6 @@ class ShardedCoordinatorService:
         shard).  Bit-parity holds on every executor under
         deterministic service; with stochastic service it holds only
         for ``"serial"`` (shared RNG stream).
-    allocator:
-        Optional ``(names, bids, R) -> AllocationResult`` override used
-        at the root in exact mode (the supervisor passes its
-        incremental PR allocator).
-    bid_overrides / detector_threshold / detector_slack:
-        Forwarded to every shard (remediation overrides, CUSUM
-        slowdown detection).
     max_shard_restarts:
         Crash-recovery budget per stage before giving up.
     """
@@ -615,12 +572,6 @@ class ShardedCoordinatorService:
         deterministic_service: bool = True,
         rng: np.random.Generator | None = None,
         machine_names: Sequence[str] | None = None,
-        allocator: (
-            Callable[[list[str], np.ndarray, float], AllocationResult] | None
-        ) = None,
-        bid_overrides: Mapping[str, float] | None = None,
-        detector_threshold: float | None = None,
-        detector_slack: float = 0.25,
         max_shard_restarts: int = 2,
     ) -> None:
         if len(agents) == 0:
@@ -652,10 +603,6 @@ class ShardedCoordinatorService:
         self.executor_kind = executor
         self.deterministic_service = bool(deterministic_service)
         self.max_shard_restarts = int(max_shard_restarts)
-        self._allocator = allocator
-        self._bid_overrides = dict(bid_overrides or {})
-        self._detector_threshold = detector_threshold
-        self._detector_slack = float(detector_slack)
         self._rng = rng if rng is not None else np.random.default_rng(0)
         self._agents: dict[str, Agent] = dict(zip(machine_names, agents))
         self.partition = partition_names(list(machine_names), shards)
@@ -688,9 +635,6 @@ class ShardedCoordinatorService:
                     seed_seq=seed_seqs[k],
                     duration=self.duration,
                     deterministic_service=self.deterministic_service,
-                    bid_overrides=self._bid_overrides,
-                    detector_threshold=self._detector_threshold,
-                    detector_slack=self._detector_slack,
                 )
                 for k in range(shards)
             ]
@@ -715,9 +659,6 @@ class ShardedCoordinatorService:
             rng=self._shard_rngs[k],
             duration=self.duration,
             deterministic_service=self.deterministic_service,
-            bid_overrides=self._bid_overrides,
-            detector_threshold=self._detector_threshold,
-            detector_slack=self._detector_slack,
             checkpoint_store=self.stores[k],
         )
 
@@ -732,12 +673,13 @@ class ShardedCoordinatorService:
         )
 
     def _rebuild_shard(
-        self, k: int, checkpoint: CoordinatorCheckpoint
+        self, k: int, checkpoint: CoordinatorCheckpoint, notices: Mapping[str, int]
     ) -> CoordinatorShard:
         return CoordinatorShard.restore(
             checkpoint,
             shard_id=k,
             agents={n: self._agents[n] for n in self.partition[k]},
+            payment_notices=notices,
             **self._shard_kwargs(k),
         )
 
@@ -765,11 +707,6 @@ class ShardedCoordinatorService:
 
     # ------------------------------------------------------------ stages
 
-    def _allocate(self, names: list[str], bids: np.ndarray) -> AllocationResult:
-        if self._allocator is not None:
-            return self._allocator(list(names), bids, self.arrival_rate)
-        return self.mechanism.allocate(bids, self.arrival_rate)
-
     def _run_stage(
         self,
         round_: ShardedRound,
@@ -782,7 +719,8 @@ class ShardedCoordinatorService:
         A shard reported crashed has its checkpoint in the parent-side
         store (shards save directly in-process; process workers ship
         the serialised checkpoint with the crash reply); recovery
-        restores it and re-runs the stage for the crashed shards only.
+        restores it, with the notice counts it had sent, and re-runs the
+        stage for the crashed shards only.
         Only ledger-protected stages opt in (``recover=True``) — they
         are idempotent by construction.
         """
@@ -804,7 +742,9 @@ class ShardedCoordinatorService:
                     raise ShardCrash(message)
                 checkpoint = self.stores[k].load()
                 assert checkpoint is not None, "no checkpoint to restore from"
-                self._executor.restore(k, checkpoint)
+                self._executor.restore(
+                    k, checkpoint, round_.notices_at_restore(k, checkpoint)
+                )
                 round_.restarts += 1
                 self.restarts_total += 1
                 record_counter("service.shard_restarts")
@@ -834,21 +774,17 @@ class ShardedCoordinatorService:
     # ------------------------------------------------------------ rounds
 
     def begin_round(self) -> ShardedRound:
-        """Start a round; drive it stage by stage (tests, churn paths)."""
+        """Start a round; drive it stage by stage."""
         if self._closed:
             raise RuntimeError("service is closed")
         index = self._round_index
         self._round_index += 1
         return ShardedRound(self, index)
 
-    def run_round(
-        self, participants: Sequence[str] | None = None
-    ) -> ShardedRoundResult:
+    def run_round(self) -> ShardedRoundResult:
         """Drive one full round through all four stages."""
         with trace_span("service.round", shards=self.n_shards):
             round_ = self.begin_round()
-            if participants is not None:
-                round_.restrict(participants)
             round_.collect_bids()
             round_.allocate()
             round_.execute()

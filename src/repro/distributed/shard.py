@@ -3,7 +3,7 @@
 The sharded service (:mod:`repro.distributed.service`) partitions the
 agent population into contiguous slices and gives each slice to a
 :class:`CoordinatorShard`.  A shard is the single-coordinator round
-logic (:class:`~repro.protocol.MechanismCoordinator`) restricted to its
+logic (:class:`~repro.protocol.MechanismCoordinator`) confined to its
 members: it collects their bids, executes their share of the routed
 jobs through the batched execute kernel
 (:func:`~repro.protocol.execution.serve_batch`, on the execution
@@ -19,27 +19,18 @@ quantities it needs (``S = sum 1/b_j`` for loads, ``Q = sum t̂_j/b_j^2``
 for latency) arrive as two scalars from the aggregation tree
 (:mod:`repro.distributed.gather`), which is what the paper's
 sufficient-statistic structure buys (docs/distributed.md).
-
-Membership caching mirrors the monolithic coordinator: the shard's
-bids vector is cached per phase and invalidated through
-:meth:`CoordinatorShard._reset_membership_caches` whenever membership
-changes.  The sharded analogue of the PR-4 reset-path bug is that a
-mid-round churn must invalidate the cache on **every** shard, not just
-the one that lost members — the service guarantees this by calling
-:meth:`set_membership` on all shards (see
-``tests/distributed/test_shard.py``).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.agents.base import Agent
 from repro.mechanism import pricing
 from repro.observability.instrumentation import record_gauge
-from repro.protocol.coordinator import ProtocolPhase, effective_bid
+from repro.protocol.coordinator import ProtocolPhase
 from repro.protocol.estimator import verified_estimates
 from repro.protocol.execution import (
     check_execution_values,
@@ -47,7 +38,6 @@ from repro.protocol.execution import (
     sojourn_means,
     split_by_machine,
 )
-from repro.protocol.monitoring import slowdown_alerts
 from repro.resilience.checkpoint import CheckpointStore, CoordinatorCheckpoint
 from repro.system.workload import PoissonWorkload, split_assignments
 
@@ -105,15 +95,6 @@ class CoordinatorShard:
     deterministic_service:
         Noise-free service times (each job takes exactly its mean), as
         in the supervisor's default mode.
-    bid_overrides:
-        Remediation-imposed effective declared values; an override only
-        ever *raises* a recorded bid (same contract as
-        :class:`~repro.resilience.SupervisedCoordinator`).
-    detector_threshold / detector_slack:
-        When a threshold is given, the shard runs the per-machine CUSUM
-        slowdown detectors over its members' sojourns after execution
-        — detection shards trivially because each detector only reads
-        one machine's sojourns.
     checkpoint_store:
         Durable slot for this shard's write-ahead checkpoints; in
         process-executor mode the parent owns the store and the worker
@@ -133,9 +114,6 @@ class CoordinatorShard:
         rng: np.random.Generator,
         duration: float = 40.0,
         deterministic_service: bool = True,
-        bid_overrides: Mapping[str, float] | None = None,
-        detector_threshold: float | None = None,
-        detector_slack: float = 0.25,
         checkpoint_store: CheckpointStore | None = None,
         fail_after_payments: int | None = None,
     ) -> None:
@@ -148,9 +126,6 @@ class CoordinatorShard:
         self.arrival_rate = float(arrival_rate)
         self.duration = float(duration)
         self.deterministic_service = bool(deterministic_service)
-        self.bid_overrides = dict(bid_overrides or {})
-        self.detector_threshold = detector_threshold
-        self.detector_slack = float(detector_slack)
         self.checkpoint_store = checkpoint_store
         self.fail_after_payments = fail_after_payments
         self._rng = rng
@@ -176,9 +151,12 @@ class CoordinatorShard:
 
     # ------------------------------------------------------------- round
 
-    def begin_round(self) -> None:
-        """Reset per-round state; membership resets to all members."""
-        self.machine_names = list(self.agents)
+    def begin_round(self) -> dict[str, int]:
+        """Reset per-round state; returns the members' notice counts.
+
+        The service keeps them to seed a replacement if this shard has
+        to be restored mid-settle.
+        """
         self.phase = ProtocolPhase.IDLE
         self.payments_sent = {}
         self._bids = {}
@@ -186,47 +164,17 @@ class CoordinatorShard:
         self._reports = {}
         self._estimates = None
         self._simulated_time = 0.0
-        self._reset_membership_caches()
+        self._bids_cache = None
+        return dict(self.payment_notices)
 
     def collect_bids(self) -> np.ndarray:
-        """Ask every member for its bid; returns the local bid vector.
-
-        Overrides apply at recording time through the rule every round
-        path shares (:func:`~repro.protocol.coordinator.effective_bid`),
-        so allocation, payments, and checkpoints all see one value.
-        """
+        """Ask every member for its bid; returns the local bid vector."""
         self.phase = ProtocolPhase.BIDDING
         for name in self.machine_names:
-            self._bids[name] = effective_bid(
-                name, float(self.agents[name].bid()), self.bid_overrides
-            )
+            self._bids[name] = float(self.agents[name].bid())
         self._bids_cache = None
         self._save_checkpoint()
         return self.bids_vector()
-
-    # -------------------------------------------------------- membership
-
-    def set_membership(self, live: Iterable[str]) -> list[str]:
-        """Restrict the round to ``live`` members; returns those dropped.
-
-        Called on **every** shard when the service learns of mid-round
-        churn — including shards that lost nobody — so no shard can
-        serve a stale cached bids vector (the sharded analogue of the
-        monolithic coordinator's ``_reset_membership_caches`` call in
-        ``_allocate_to_responders``).
-        """
-        live_set = set(live)
-        dropped = [n for n in self.machine_names if n not in live_set]
-        self.machine_names = [n for n in self.machine_names if n in live_set]
-        for name in dropped:
-            self._bids.pop(name, None)
-        self._reset_membership_caches()
-        self._save_checkpoint()
-        return dropped
-
-    def _reset_membership_caches(self) -> None:
-        """Invalidate derived state after ``machine_names`` changes."""
-        self._bids_cache = None
 
     def bids_vector(self) -> np.ndarray:
         """Recorded bids in local member order (cached per phase)."""
@@ -281,9 +229,8 @@ class CoordinatorShard:
 
         Returns a dict with the local ``estimates`` vector, the
         ``quotients`` (``t̂_i / b_i^2``, the shard's ``Q`` contribution),
-        per-member job counts and mean sojourns, CUSUM ``alerts`` (when
-        a detector threshold is configured), and the local clock: the
-        last completion, or 0.0 when no job ran.
+        per-member job counts and mean sojourns, and the local clock:
+        the last completion, or 0.0 when no job ran.
         """
         if self._loads is None:
             raise RuntimeError("no allocation applied yet")
@@ -308,7 +255,7 @@ class CoordinatorShard:
             zip(self.machine_names, zip(counts.tolist(), means.tolist()))
         )
         self._save_checkpoint()
-        return self._report_payload(sojourns)
+        return self._report_payload()
 
     def execute_local(self) -> dict:
         """Deployment-mode execution: the shard draws its own substream.
@@ -345,20 +292,10 @@ class CoordinatorShard:
             [mean_sojourn for _, mean_sojourn in reports],
         )
 
-    def _report_payload(self, sojourns: Sequence[np.ndarray]) -> dict:
+    def _report_payload(self) -> dict:
         assert self._loads is not None
         self._estimates = self._derive_estimates()
         bids = self.bids_vector()
-        alerts: list[str] = []
-        if self.detector_threshold is not None:
-            alerts = slowdown_alerts(
-                self.machine_names,
-                bids,
-                self._loads,
-                sojourns,
-                threshold=self.detector_threshold,
-                slack=self.detector_slack,
-            )
         return {
             "names": list(self.machine_names),
             "estimates": self._estimates,
@@ -367,7 +304,6 @@ class CoordinatorShard:
             "mean_sojourns": np.array(
                 [self._reports[n][1] for n in self.machine_names]
             ),
-            "alerts": alerts,
             "simulated_time": self._simulated_time,
         }
 
@@ -463,24 +399,14 @@ class CoordinatorShard:
         array; without it (scalar mode) only the compensated partial
         sum and the member count leave the shard.
         """
-        self.collect_bids()
-        return self.bid_partial(include_payload)
-
-    def bid_partial(self, include_payload: bool = True):
-        """The ``S`` partial for the *current* membership.
-
-        Built from the recorded bids without re-asking the agents — the
-        service calls this after mid-round churn, when the partials
-        gathered at bidding time described a stale membership.
-        """
         from repro.distributed.gather import PartialSum, ShardPartial
 
-        bids = self.bids_vector()
+        bids = self.collect_bids()
         payload = {self.shard_id: {"bids": bids}} if include_payload else {}
         return ShardPartial(
             shard_id=self.shard_id,
             n_agents=len(self.machine_names),
-            inverse_sum=PartialSum.of(1.0 / bids) if bids.size else PartialSum(),
+            inverse_sum=PartialSum.of(1.0 / bids),
             payload=payload,
         )
 
@@ -509,19 +435,13 @@ class CoordinatorShard:
         partial = ShardPartial(
             shard_id=self.shard_id,
             n_agents=len(self.machine_names),
-            inverse_sum=(
-                PartialSum.of(1.0 / self.bids_vector())
-                if self.machine_names
-                else PartialSum()
-            ),
+            inverse_sum=PartialSum.of(1.0 / self.bids_vector()),
             quotient_sum=PartialSum.of(report["quotients"]),
             payload=payload,
         )
         return partial, {
-            "alerts": report["alerts"],
             "jobs": report["jobs"],
             "simulated_time": report["simulated_time"],
-            "loads": None if self._loads is None else self._loads.copy(),
         }
 
     def settle_from_totals(
@@ -566,16 +486,17 @@ class CoordinatorShard:
         rng: np.random.Generator,
         duration: float = 40.0,
         deterministic_service: bool = True,
-        bid_overrides: Mapping[str, float] | None = None,
-        detector_threshold: float | None = None,
-        detector_slack: float = 0.25,
         checkpoint_store: CheckpointStore | None = None,
+        payment_notices: Mapping[str, int] | None = None,
     ) -> "CoordinatorShard":
         """Rebuild a shard worker from its checkpoint after a crash.
 
         The chaos hook is cleared (the replacement worker is assumed
         healthy); estimates are re-derived from the checkpointed
         reports when the crash hit at or after verification.
+
+        ``payment_notices`` seeds the members' notice counts (the
+        service passes its durable copy); without it they start at 0.
         """
         member_names = list(agents)
         shard = cls(
@@ -586,9 +507,6 @@ class CoordinatorShard:
             rng=rng,
             duration=duration,
             deterministic_service=deterministic_service,
-            bid_overrides=bid_overrides,
-            detector_threshold=detector_threshold,
-            detector_slack=detector_slack,
             checkpoint_store=checkpoint_store,
         )
         shard.phase = ProtocolPhase(checkpoint.phase)
@@ -599,6 +517,7 @@ class CoordinatorShard:
         )
         shard._reports = dict(checkpoint.reports)
         shard.payments_sent = dict(checkpoint.payments_sent)
+        shard.payment_notices.update(payment_notices or {})
         if shard._loads is not None and len(shard._reports) == len(
             checkpoint.machine_names
         ):

@@ -66,14 +66,8 @@ def protocol_units(
     duration: float = 200.0,
     variant: str = "observed",
     scenarios: tuple[str, ...] | None = None,
-    shards: int = 1,
 ) -> list[ExperimentUnit]:
-    """Seeded discrete-event replications of the Table 2 scenarios.
-
-    ``shards > 1`` runs each replication through the sharded
-    coordinator service (bit-identical mechanism payload; see
-    :class:`~repro.parallel.ExperimentUnit`).
-    """
+    """Seeded discrete-event replications of the Table 2 scenarios."""
     config = _resolve(config)
     names = scenarios or tuple(s.name for s in PAPER_SCENARIOS)
     units = []
@@ -91,7 +85,6 @@ def protocol_units(
                     variant=variant,
                     seed=int(seed),
                     duration=duration,
-                    shards=shards,
                 )
             )
     return units
@@ -103,7 +96,6 @@ def figures_campaign_units(
     seeds: tuple[int, ...] = (),
     duration: float = 200.0,
     variant: str = "observed",
-    shards: int = 1,
 ) -> list[ExperimentUnit]:
     """The combined Table 1 + Figures 1–6 campaign.
 
@@ -120,7 +112,6 @@ def figures_campaign_units(
             seeds=tuple(seeds),
             duration=duration,
             variant=variant,
-            shards=shards,
         )
     return units
 

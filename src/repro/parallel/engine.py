@@ -25,7 +25,7 @@ and each cohort is evaluated in-process as one ``(U, n)`` broadcast
 scattered into the cache under unchanged keys.  ``fuse="auto"``
 (default) fuses cohorts of two or more units, ``"on"`` fuses every
 fusable unit, ``"off"`` restores the pure per-unit path.  Only the
-remaining *fallback* units (protocol, sharded, dynamics, or
+remaining *fallback* units (protocol, dynamics, or
 non-cohorted singletons) are chunked — chunk sizing is computed over
 that post-fusion miss count, never over the submitted total, so a
 warm or mostly-fused campaign does not fan near-empty chunks to the

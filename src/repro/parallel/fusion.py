@@ -22,8 +22,8 @@ Cohort grouping rules (:func:`cohort_key`):
 
 Everything else (true values, bid/execution factors, coalitions,
 arrival rates) varies freely *within* a cohort: it stacks into rows
-and broadcast columns.  Units that are not closed-form — protocol and
-sharded replications (they simulate), and the ``dynamics`` variant
+and broadcast columns.  Units that are not closed-form — protocol
+replications (they simulate), and the ``dynamics`` variant
 (it iterates to a fixed point) — are not fusable
 (:func:`fusable`) and stay on the per-unit path.
 
@@ -79,7 +79,7 @@ def fusable(unit: ExperimentUnit) -> bool:
     """Whether one unit can join a fused cohort.
 
     True exactly for closed-form scenario units under the four
-    direct payment rules; protocol/sharded replications and the
+    direct payment rules; protocol replications and the
     iterated ``dynamics`` variant fall back to
     :func:`~repro.parallel.units.execute_unit`.
     """

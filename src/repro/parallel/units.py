@@ -90,16 +90,6 @@ class ExperimentUnit:
         ``"batched"``, or ``"auto"``; see
         :func:`~repro.protocol.run_protocol`).  Campaigns default to
         ``"auto"`` so protocol units take the batched fast path.
-    shards:
-        With ``shards > 1``, a batched protocol unit runs through the
-        sharded coordinator service
-        (:class:`~repro.distributed.ShardedCoordinatorService`) in
-        exact-aggregation serial mode, which is bit-identical to the
-        single-coordinator path on the same seed — so the mechanism
-        payload fields agree exactly; only ``total_messages`` differs
-        (the aggregation tree's count instead of the per-agent message
-        count, which is the point).  Event units always run
-        single-coordinator.
     drift_rounds, drift_sigma:
         Horizon length and per-epoch log-step of a ``drift`` unit's
         true-value random walk (ignored — and excluded from the cache
@@ -117,7 +107,6 @@ class ExperimentUnit:
     manipulator: int = 0
     duration: float = 200.0
     execution: str = "auto"
-    shards: int = 1
     manipulators: tuple[int, ...] | None = None
     drift_rounds: int = 64
     drift_sigma: float = 0.05
@@ -172,8 +161,6 @@ class ExperimentUnit:
         # compare equal, share one cache entry, and survive the
         # as_config round trip.
         object.__setattr__(self, "execution", resolve_execution(self.execution))
-        if self.shards < 1:
-            raise ValueError("shards must be at least 1")
 
     def as_config(self) -> dict:
         """The result-affecting fields, as a canonicalisable dict.
@@ -207,11 +194,6 @@ class ExperimentUnit:
             config["seed"] = self.seed
             config["duration"] = self.duration
             config["execution"] = self.execution  # already resolved
-            if self.shards > 1:
-                # Included only when sharded, so every pre-existing
-                # cache key (and the sharded/monolithic identity of the
-                # mechanism payload) is preserved.
-                config["shards"] = self.shards
         return config
 
     @classmethod
@@ -470,10 +452,6 @@ def _execute_protocol(unit: ExperimentUnit) -> dict:
                 unit.execution_factor,
             )
     mechanism = None if unit.variant == "observed" else _mechanism_for(unit.variant)
-    if unit.shards > 1 and unit.execution == "batched":
-        # The shards run only the batched engine; event units stay
-        # monolithic so their payload keeps its own RNG stream.
-        return _execute_protocol_sharded(unit, agents, mechanism)
     result = run_protocol(
         agents,
         unit.arrival_rate,
@@ -493,55 +471,6 @@ def _execute_protocol(unit: ExperimentUnit) -> dict:
             "true_execution_values": result.true_execution_values.tolist(),
             "estimated_execution_values":
                 result.estimated_execution_values.tolist(),
-            "estimation_error": [
-                None if e != e else float(e) for e in error.tolist()
-            ],
-        }
-    )
-    return payload
-
-
-def _execute_protocol_sharded(unit: ExperimentUnit, agents, mechanism) -> dict:
-    """Protocol unit through the sharded service (exact/serial mode).
-
-    Bit-identical mechanism payload to the single-coordinator path on
-    the same seed — only ``total_messages`` differs, reporting the
-    aggregation tree's cross-shard count instead of the monolithic
-    per-agent message count.
-    """
-    from repro.distributed.service import ShardedCoordinatorService
-
-    service = ShardedCoordinatorService(
-        agents,
-        unit.arrival_rate,
-        shards=unit.shards,
-        mechanism=mechanism,
-        duration=unit.duration,
-        deterministic_service=False,
-        rng=np.random.default_rng(unit.seed),
-    )
-    try:
-        shard_round = service.run_round()
-    finally:
-        service.close()
-    outcome = shard_round.outcome
-    assert outcome is not None  # exact mode prices at the root
-    true_values = np.array([agent.execution_value() for agent in agents])
-    estimates = shard_round.estimated_execution_values
-    assert estimates is not None
-    defined = (true_values > 0.0) & (outcome.loads > 0.0)
-    error = np.full(true_values.shape, np.nan)
-    np.divide(
-        np.abs(estimates - true_values), true_values, out=error, where=defined
-    )
-    payload = _payload_from_outcome(outcome)
-    payload.update(
-        {
-            "jobs_routed": int(shard_round.jobs_routed),
-            "total_messages": int(shard_round.total_messages),
-            "simulated_time": float(shard_round.simulated_time),
-            "true_execution_values": true_values.tolist(),
-            "estimated_execution_values": estimates.tolist(),
             "estimation_error": [
                 None if e != e else float(e) for e in error.tolist()
             ],

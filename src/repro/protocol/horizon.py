@@ -23,10 +23,9 @@ nothing about it needs the message-driven machinery:
   and no remediation pipeline at all (the pipeline may mutate
   supervisor state *between* rounds, which only the sequential path
   sequences correctly);
-* the monolithic batched execution engine is active (``shards == 1``,
-  ``execution == "batched"`` — the per-job event path interleaves its
-  service draws with event delivery order and cannot be replayed as a
-  batch).
+* the batched execution engine is active (``execution == "batched"``
+  — the per-job event path interleaves its service draws with event
+  delivery order and cannot be replayed as a batch).
 
 Every non-fusible round **de-fuses**: it is delegated verbatim to
 ``supervisor.run_round(faults)`` (counted by
@@ -130,10 +129,9 @@ def fusible_round(
 
     Decided *before* any supervisor state is touched: fault-free (or a
     clean :class:`~repro.resilience.chaos.RoundFaults`), no pending
-    remediation skip, no remediation pipeline, monolithic batched
-    execution.  Anything else de-fuses to ``supervisor.run_round``.
+    remediation skip, no remediation pipeline, batched execution.  Anything else de-fuses to ``supervisor.run_round``.
     """
-    if supervisor.shards > 1 or supervisor.remediation is not None:
+    if supervisor.remediation is not None:
         return False
     if supervisor.skip_rounds > 0:
         return False

@@ -21,8 +21,8 @@ catching a 2x slowdown within ~50 completions (see
 ``bench_monitoring.py`` for the measured operating curve).
 
 :func:`slowdown_alerts` runs one detector per machine over a finished
-round's sojourns; every round path (sequential, sharded, horizon-fused)
-detects through it.
+round's sojourns; both supervised round paths (sequential and
+horizon-fused) detect through it.
 """
 
 from __future__ import annotations

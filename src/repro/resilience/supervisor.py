@@ -549,19 +549,6 @@ class RoundSupervisor:
         applied actions adjust this supervisor (quarantine state, bid
         overrides, detector calibration, skipped rounds) before the
         next round runs.
-    shards / shard_executor:
-        With ``shards > 1``, clean batched rounds (no injected faults,
-        no message drops, no coordinator crash; ``execution="event"``
-        always runs monolithic) run through the sharded coordinator
-        service (:class:`~repro.distributed.ShardedCoordinatorService`) in
-        exact-aggregation mode: the admitted machines are partitioned
-        over that many coordinator workers and the round is
-        bit-identical to the monolithic path on the same seed (the
-        parity suite pins this).  Faulted rounds fall back to the
-        monolithic message-driven path, which the chaos machinery
-        instruments.  ``shard_executor`` picks the stage executor
-        (``"serial"``, ``"async"``, or ``"process"``; bit-parity under
-        stochastic service requires ``"serial"``).
     arrival_schedule:
         Optional nonstationary arrival process
         (:class:`~repro.system.workload.ArrivalSchedule`).  When set,
@@ -569,9 +556,7 @@ class RoundSupervisor:
         ``[k*duration, (k+1)*duration)`` and the allocator/mechanism see
         the window's equivalent constant rate ``∫R/duration`` instead
         of the fixed ``arrival_rate`` (which then only seeds the
-        attribute).  Clean rounds stay on the monolithic or fused path
-        — the sharded fast path assumes a stationary rate and is
-        skipped while a schedule is active.
+        attribute).
     horizon:
         When true, :meth:`run` drives the horizon-fused engine
         (:func:`repro.protocol.horizon.run_horizon`): maximal fault-free
@@ -599,15 +584,11 @@ class RoundSupervisor:
         machine_names: Sequence[str] | None = None,
         execution: str = "auto",
         remediation: "RemediationPipeline | None" = None,
-        shards: int = 1,
-        shard_executor: str = "serial",
         arrival_schedule: "ArrivalSchedule | None" = None,
         horizon: bool = False,
     ) -> None:
         if len(agents) < 2:
             raise ValueError("the supervisor needs at least two machines")
-        if shards < 1:
-            raise ValueError("shards must be at least 1")
         if machine_names is None:
             machine_names = [f"C{i + 1}" for i in range(len(agents))]
         if len(machine_names) != len(agents):
@@ -630,8 +611,6 @@ class RoundSupervisor:
         self.detector_slack = float(detector_slack)
         self.deterministic_service = bool(deterministic_service)
         self.execution = resolve_execution(execution)
-        self.shards = int(shards)
-        self.shard_executor = shard_executor
         self._rng = rng if rng is not None else np.random.default_rng(0)
         self.arrival_schedule = arrival_schedule
         self.horizon = bool(horizon)
@@ -790,53 +769,6 @@ class RoundSupervisor:
             else:
                 self.quarantine.record_success(name)
 
-    def _run_round_sharded(self, head: dict) -> RoundResult:
-        """Run one clean round through the sharded coordinator service.
-
-        The service is configured for bit-parity with the monolithic
-        path: exact aggregation (the root reassembles the canonical
-        arrays), global workload (the round consumes the supervisor's
-        RNG stream exactly as ``on_allocated`` would), the incremental
-        PR allocator, and the supervisor's remediation overrides and
-        CUSUM detector settings forwarded to every shard.
-        """
-        from repro.distributed.service import ShardedCoordinatorService
-
-        admitted = head["participants"]
-        service = ShardedCoordinatorService(
-            [self.agents[n] for n in admitted],
-            self.arrival_rate,
-            shards=min(self.shards, len(admitted)),
-            mechanism=self.mechanism,
-            duration=self.duration,
-            executor=self.shard_executor,
-            deterministic_service=self.deterministic_service,
-            rng=self._rng,
-            machine_names=list(admitted),
-            allocator=self._allocator.allocate,
-            bid_overrides=dict(self.bid_overrides),
-            detector_threshold=self.detector_threshold,
-            detector_slack=self.detector_slack,
-        )
-        try:
-            shard_round = service.run_round()
-        finally:
-            service.close()
-        record_counter("supervisor.sharded_rounds")
-
-        assert shard_round.outcome is not None  # exact mode prices at the root
-        self._close_round(admitted, shard_round.alerts)
-        return RoundResult.priced(
-            shard_round.outcome,
-            shard_round.names,
-            **head,
-            alerts=list(shard_round.alerts),
-            payments=shard_round.payment_totals,
-            payment_notices=dict(shard_round.payment_notices),
-            coordinator_restarts=shard_round.shard_restarts,
-            jobs_routed=shard_round.jobs_routed,
-        )
-
     def _run_round(self, faults: "RoundFaults | None") -> RoundResult:
         """The round body :meth:`run_round` wraps with instrumentation."""
         head = self._admit()
@@ -865,20 +797,6 @@ class RoundSupervisor:
         if len(admitted) < 2:
             # Too few live machines to price a round; degrade by skipping.
             return RoundResult(**head, voided=True, excluded=list(admitted))
-
-        if (
-            self.shards > 1
-            and self.execution == "batched"
-            and not machine_faults
-            and drop == 0.0
-            and coordinator_crash is None
-            and self.arrival_schedule is None
-        ):
-            # Clean batched rounds shard; faulted rounds need the
-            # message-driven path (drops, crashes, and probes live in the
-            # network machinery the chaos harness instruments), and the
-            # shards run only the batched engine.
-            return self._run_round_sharded(head)
 
         # ---------------------------------------------------------- wiring
         sim = Simulator()

@@ -5,8 +5,7 @@ workload, and the serial executor, a sharded round is **bit-identical**
 to the single-coordinator path on the same seed — same loads, payments,
 estimates, job count, and clock — for any shard count.  Everything else
 here guards the supporting claims: scalar-mode agreement, concurrent
-executors, mid-round churn, and crash recovery with at-most-once
-payments.
+executors, and crash recovery with at-most-once payments.
 """
 
 from __future__ import annotations
@@ -16,9 +15,7 @@ import pytest
 
 from repro.agents import ManipulativeAgent, TruthfulAgent
 from repro.distributed import ShardCrash, ShardedCoordinatorService
-from repro.parallel.units import ExperimentUnit, execute_unit
 from repro.protocol import run_protocol
-from repro.resilience import RoundSupervisor
 
 TRUE_VALUES = (1.0, 2.0, 4.0, 3.0, 1.5, 2.5, 0.8, 5.0)
 RATE = 7.0
@@ -182,51 +179,6 @@ class TestWorkloadModes:
         assert all(np.isfinite(v[0]) for v in result.payments.values())
 
 
-class TestMembershipChurn:
-    def test_mid_round_churn_invalidates_every_shard(self):
-        # Drop members on two different shards between bidding and
-        # allocation; the surviving 6-agent allocation must equal a
-        # monolithic run over the survivors (a stale cached bids vector
-        # on any shard would poison the reassembled global array).
-        svc = service(42, shards=4)
-        try:
-            round_ = svc.begin_round()
-            round_.collect_bids()
-            dropped = round_.remove_agents(["C3", "C6"])
-            round_.allocate()
-            round_.execute()
-            round_.settle()
-            result = round_.result()
-        finally:
-            svc.close()
-        assert dropped == ["C3", "C6"]
-        survivors = [
-            TruthfulAgent(t)
-            for i, t in enumerate(TRUE_VALUES)
-            if i not in (2, 5)
-        ]
-        mono = monolithic(42, agent_list=survivors)
-        assert np.array_equal(
-            np.array([result.loads[n] for n in result.names]),
-            mono.outcome.loads,
-        )
-        assert sorted(result.payments) == [
-            "C1", "C2", "C4", "C5", "C7", "C8",
-        ]
-
-    def test_restrict_limits_participants_before_bidding(self):
-        svc = service(0, shards=4)
-        try:
-            result = svc.run_round(
-                participants=["C1", "C2", "C5", "C6", "C7", "C8"]
-            )
-        finally:
-            svc.close()
-        assert "C3" not in result.payments
-        assert "C4" not in result.payments
-        assert sorted(result.dropped) == ["C3", "C4"]
-
-
 class TestCrashRecovery:
     @pytest.mark.parametrize("executor", ["serial", "async", "process"])
     def test_mid_settle_crash_recovers_with_at_most_once_payments(
@@ -247,6 +199,28 @@ class TestCrashRecovery:
         )
         assert len(result.payments) == len(TRUE_VALUES)
         assert max(result.payment_notices.values()) == 1
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_restored_shard_keeps_the_notices_it_sent(self, executor):
+        # Shard 1 (C4..C6) dies after paying C4; its replacement must
+        # still count C4's notice, in this round and the next.
+        svc = ShardedCoordinatorService(
+            [TruthfulAgent(t) for t in (1.0, 2.0, 4.0, 3.0, 5.0, 6.0)],
+            RATE,
+            shards=2,
+            executor=executor,
+            rng=np.random.default_rng(0),
+        )
+        svc.arm_shard_crash(1, after_payments=1)
+        try:
+            first = svc.run_round()
+            second = svc.run_round()
+        finally:
+            svc.close()
+        assert first.shard_restarts == 1
+        assert "C4" in first.payments
+        assert set(first.payment_notices.values()) == {1}
+        assert set(second.payment_notices.values()) == {2}
 
     def test_restart_budget_exhaustion_raises(self):
         svc = service(7, shards=4, max_shard_restarts=0)
@@ -279,90 +253,6 @@ class TestCrashRecovery:
         assert np.array_equal(
             second.outcome.payments.payment, mono2.outcome.payments.payment
         )
-
-
-class TestSupervisorIntegration:
-    @pytest.mark.parametrize("shards", [2, 4])
-    def test_supervised_rounds_are_bit_identical(self, shards):
-        def supervisor(n_shards):
-            return RoundSupervisor(
-                agents(), RATE, rng=np.random.default_rng(9), shards=n_shards
-            )
-
-        mono = supervisor(1).run(3)
-        sharded = supervisor(shards).run(3)
-        for a, b in zip(mono.rounds, sharded.rounds):
-            assert a.payments == b.payments
-            assert a.loads == b.loads
-            assert a.jobs_routed == b.jobs_routed
-            assert a.alerts == b.alerts
-            assert np.array_equal(
-                a.outcome.payments.payment, b.outcome.payments.payment
-            )
-
-    def test_supervised_stochastic_parity(self):
-        def supervisor(n_shards):
-            return RoundSupervisor(
-                agents(), RATE, rng=np.random.default_rng(9),
-                deterministic_service=False, shards=n_shards,
-            )
-
-        mono = supervisor(1).run(2)
-        sharded = supervisor(4).run(2)
-        for a, b in zip(mono.rounds, sharded.rounds):
-            assert a.payments == b.payments
-
-    def test_faulted_rounds_fall_back_to_monolithic_path(self):
-        from repro.resilience import FaultPlan
-
-        supervisor = RoundSupervisor(
-            agents(), RATE, rng=np.random.default_rng(3), shards=4
-        )
-        plan = FaultPlan.generate(
-            5, supervisor.machine_names, seed=3, p_machine_fault=0.9
-        )
-        report = supervisor.run(5, fault_plan=plan)
-        assert len(report.rounds) == 5  # chaos rounds still complete
-
-
-class TestCampaignUnits:
-    def test_sharded_protocol_unit_payload_matches_monolithic(self):
-        base = dict(
-            kind="protocol", scenario="s1", bid_factor=2.0,
-            execution_factor=1.5, true_values=TRUE_VALUES,
-            arrival_rate=RATE, seed=11, duration=60.0,
-        )
-        mono = execute_unit(ExperimentUnit(**base))
-        sharded = execute_unit(ExperimentUnit(**base, shards=3))
-        for key in mono:
-            if key == "total_messages":
-                # The sharded run reports the aggregation tree's count.
-                assert sharded[key] < mono[key]
-            else:
-                assert mono[key] == sharded[key], key
-
-    def test_event_protocol_unit_stays_single_coordinator(self):
-        # The shards run only the batched engine; an event unit must not
-        # be silently re-run on it (its stochastic payload would change).
-        base = dict(
-            kind="protocol", scenario="s1", bid_factor=2.0,
-            execution_factor=1.5, true_values=TRUE_VALUES,
-            arrival_rate=RATE, seed=11, duration=60.0, execution="event",
-        )
-        mono = execute_unit(ExperimentUnit(**base))
-        sharded = execute_unit(ExperimentUnit(**base, shards=3))
-        assert sharded == mono
-
-    def test_shards_only_enter_cache_key_when_sharded(self):
-        base = dict(
-            kind="protocol", scenario="s1", bid_factor=1.0,
-            execution_factor=1.0, true_values=TRUE_VALUES,
-            arrival_rate=RATE, seed=0,
-        )
-        assert "shards" not in ExperimentUnit(**base).as_config()
-        sharded = ExperimentUnit(**base, shards=4)
-        assert sharded.as_config()["shards"] == 4
-        assert ExperimentUnit.from_config(sharded.as_config()) == sharded
 
 
 class TestValidation:

@@ -58,13 +58,7 @@ class TestRoundStages:
         # Deterministic service: estimates equal the true values, so the
         # quotient partial is sum t_i / b_i^2 = 1 + 2/4 + 4/16 = 1.75.
         assert partial.quotient_sum.value == pytest.approx(1.75)
-        assert meta["alerts"] == []
-
-    def test_bid_overrides_only_raise(self):
-        shard = make_shard(bid_overrides={"C1": 3.0, "C3": 0.1})
-        shard.begin_round()
-        bids = shard.collect_bids()
-        assert np.array_equal(bids, [3.0, 2.0, 4.0])  # C3's lowball ignored
+        assert set(meta) == {"jobs", "simulated_time"}
 
     def test_settle_is_write_ahead_and_at_most_once(self):
         store = CheckpointStore()
@@ -105,40 +99,6 @@ class TestRoundStages:
         with pytest.raises(ShardCrash):
             shard.settle(amounts)
         assert len(store.load().payments_sent) == 1
-
-
-class TestMembershipCaching:
-    """The PR-4 reset-path contract, shard edition (ISSUE 7 satellite)."""
-
-    def test_set_membership_invalidates_bids_cache(self):
-        shard = make_shard()
-        shard.begin_round()
-        shard.collect_bids()
-        before = shard.bids_vector()
-        assert before.size == 3
-        dropped = shard.set_membership(["C1", "C3"])
-        assert dropped == ["C2"]
-        after = shard.bids_vector()
-        assert np.array_equal(after, [1.0, 4.0])
-
-    def test_unchanged_shard_cache_still_resets(self):
-        # A shard that lost nobody must also drop its cache: the stale
-        # array object must not be served by identity after churn.
-        shard = make_shard()
-        shard.begin_round()
-        shard.collect_bids()
-        shard.bids_vector()  # populate the cache
-        assert shard._bids_cache is not None
-        shard.set_membership(["C1", "C2", "C3"])  # no-op membership
-        assert shard._bids_cache is None  # cache dropped regardless
-
-    def test_begin_round_restores_full_membership(self):
-        shard = make_shard()
-        shard.begin_round()
-        shard.collect_bids()
-        shard.set_membership(["C2"])
-        shard.begin_round()
-        assert shard.machine_names == ["C1", "C2", "C3"]
 
 
 class TestCheckpointRestore:

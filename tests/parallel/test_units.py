@@ -56,6 +56,13 @@ class TestExperimentUnit:
         unit = paper_unit(kind="protocol", seed=7, duration=55.0)
         assert ExperimentUnit.from_config(unit.as_config()) == unit
 
+    def test_config_with_a_retired_shards_key_still_loads(self):
+        # Configs cached when units could run sharded carry "shards";
+        # loading one gives the single-coordinator unit.
+        unit = paper_unit(kind="protocol", seed=7)
+        legacy = {**unit.as_config(), "shards": 3}
+        assert ExperimentUnit.from_config(legacy) == unit
+
     def test_scenario_config_drops_seed_and_duration(self):
         a = paper_unit(seed=0, duration=200.0)
         b = paper_unit(seed=99, duration=10.0)

@@ -1,9 +1,9 @@
 """Differential oracle over the supervised round paths.
 
-The sequential round, the horizon-fused round and the sharded round
-share one estimate/detect/override/result code path, so their results
-must agree **bit for bit** on the same seed: every ``RoundResult``
-field through ``repr``, every outcome array through ``tobytes()``.
+The sequential round and the horizon-fused round share one
+estimate/detect/override/result code path, so their results must agree
+**bit for bit** on the same seed: every ``RoundResult`` field through
+``repr``, every outcome array through ``tobytes()``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import pytest
 
 from repro.agents import SlowExecutor, TruthfulAgent
 from repro.mechanism import ArcherTardosMechanism, VCGMechanism
-from repro.observability.instrumentation import instrumented
 from repro.resilience import FaultPlan, RoundResult, RoundSupervisor
 from repro.system.workload import PiecewiseConstantSchedule, SinusoidalSchedule
 
@@ -123,30 +122,3 @@ class TestFusedEqualsSequential:
         assert any(r.fault_kinds for r in sequential.rounds)
         assert_identical(sequential, run(True))
 
-
-class TestShardedEqualsMonolithic:
-    @pytest.mark.parametrize(
-        "kwargs, rounds",
-        [
-            (dict(), 4),
-            (dict(slow=True), 12),
-            (dict(overrides=True), 3),
-            (dict(execution="event", deterministic=False), 4),
-        ],
-        ids=["clean", "slow-machine", "bid-overrides", "event-stochastic"],
-    )
-    def test_round_results_are_bit_identical(self, kwargs, rounds):
-        def run(shards: int):
-            with instrumented() as instr:
-                report = supervisor(shards=shards, **kwargs).run(rounds)
-            overrides = instr.metrics.counter("remediation.bid_overrides").value
-            return report, overrides
-
-        mono, mono_overrides = run(1)
-        sharded, sharded_overrides = run(4)
-        assert_identical(mono, sharded)
-        assert sharded_overrides == mono_overrides
-        if kwargs.get("slow"):
-            assert any(r.alerts for r in mono.rounds)
-        if kwargs.get("overrides"):
-            assert mono_overrides == rounds
