@@ -222,9 +222,9 @@ class _ProcessShardExecutor:
     """One long-lived ``multiprocessing.Process`` per shard.
 
     Stage fan-out is send-all-then-receive-all, so shards genuinely
-    run concurrently on multi-core hosts.  The parent persists every
-    returned checkpoint into the shard's
-    :class:`~repro.resilience.checkpoint.CheckpointStore`, so shard
+    run concurrently on multi-core hosts.  The parent stores every
+    returned checkpoint string verbatim (no decode, no re-encode) in the
+    shard's :class:`~repro.resilience.checkpoint.CheckpointStore`, so shard
     recovery works exactly as in-process: restore from the parent's
     durable copy, replay nothing, pay at most once.
     """
@@ -249,10 +249,10 @@ class _ProcessShardExecutor:
     def _receive(self, k: int) -> tuple[str, object]:
         reply = self._conns[k].recv()
         if reply[0] == "ok":
-            self._stores[k].save(CoordinatorCheckpoint.from_json(reply[2]))
+            self._stores[k].save(reply[2])
             return ("ok", reply[1])
         if reply[0] == "crash":
-            self._stores[k].save(CoordinatorCheckpoint.from_json(reply[1]))
+            self._stores[k].save(reply[1])
             return ("crash", reply[2])
         raise RuntimeError(f"shard {k} worker failed: {reply[1]}")
 

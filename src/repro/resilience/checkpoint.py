@@ -22,13 +22,19 @@ Two properties matter and are enforced by tests and the chaos harness:
   was announced (``IDLE``/``BIDDING``) voids the round: no allocation
   reached any machine, so abandoning is safe and cheap.
 
-Checkpoints round-trip through JSON so the "durable store" can be a
-file, a database row, or (in tests) an in-memory string — the
+Checkpoints round-trip through one JSON string so the "durable store"
+can be a file, a database row, or (in tests) an in-memory string — the
 serialisation boundary is what proves no live object sneaks through.
+The string is columnar: names are written once, and the per-machine
+values are little-endian float64/int64 arrays, base64-encoded.
+Formatting each float with ``repr`` cost more than the rest of a large
+sharded round, and raw bytes are exact where decimal text loses NaN
+payloads.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -80,35 +86,46 @@ class CoordinatorCheckpoint:
     )
 
     def to_json(self) -> str:
-        """Serialise to a JSON string (the durable representation).
+        """Serialise to one JSON string (the durable representation).
 
-        Tuples encode as JSON arrays natively and ``default=float``
-        coerces any stray numpy scalar, so no per-element Python loop
-        runs here — snapshots are O(n) in C, which matters because the
-        sharded service takes one per phase per shard.
+        ``phase``, ``machine_names``, ``arrival_rate``, ``excluded`` and
+        ``withheld`` are plain JSON.  The per-machine sections are
+        columns: each value column is the little-endian bytes of one
+        array (``<f8``, ``<i8`` for report job counts), base64-encoded,
+        so no float goes through ``repr`` and every bit (NaN payloads,
+        -0.0) survives.  A section keyed by ``machine_names`` in that
+        order stores no key list, so a shard's stage snapshot writes
+        each name once; any other section stores its own keys in
+        insertion order.
         """
-        loads = self.loads
-        if loads is not None and hasattr(loads, "tolist"):
-            loads = loads.tolist()
+        names = list(self.machine_names)
+        bids = _section(self.bids, names)
+        bids["values"] = _column(list(self.bids.values()), _F8)
+        reports = _section(self.reports, names)
+        jobs, sojourns = zip(*self.reports.values()) if self.reports else ((), ())
+        reports["jobs"] = _column(jobs, _I8)
+        reports["sojourns"] = _column(sojourns, _F8)
+        payments = _section(self.payments_sent, names)
+        payments["amounts"] = _column(list(self.payments_sent.values()), _F8)
         return json.dumps(
             {
                 "phase": self.phase,
-                "machine_names": self.machine_names,
+                "machine_names": names,
                 "arrival_rate": self.arrival_rate,
-                "bids": self.bids,
-                "loads": loads,
-                "reports": self.reports,
+                "bids": bids,
+                "loads": None if self.loads is None else _column(self.loads, _F8),
+                "reports": reports,
                 "excluded": self.excluded,
                 "withheld": self.withheld,
-                "payments_sent": self.payments_sent,
+                "payments_sent": payments,
             },
             default=float,
         )
 
     @classmethod
     def from_json(cls, payload: str) -> "CoordinatorCheckpoint":
-        """Rebuild a checkpoint from its JSON representation."""
-        return cls._from_raw(json.loads(payload))
+        """Rebuild a checkpoint from its :meth:`to_json` string."""
+        return cls._from_raw(_raw_from_json(payload))
 
     @classmethod
     def _from_raw(cls, raw: dict) -> "CoordinatorCheckpoint":
@@ -131,13 +148,62 @@ class CoordinatorCheckpoint:
         )
 
 
+_F8 = np.dtype("<f8")
+_I8 = np.dtype("<i8")
+
+
+def _column(values, dtype: np.dtype) -> str:
+    """``values`` as one little-endian array's bytes, base64-encoded."""
+    return base64.b64encode(np.asarray(values, dtype=dtype).tobytes()).decode("ascii")
+
+
+def _array(column: str, dtype: np.dtype) -> np.ndarray:
+    """The array one :func:`_column` string encodes."""
+    return np.frombuffer(base64.b64decode(column), dtype=dtype)
+
+
+def _section(mapping: dict, names: list[str]) -> dict:
+    """A columnar section's header: its key list unless keyed by ``names``."""
+    keys = list(mapping)
+    return {} if keys == names else {"names": keys}
+
+
+def _raw_from_json(payload: str) -> dict:
+    """Decode :meth:`CoordinatorCheckpoint.to_json` into plain dicts.
+
+    Each columnar section comes back as ``name -> value`` in its stored
+    key order (a report as ``(jobs, sojourn)``, a payment as a 3-list):
+    the shape the store's journal entries fold into.
+    """
+    raw = json.loads(payload)
+    names = raw["machine_names"]
+    bids, reports, payments = raw["bids"], raw["reports"], raw["payments_sent"]
+    raw["bids"] = dict(
+        zip(bids.get("names", names), _array(bids["values"], _F8).tolist())
+    )
+    if raw["loads"] is not None:
+        raw["loads"] = _array(raw["loads"], _F8).tolist()
+    raw["reports"] = dict(
+        zip(
+            reports.get("names", names),
+            zip(
+                _array(reports["jobs"], _I8).tolist(),
+                _array(reports["sojourns"], _F8).tolist(),
+            ),
+        )
+    )
+    amounts = _array(payments["amounts"], _F8).reshape(-1, 3)
+    raw["payments_sent"] = dict(zip(payments.get("names", names), amounts.tolist()))
+    return raw
+
+
 @dataclass
 class _Ledger:
     """One priced-amounts record: who is owed what, and how many were sent.
 
     ``names`` is one JSON list and ``amounts`` the ``(k, 3)`` float64
-    rows as raw bytes (exact, like JSON's shortest repr); only the first
-    ``sent`` rows count as issued.
+    rows as little-endian bytes (exact, and the same on every host);
+    only the first ``sent`` rows count as issued.
     """
 
     names: str
@@ -146,7 +212,7 @@ class _Ledger:
     sent: int = 0
 
     def issued(self) -> dict[str, list[float]]:
-        rows = np.frombuffer(self.amounts, dtype=np.float64).reshape(-1, 3)
+        rows = np.frombuffer(self.amounts, dtype=_F8).reshape(-1, 3)
         names = json.loads(self.names)[: self.sent]
         return dict(zip(names, rows[: self.sent].tolist()))
 
@@ -184,10 +250,17 @@ class CheckpointStore:
         """Whether a base snapshot exists for the journal to build on."""
         return self._payload is not None
 
-    def save(self, checkpoint: CoordinatorCheckpoint) -> None:
-        """Persist ``checkpoint``, replacing any previous one."""
+    def save(self, checkpoint: CoordinatorCheckpoint | str) -> None:
+        """Persist ``checkpoint``, replacing any previous one.
+
+        A string is taken as an already-serialised snapshot (a
+        :meth:`CoordinatorCheckpoint.to_json` result, such as one a
+        process worker shipped) and stored verbatim.
+        """
         with timed_section("resilience.checkpoint.save.seconds"):
-            self._payload = checkpoint.to_json()
+            self._payload = (
+                checkpoint if isinstance(checkpoint, str) else checkpoint.to_json()
+            )
         self._drop_journal()
         self.saves += 1
         record_counter("resilience.checkpoint.saves")
@@ -212,7 +285,7 @@ class CheckpointStore:
         ``amounts`` holds one (payment, compensation, bonus) row per
         name; :meth:`mark_sent` then marks them issued in order.
         """
-        rows = np.asarray(amounts, dtype=np.float64).reshape(len(names), 3)
+        rows = np.asarray(amounts, dtype=_F8).reshape(len(names), 3)
         ledger = _Ledger(json.dumps(list(names)), rows.tobytes(), len(names))
         self._append(ledger)
         self._ledger = ledger
@@ -242,7 +315,7 @@ class CheckpointStore:
         if self._payload is None:
             return None
         with timed_section("resilience.checkpoint.load.seconds"):
-            raw = json.loads(self._payload)
+            raw = _raw_from_json(self._payload)
             for entry in self._journal:
                 if isinstance(entry, _Ledger):
                     raw["payments_sent"].update(entry.issued())

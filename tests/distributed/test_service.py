@@ -222,6 +222,34 @@ class TestCrashRecovery:
         assert set(first.payment_notices.values()) == {1}
         assert set(second.payment_notices.values()) == {2}
 
+    def test_process_store_holds_each_shipped_snapshot_verbatim(self):
+        # After every stage reply (a crash included) the parent's store
+        # loads back exactly the string the worker's shard serialised.
+        svc = service(7, shards=2, executor="process")
+        executor = svc._executor
+        conns = executor._conns = [_Recording(c) for c in executor._conns]
+        receive = executor._receive
+        checked = []
+
+        def checked_receive(k):
+            status = receive(k)
+            reply = conns[k].replies[-1]
+            shipped = reply[2] if reply[0] == "ok" else reply[1]
+            assert svc.stores[k]._payload is shipped  # not re-encoded
+            assert svc.stores[k].load().to_json() == shipped
+            checked.append(reply[0])
+            return status
+
+        executor._receive = checked_receive
+        try:
+            svc.arm_shard_crash(1, after_payments=1)
+            result = svc.run_round()
+        finally:
+            svc.close()
+        assert result.shard_restarts == 1
+        assert "crash" in checked
+        assert len(checked) == sum(store.saves for store in svc.stores)
+
     def test_restart_budget_exhaustion_raises(self):
         svc = service(7, shards=4, max_shard_restarts=0)
         svc.arm_shard_crash(0, after_payments=0)
@@ -273,3 +301,19 @@ class TestValidation:
         svc.close()
         with pytest.raises(RuntimeError, match="closed"):
             svc.run_round()
+
+
+class _Recording:
+    """A worker pipe end that keeps every reply it receives."""
+
+    def __init__(self, conn):
+        self.conn = conn
+        self.replies = []
+
+    def recv(self):
+        reply = self.conn.recv()
+        self.replies.append(reply)
+        return reply
+
+    def __getattr__(self, name):
+        return getattr(self.conn, name)

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import json
+import re
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -99,6 +103,23 @@ class TestRoundStages:
         with pytest.raises(ShardCrash):
             shard.settle(amounts)
         assert len(store.load().payments_sent) == 1
+
+
+class TestStageSnapshot:
+    def test_execution_snapshot_writes_each_name_once(self):
+        # bids and reports are keyed by machine_names in order, so the
+        # snapshot lists the names once and stores only value columns.
+        store = CheckpointStore()
+        shard = make_shard(values=[1.0 + k % 4 for k in range(2500)], store=store)
+        shard.begin_round()
+        shard.collect_bids()
+        shard.allocate_from_total(float(np.sum(1.0 / shard.bids_vector())))
+        shard.run_execution()
+        snapshot = shard.checkpoint()
+        assert len(snapshot.bids) == len(snapshot.reports) == 2500
+        assert store.load() == snapshot
+        strings = Counter(re.findall(r'"[^"]*"', snapshot.to_json()))
+        assert all(strings[json.dumps(n)] == 1 for n in shard.machine_names)
 
 
 class TestCheckpointRestore:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import base64
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,70 @@ class TestSerialisation:
         assert loaded is not checkpoint  # a reconstruction, not the object
         store.clear()
         assert store.load() is None
+
+
+class TestWireFormat:
+    """Golden bytes: the serialised form is little-endian on every host.
+
+    1.0 is the IEEE-754 double 0x3FF0000000000000; its little-endian
+    bytes 00 00 00 00 00 00 F0 3F base64-encode to ``AAAAAAAA8D8=``.
+    """
+
+    CHECKPOINT = CoordinatorCheckpoint(
+        phase="verifying",
+        machine_names=["C1", "C2"],
+        arrival_rate=6.0,
+        bids={"C1": 1.0, "C2": 2.0},
+        loads=[4.0, 2.0],
+        reports={"C2": (3, 0.5)},
+        excluded=["C3"],
+        payments_sent={"C2": (1.0, 2.0, -0.0)},
+    )
+    # bids are keyed by machine_names in order, so they carry no key
+    # list; reports and payments_sent cover only C2, so they do.
+    PAYLOAD = (
+        '{"phase": "verifying", "machine_names": ["C1", "C2"], '
+        '"arrival_rate": 6.0, '
+        '"bids": {"values": "AAAAAAAA8D8AAAAAAAAAQA=="}, '
+        '"loads": "AAAAAAAAEEAAAAAAAAAAQA==", '
+        '"reports": {"names": ["C2"], "jobs": "AwAAAAAAAAA=", '
+        '"sojourns": "AAAAAAAA4D8="}, '
+        '"excluded": ["C3"], "withheld": [], '
+        '"payments_sent": {"names": ["C2"], '
+        '"amounts": "AAAAAAAA8D8AAAAAAAAAQAAAAAAAAACA"}}'
+    )
+
+    def test_snapshot_encodes_to_the_golden_payload(self):
+        assert self.CHECKPOINT.to_json() == self.PAYLOAD
+
+    def test_golden_payload_decodes_bit_for_bit(self):
+        restored = CoordinatorCheckpoint.from_json(self.PAYLOAD)
+        assert restored == self.CHECKPOINT
+        assert repr(restored.payments_sent["C2"]) == "(1.0, 2.0, -0.0)"
+        assert isinstance(restored.reports["C2"][0], int)
+
+    def test_ledger_bytes_are_little_endian(self):
+        from repro.resilience.checkpoint import _Ledger
+
+        rows = bytes.fromhex(
+            "000000000000f03f"  # 1.0
+            "0000000000000040"  # 2.0
+            "0000000000000080"  # -0.0
+        )
+        assert base64.b64encode(rows[:8]) == b"AAAAAAAA8D8="
+        ledger = _Ledger('["C1"]', rows, size=1, sent=1)
+        assert repr(ledger.issued()) == "{'C1': [1.0, 2.0, -0.0]}"
+        store = CheckpointStore()
+        store.save(CoordinatorCheckpoint("verifying", ["C1"], 1.0))
+        store.append_ledger(["C1"], [(1.0, 2.0, -0.0)])
+        assert store._ledger.amounts == rows
+
+    def test_a_string_is_stored_verbatim(self):
+        store = CheckpointStore()
+        store.save(self.PAYLOAD)
+        assert store.saves == 1
+        assert store.load() == self.CHECKPOINT
+        assert store.load().to_json() == self.PAYLOAD
 
 
 class TestPaymentJournal:
