@@ -39,7 +39,7 @@ import numpy as np
 from timing import best_seconds
 
 SPEEDUP_TARGET = 10.0          # kernel vs brute force at n = 64
-UTILITY_TOLERANCE = 1e-9       # relative agreement of reported utilities
+UTILITY_TOLERANCE = 1e-12      # relative agreement of reported utilities
 SCALING_NS = (16, 64, 256, 1024, 4096)
 BRUTE_MAX_N = 64               # largest n worth timing the brute path at
 AGREEMENT_SEEDS = (0, 1, 2)

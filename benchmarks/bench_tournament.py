@@ -50,7 +50,7 @@ import numpy as np
 from timing import best_seconds
 
 SPEEDUP_TARGET = 10.0          # kernel vs brute force at n = 64, per mechanism
-UTILITY_TOLERANCE = 1e-9       # relative agreement of reported utilities
+UTILITY_TOLERANCE = 1e-12      # relative agreement of reported utilities
 PARITY_N = 64
 AGREEMENT_SEEDS = (0, 1, 2)
 RESULTS_DIR = Path(__file__).resolve().parent / "results"

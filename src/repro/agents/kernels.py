@@ -7,8 +7,9 @@ others fixed?*  Answering it through :meth:`Mechanism.run` costs
 ``O(n)`` per candidate, so a ``(bid x execution)`` grid search costs
 ``O(grid * n)`` and the grid search is run once per agent per round.
 
-Under the compensation-and-bonus mechanism the whole dependence on the
-other ``n - 1`` agents collapses into **two scalars**:
+Under every payment rule of :data:`repro.mechanism.pricing.RULES` the
+whole dependence on the other ``n - 1`` agents collapses into **two
+scalars**:
 
     ``S_{-i} = sum_{j != i} 1 / b_j``
     ``Q_{-i} = sum_{j != i} t~_j / b_j**2``
@@ -17,44 +18,21 @@ Derivation.  With ``S = S_{-i} + 1/b`` the PR allocation gives agent
 ``i`` the load ``x_i = R / (b S)`` and agent ``j`` the load
 ``x_j = R / (b_j S)``, so the realised total latency is
 
-    ``L = e x_i**2 + sum_{j != i} t~_j x_j**2
-       = (R**2 / S**2) (e / b**2 + Q_{-i})``.
+    ``L = e x_i**2 + sum_{j != i} t~_j x_j**2 = (R/S)**2 Q``
+    with ``Q = Q_{-i} + e / b**2``,
 
-The bonus is ``R**2 / S_{-i} - L`` (leave-one-out optimum minus the
-realised latency).  Under the paper's observed compensation
-(``C_i = e x_i**2``) the compensation cancels the agent's cost exactly,
-so its utility *is* the bonus:
-
-    ``U_obs(b, e) = R**2 / S_{-i} - (R**2 / S**2) (e / b**2 + Q_{-i})``
-
-and under the non-truthful declared variant (``C_i = b x_i**2``):
-
-    ``U_dec(b, e) = R**2 / S_{-i}
-                    + (R**2 / S**2) (1/b - 2 e / b**2 - Q_{-i})``.
-
-The two truthful baselines collapse onto the *same* pair of
-aggregates.  VCG's Clarke bonus is evaluated at the **declared**
-latencies — ``L_{-i}^* - sum_j b_j x_j**2`` with
-``sum_j b_j x_j**2 = R**2 / S`` — so with the declared-cost
-compensation ``b x_i**2 = (R**2/S**2)/b`` and the valuation
-``-e x_i**2``,
-
-    ``U_vcg(b, e) = R**2 / S_{-i} - (R**2 / S**2) (S_{-i} + e / b**2)``
-
-(the identity ``1/b - S = -S_{-i}`` folds the compensation into the
-pivot term; note ``Q_{-i}`` drops out — VCG cannot see executions).
-The Archer–Tardos one-parameter payment replaces the pivot with the
-work integral ``R**2 / (S_{-i} (b S_{-i} + 1)) = R**2 / (b S S_{-i})``
-(using ``b S_{-i} + 1 = b S``), giving
-
-    ``U_at(b, e) = (R**2 / S**2) (1/b - e / b**2)
-                   + R**2 / (b S S_{-i})``.
-
-All four are closed-form in ``(b, e)`` given ``(S_{-i}, Q_{-i}, R)``,
-so a full candidate grid is **one NumPy broadcast** — ``O(grid)``
-instead of ``O(grid * n)`` — and the aggregates themselves admit O(1)
-rank-1 updates across best-response rounds
-(:class:`repro.allocation.IncrementalStrategicState`).
+and the declared latency ``sum_j b_j x_j**2`` is ``(R/S)**2 S``.  Agent
+``i``'s compensation (``e x_i**2`` or ``b x_i**2``), its valuation
+``-e x_i**2``, the leave-one-out optimum ``R**2 / S_{-i}`` and the
+Archer–Tardos work integral ``R**2 / (S_{-i} (b S_{-i} + 1))`` read only
+``b``, ``e``, ``R`` and ``S``.  So :func:`utility_kernel` prices the
+candidate through :func:`repro.mechanism.pricing.price_gathered` on the
+totals ``(S_{-i} + 1/b, Q_{-i} + e/b**2)`` — the same step the sharded
+settle takes, and the payment rules stay written once, in
+:mod:`repro.mechanism.pricing`.  A candidate grid is then **one NumPy
+broadcast** — ``O(grid)`` instead of ``O(grid * n)`` — and the
+aggregates themselves admit O(1) rank-1 updates across best-response
+rounds (:class:`repro.allocation.IncrementalStrategicState`).
 
 Tie-break contract (shared with the brute-force grid search in
 :mod:`repro.agents.best_response`, asserted by the property tests and
@@ -95,6 +73,7 @@ from repro._validation import (
     check_positive,
     check_positive_scalar,
 )
+from repro.mechanism import pricing
 
 __all__ = [
     "best_response_fast",
@@ -111,8 +90,6 @@ __all__ = [
     "utility_grid",
     "utility_kernel",
 ]
-
-_KERNEL_MODES = ("observed", "declared", "vcg", "archer_tardos")
 
 
 def supports(mechanism) -> bool:
@@ -166,9 +143,9 @@ def kernel_mode_of(mechanism) -> str:
 
 
 def _check_mode(mode: str) -> str:
-    if mode not in _KERNEL_MODES:
+    if mode not in pricing.RULES:
         raise ValueError(
-            f"kernel mode must be one of {_KERNEL_MODES}, got {mode!r}"
+            f"kernel mode must be one of {tuple(pricing.RULES)}, got {mode!r}"
         )
     return mode
 
@@ -310,13 +287,15 @@ def utility_kernel(
     score a whole cohort of units, each with its own ``R``, in one
     call.  Cost is O(1) per evaluated candidate, independent of ``n``.
 
-    ``mode`` selects the payment rule: ``"observed"`` (default) /
-    ``"declared"`` for the verification mechanism, ``"vcg"`` for the
-    Clarke pivot, ``"archer_tardos"`` for the one-parameter baseline
-    (derivations in the module docstring).  The VCG and Archer–Tardos
-    forms do not read ``q_minus`` — neither mechanism can see the
-    others' execution values — but the uniform signature keeps the two
-    aggregates flowing through every call site unchanged.
+    ``mode`` selects the payment rule, by its
+    :data:`~repro.mechanism.pricing.RULES` name: ``"observed"``
+    (default) / ``"declared"`` for the verification mechanism, ``"vcg"``
+    for the Clarke pivot, ``"archer_tardos"`` for the one-parameter
+    baseline.  The candidate is priced by
+    :func:`~repro.mechanism.pricing.price_gathered` on the totals
+    ``S = S_{-i} + 1/b`` and ``Q = Q_{-i} + e/b**2`` (module docstring);
+    VCG and Archer–Tardos do not read ``Q`` — neither mechanism can see
+    the others' execution values.
 
     Examples
     --------
@@ -329,19 +308,10 @@ def utility_kernel(
     mode = _check_mode(mode)
     b = np.asarray(bids, dtype=np.float64)
     e = np.asarray(executions, dtype=np.float64)
-    total = s_minus + 1.0 / b                       # S = S_{-i} + 1/b
-    scale = (arrival_rate / total) ** 2             # R^2 / S^2
-    base = arrival_rate**2 / s_minus                # L_{-i}^* = R^2 / S_{-i}
-    if mode == "observed":
-        return base - scale * (e / b**2 + q_minus)
-    if mode == "declared":
-        return base + scale * (1.0 / b - 2.0 * e / b**2 - q_minus)
-    if mode == "vcg":
-        return base - scale * (s_minus + e / b**2)
-    # archer_tardos: declared-cost compensation + work-integral bonus.
-    return scale * (1.0 / b - e / b**2) + arrival_rate**2 / (
-        b * total * s_minus
+    _, compensation, bonus, valuation = pricing.price_gathered(
+        mode, b, e, s_minus + 1.0 / b, q_minus + e / b**2, arrival_rate,
     )
+    return compensation + bonus + valuation
 
 
 def utility_grid(

@@ -22,6 +22,7 @@ from repro._validation import (
     check_positive_scalar,
 )
 from repro.mechanism.base import Mechanism
+from repro.mechanism.properties import deviation_utilities
 
 __all__ = ["UtilityLandscape", "utility_landscape"]
 
@@ -87,7 +88,10 @@ def utility_landscape(
     """Evaluate one agent's utility over the full deviation grid.
 
     Other agents bid truthfully and execute at capacity.  Execution
-    factors below 1 are rejected (capacity constraint).
+    factors below 1 are rejected (capacity constraint).  The grid is
+    priced as one stack by
+    :func:`~repro.mechanism.properties.deviation_utilities`, so every
+    entry is bit-identical to a :meth:`Mechanism.run` at that point.
     """
     true_values = as_float_array(true_values, "true_values")
     check_positive(true_values, "true_values")
@@ -107,33 +111,12 @@ def utility_landscape(
             raise ValueError("exec_factors must be >= 1 (capacity constraint)")
 
     t_i = true_values[agent]
-
-    # Fast path: the verification mechanism is closed form, so the whole
-    # grid evaluates as one vectorised batch (~100x; bit-identical to
-    # the scalar loop, asserted by the test suite).
-    from repro.mechanism.compensation_bonus import VerificationMechanism
-
-    if isinstance(mechanism, VerificationMechanism):
-        from repro.mechanism.batch import batch_utility_of_agent
-
-        utilities = batch_utility_of_agent(
-            agent,
-            (bid_factors * t_i)[:, None],
-            (exec_factors * t_i)[None, :],
-            true_values,
-            arrival_rate,
-            compensation=mechanism.compensation_mode,
-        )
-    else:
-        utilities = np.empty((bid_factors.size, exec_factors.size))
-        for i, bf in enumerate(bid_factors):
-            bids = true_values.copy()
-            bids[agent] = bf * t_i
-            for j, ef in enumerate(exec_factors):
-                executions = true_values.copy()
-                executions[agent] = ef * t_i
-                outcome = mechanism.run(bids, arrival_rate, executions)
-                utilities[i, j] = float(outcome.payments.utility[agent])
+    bid_grid = bid_factors * t_i
+    exec_grid = exec_factors * t_i
+    utilities = deviation_utilities(
+        mechanism, true_values, arrival_rate, agent,
+        np.repeat(bid_grid, exec_grid.size), np.tile(exec_grid, bid_grid.size),
+    ).reshape(bid_grid.size, exec_grid.size)
 
     return UtilityLandscape(
         agent=agent,

@@ -29,6 +29,11 @@ from repro.distributed.service import (
     SHARD_EXECUTORS,
     WORKLOAD_MODES,
 )
+from repro.parallel.units import (
+    _MECHANISM_VARIANTS,
+    _VARIANTS as _CAMPAIGN_VARIANTS,
+    _mechanism_for,
+)
 
 __all__ = ["main", "build_parser"]
 
@@ -111,27 +116,6 @@ def _cmd_figure(args: argparse.Namespace) -> str:
             title="Figure 6. Payment structure.",
         )
     raise SystemExit(f"unknown figure number {number}; expected 1..6")
-
-
-_VARIANTS = ("observed", "declared", "vcg", "archer-tardos")
-# The campaign additionally offers closed-form best-response dynamics
-# (kernel-driven; see repro.agents.game.BestResponseDynamics) and
-# stale-bid drift sweeps (repro.dynamic.drift.drift_sweep).
-_CAMPAIGN_VARIANTS = _VARIANTS + ("dynamics", "drift")
-
-
-def _mechanism_for(variant: str):
-    from repro.mechanism import (
-        ArcherTardosMechanism,
-        VCGMechanism,
-        VerificationMechanism,
-    )
-
-    if variant in ("observed", "declared"):
-        return VerificationMechanism(variant)
-    if variant == "vcg":
-        return VCGMechanism()
-    return ArcherTardosMechanism()
 
 
 def _cluster_values(config_path: str | None):
@@ -880,6 +864,15 @@ def _cmd_campaign(args: argparse.Namespace) -> str:
     return "\n\n".join(parts)
 
 
+def _fmt_percent(value: float) -> str:
+    """Two decimals, with a value that rounds to zero printed as ``0.00``.
+
+    Adding ``0.0`` turns the ``-0.0`` that ``round`` leaves for a tiny
+    negative into ``0.0``; a real negative keeps its sign.
+    """
+    return f"{round(value, 2) + 0.0:.2f}"
+
+
 def _cmd_tournament(args: argparse.Namespace) -> str:
     import json
 
@@ -909,7 +902,7 @@ def _cmd_tournament(args: argparse.Namespace) -> str:
                     f"{s['max_individual_gain']:.3f}",
                     f"{s['profitable_collusion_patterns']}",
                     "-" if s["equilibrium_degradation_percent"] is None
-                    else f"{s['equilibrium_degradation_percent']:.2f}",
+                    else _fmt_percent(s["equilibrium_degradation_percent"]),
                 ]
                 for s in result.standings()
             ],
@@ -1014,7 +1007,9 @@ def build_parser() -> argparse.ArgumentParser:
     figure.set_defaults(func=_cmd_figure)
 
     audit = sub.add_parser("audit", help="truthfulness / VP audit")
-    audit.add_argument("--variant", choices=_VARIANTS, default="observed")
+    audit.add_argument(
+        "--variant", choices=_MECHANISM_VARIANTS, default="observed"
+    )
     audit.add_argument("--machines", type=int, default=6)
     audit.add_argument("--rate", type=float, default=10.0)
     audit.add_argument(

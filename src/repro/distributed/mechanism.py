@@ -173,7 +173,8 @@ class DistributedVerificationMechanism:
 
         # --- Local payment computation at every machine. ---
         loads, compensation, bonus, valuation = pricing.price_gathered(
-            bids, execution_values, total_inverse, total_quotient, arrival_rate
+            "observed", bids, execution_values, total_inverse, total_quotient,
+            arrival_rate,
         )
 
         allocation = AllocationResult(

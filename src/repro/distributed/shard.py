@@ -322,7 +322,7 @@ class CoordinatorShard:
         if self._estimates is None:
             raise RuntimeError("no execution reports yet")
         _, compensation, bonus, _ = pricing.price_gathered(
-            self.bids_vector(), self._estimates, total_inverse,
+            "observed", self.bids_vector(), self._estimates, total_inverse,
             total_quotient, self.arrival_rate,
         )
         payment = compensation + bonus

@@ -7,15 +7,12 @@ fraction of configurations where it holds — separating *structural*
 facts (true by theorem on every configuration) from *configuration
 artefacts* of Table 1.
 
-Per cluster draw, the scenario sweep is scored directly through the
-closed-form kernel (:mod:`repro.agents.kernels`): only the manipulator
-deviates, so the other machines collapse into the sufficient
-statistics ``(S_{-1}, Q_{-1})`` computed once, and every scenario's
-realised latency ``(R/S)**2 (t̃_1/b_1**2 + Q_{-1})`` and manipulator
-utility come from one vectorised broadcast instead of one
+Configurations of one size are scored together: their eight scenario
+profiles each are one stack priced by the kernel every mechanism uses
+(:func:`repro.mechanism.pricing.price`), instead of one
 ``Mechanism.run`` per scenario.  The truthful-equilibrium checks
-(voluntary participation, frugality) come from a single
-:func:`~repro.mechanism.batch.batch_run` row.
+(voluntary participation, frugality) read the True1 rows, which are
+the truthful profile.
 
 Structural (must hold at 100%, asserted):
 
@@ -43,13 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro._validation import check_positive_scalar
-from repro.agents.kernels import (
-    sufficient_statistics,
-    sufficient_statistics_units,
-    utility_kernel,
-)
 from repro.experiments.table2 import PAPER_SCENARIOS
-from repro.mechanism.batch import batch_run
+from repro.mechanism import pricing
 from repro.system.cluster import random_cluster
 
 __all__ = ["GeneralizationResult", "generalization_study"]
@@ -78,104 +70,55 @@ class GeneralizationResult:
         )
 
 
-def _evaluate_one(true_values: np.ndarray, arrival_rate: float) -> dict[str, bool]:
-    true_values = np.asarray(true_values, dtype=np.float64)
-    manipulator = int(np.argmin(true_values))  # the fastest machine, like C1
-
-    # All eight scenarios deviate only the manipulator, so one pair of
-    # sufficient statistics scores the whole sweep in a single
-    # broadcast (see repro.agents.kernels for the derivation).
-    t1 = float(true_values[manipulator])
-    bids_m = t1 * np.array([s.bid_factor for s in PAPER_SCENARIOS])
-    execs_m = t1 * np.array([s.execution_factor for s in PAPER_SCENARIOS])
-    s_minus, q_minus = sufficient_statistics(true_values, agent=manipulator)
-    total = s_minus + 1.0 / bids_m
-    scenario_latencies = (arrival_rate / total) ** 2 * (
-        execs_m / bids_m**2 + q_minus
-    )
-    scenario_utilities = utility_kernel(
-        bids_m, execs_m, s_minus, q_minus, arrival_rate, mode="observed"
-    )
-    names = [s.name for s in PAPER_SCENARIOS]
-    latencies = dict(zip(names, (float(v) for v in scenario_latencies)))
-    utilities = dict(zip(names, (float(v) for v in scenario_utilities)))
-
-    # The truthful-equilibrium checks need every machine's payment, not
-    # just the manipulator's: one batch_run row covers them all.
-    truthful = batch_run(true_values[None, :], arrival_rate)
-    truthful_utility = truthful.utility[0]
-    frugality = float(
-        truthful.payment[0].sum() / np.abs(truthful.valuation[0]).sum()
-    )
-
-    return {
-        "true1_is_minimum": latencies["True1"] == min(latencies.values()),
-        "c1_utility_peaks_at_true1": utilities["True1"] == max(utilities.values()),
-        "vp_holds": bool(np.all(truthful_utility >= -1e-9)),
-        "high_ordering_holds": (
-            latencies["High2"] < latencies["High3"]
-            < latencies["High1"] < latencies["High4"]
-        ),
-        "low2_is_worst": latencies["Low2"] == max(latencies.values()),
-        "frugality_within_2_5": 1.0 <= frugality <= 2.5,
-        "low2_utility_negative": utilities["Low2"] < 0.0,
-    }
-
-
-def _evaluate_config(args: tuple[np.ndarray, float]) -> dict[str, bool]:
-    """Picklable wrapper over :func:`_evaluate_one` for the worker pool."""
-    true_values, arrival_rate = args
-    return _evaluate_one(true_values, arrival_rate)
-
-
 def _evaluate_cohort(
     true_values: np.ndarray, arrival_rate: float
 ) -> dict[str, np.ndarray]:
-    """:func:`_evaluate_one` for a whole same-``n`` cohort at once.
+    """The seven verdicts for a same-``n`` cohort, as boolean vectors.
 
     ``true_values`` is ``(G, n)`` — one configuration per row, all
     sharing the arrival rate (the study scales ``R`` with ``n``, so
-    same-``n`` cohorts share it by construction).  Returns the seven
-    verdicts as boolean vectors; every entry is identical to the
-    per-config path's because each step stacks bit-exactly: row-wise
-    ``argmin``/aggregates match their scalar forms, the kernel is
-    elementwise, and :func:`batch_run` is row-independent.
+    same-``n`` cohorts share it by construction).  Each configuration's
+    eight scenario profiles form a ``(G * 8, n)`` stack priced by one
+    :func:`repro.mechanism.pricing.price` call; a stacked row is
+    byte-identical to that profile priced alone, so a verdict never
+    depends on the cohort it was scored in.  True1 is the truthful
+    profile, so its rows also give the equilibrium checks.
     """
     true_values = np.asarray(true_values, dtype=np.float64)
-    rows = np.arange(true_values.shape[0])
+    n_configs, n_scenarios = true_values.shape[0], len(PAPER_SCENARIOS)
+    configs = np.arange(n_configs)
     manipulators = np.argmin(true_values, axis=1)  # fastest machine per row
+    t1 = true_values[configs, manipulators]
 
-    t1 = true_values[rows, manipulators]           # (G,)
-    bid_factors = np.array([s.bid_factor for s in PAPER_SCENARIOS])
-    exec_factors = np.array([s.execution_factor for s in PAPER_SCENARIOS])
-    bids_m = t1[:, None] * bid_factors             # (G, 8)
-    execs_m = t1[:, None] * exec_factors
-    s_all, q_all = sufficient_statistics_units(true_values)
-    s_minus = s_all[rows, manipulators][:, None]   # (G, 1)
-    q_minus = q_all[rows, manipulators][:, None]
-    total = s_minus + 1.0 / bids_m
-    latencies = (arrival_rate / total) ** 2 * (
-        execs_m / bids_m**2 + q_minus
-    )                                              # (G, 8)
-    utilities = utility_kernel(
-        bids_m, execs_m, s_minus, q_minus, arrival_rate, mode="observed"
-    )
-    names = [s.name for s in PAPER_SCENARIOS]
-    col = {name: i for i, name in enumerate(names)}
+    rows = np.arange(n_configs * n_scenarios)
+    columns = np.repeat(manipulators, n_scenarios)
+    bids = np.repeat(true_values, n_scenarios, axis=0)    # (G * 8, n)
+    executions = bids.copy()
+    bids[rows, columns] = np.outer(t1, [s.bid_factor for s in PAPER_SCENARIOS]).ravel()
+    executions[rows, columns] = np.outer(
+        t1, [s.execution_factor for s in PAPER_SCENARIOS]
+    ).ravel()
+    priced = pricing.price("observed", bids, executions, arrival_rate)
+    shape = (n_configs, n_scenarios, -1)
+    payments = (priced.compensation + priced.bonus).reshape(shape)
+    valuations = priced.valuation.reshape(shape)
+    utility = payments + valuations                        # (G, 8, n)
+    latencies = priced.realised_latency.reshape(n_configs, n_scenarios)
+    utilities = utility[configs, :, manipulators]          # (G, 8)
+    col = {s.name: i for i, s in enumerate(PAPER_SCENARIOS)}
 
-    truthful = batch_run(true_values, arrival_rate)
-    frugality = truthful.payment.sum(axis=1) / np.abs(
-        truthful.valuation
+    truthful = col["True1"]
+    frugality = payments[:, truthful].sum(axis=1) / np.abs(
+        valuations[:, truthful]
     ).sum(axis=1)
-
-    lat_true1 = latencies[:, col["True1"]]
+    lat_true1 = latencies[:, truthful]
     lat_low2 = latencies[:, col["Low2"]]
     return {
         "true1_is_minimum": lat_true1 == latencies.min(axis=1),
         "c1_utility_peaks_at_true1": (
-            utilities[:, col["True1"]] == utilities.max(axis=1)
+            utilities[:, truthful] == utilities.max(axis=1)
         ),
-        "vp_holds": (truthful.utility >= -1e-9).all(axis=1),
+        "vp_holds": (utility[:, truthful] >= -1e-9).all(axis=1),
         "high_ordering_holds": (
             (latencies[:, col["High2"]] < latencies[:, col["High3"]])
             & (latencies[:, col["High3"]] < latencies[:, col["High1"]])
@@ -194,8 +137,6 @@ def generalization_study(
     n_machines_range: tuple[int, int] = (4, 32),
     t_range: tuple[float, float] = (1.0, 10.0),
     load_per_machine: float = 1.25,
-    workers: int = 0,
-    fuse: str = "auto",
 ) -> GeneralizationResult:
     """Re-run the Section 4 suite on random configurations.
 
@@ -203,23 +144,9 @@ def generalization_study(
     ``n_machines_range``, slopes log-uniformly from ``t_range``, and
     scales the arrival rate with the system size (constant load per
     machine, as in the A2 sweep).  The Table 2 manipulations are
-    applied to the fastest machine (the analogue of C1).
-
-    ``fuse`` mirrors the campaign engine's contract: same-``n``
-    configurations form a cohort (they share the arrival rate by
-    construction) and each cohort is scored as one stacked broadcast —
-    ``"auto"`` (default) fuses cohorts of two or more, ``"on"`` fuses
-    all, ``"off"`` keeps the per-configuration path.  Verdicts are
-    bit-identical either way (:func:`_evaluate_cohort`), so the
-    reported fractions never depend on the setting.
-
-    ``workers > 1`` evaluates the *unfused* configurations over a
-    process pool (via :func:`repro.parallel.parallel_map`); fused
-    cohorts are evaluated in-process, where a broadcast beats the
-    pool's pickling.  All configurations are drawn from ``rng``
-    *before* any evaluation, so the random stream — and therefore the
-    result — is bit-identical across every ``workers``/``fuse``
-    combination.
+    applied to the fastest machine (the analogue of C1).  Same-``n``
+    configurations share the arrival rate and are scored together
+    (:func:`_evaluate_cohort`); a lone configuration is a cohort of one.
     """
     if n_configurations < 1:
         raise ValueError("n_configurations must be at least 1")
@@ -227,8 +154,6 @@ def generalization_study(
     if not 2 <= lo <= hi:
         raise ValueError("n_machines_range must satisfy 2 <= lo <= hi")
     check_positive_scalar(load_per_machine, "load_per_machine")
-    if fuse not in ("auto", "on", "off"):
-        raise ValueError(f"fuse must be 'auto', 'on', or 'off', got {fuse!r}")
 
     counters = {
         "true1_is_minimum": 0,
@@ -239,33 +164,16 @@ def generalization_study(
         "frugality_within_2_5": 0,
         "low2_utility_negative": 0,
     }
-    configs: list[tuple[np.ndarray, float]] = []
+    cohorts: dict[int, list[np.ndarray]] = {}
     for _ in range(n_configurations):
         n = int(rng.integers(lo, hi + 1))
-        cluster = random_cluster(n, rng, t_range=t_range)
-        configs.append((cluster.true_values, load_per_machine * n))
-
-    singles = configs
-    if fuse != "off":
-        cohorts: dict[int, list[tuple[np.ndarray, float]]] = {}
-        for config in configs:
-            cohorts.setdefault(config[0].size, []).append(config)
-        singles = []
-        for members in cohorts.values():
-            if fuse == "auto" and len(members) < 2:
-                singles.extend(members)
-                continue
-            verdicts = _evaluate_cohort(
-                np.array([tv for tv, _ in members]), members[0][1]
-            )
-            for key, held in verdicts.items():
-                counters[key] += int(held.sum())
-
-    from repro.parallel.engine import parallel_map
-
-    for verdicts in parallel_map(_evaluate_config, singles, workers=workers):
+        cohorts.setdefault(n, []).append(
+            random_cluster(n, rng, t_range=t_range).true_values
+        )
+    for n, members in cohorts.items():
+        verdicts = _evaluate_cohort(np.array(members), load_per_machine * n)
         for key, held in verdicts.items():
-            counters[key] += bool(held)
+            counters[key] += int(held.sum())
 
     fraction = {k: v / n_configurations for k, v in counters.items()}
     return GeneralizationResult(n_configurations=n_configurations, **fraction)

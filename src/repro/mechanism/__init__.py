@@ -22,7 +22,7 @@ from repro.mechanism.compensation_bonus import VerificationMechanism
 from repro.mechanism.vcg import VCGMechanism
 from repro.mechanism.archer_tardos import ArcherTardosMechanism
 from repro.mechanism.mm1_mechanism import MM1TruthfulMechanism
-from repro.mechanism.batch import BatchOutcome, batch_run, batch_utility_of_agent
+from repro.mechanism.batch import BatchOutcome, batch_run
 from repro.mechanism.properties import (
     best_deviation_gain,
     truthfulness_audit,
@@ -38,7 +38,6 @@ __all__ = [
     "MM1TruthfulMechanism",
     "BatchOutcome",
     "batch_run",
-    "batch_utility_of_agent",
     "best_deviation_gain",
     "truthfulness_audit",
     "voluntary_participation_margin",

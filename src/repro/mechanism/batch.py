@@ -23,7 +23,7 @@ import numpy as np
 from repro._validation import check_positive_scalar
 from repro.mechanism import pricing
 
-__all__ = ["BatchOutcome", "batch_run", "batch_utility_of_agent"]
+__all__ = ["BatchOutcome", "batch_run"]
 
 
 @dataclass(frozen=True)
@@ -113,50 +113,3 @@ def batch_run(
         valuation=priced.valuation,
     )
 
-
-def batch_utility_of_agent(
-    agent: int,
-    agent_bids: np.ndarray,
-    agent_executions: np.ndarray,
-    other_values: np.ndarray,
-    arrival_rate: float,
-    *,
-    compensation: str = "observed",
-) -> np.ndarray:
-    """Utility of one agent over a grid of its own deviations.
-
-    The other agents' profile (``other_values``, whose ``agent`` entry
-    is ignored — they bid and execute at those values) is collapsed to
-    the sufficient statistics ``(S_{-i}, Q_{-i})`` once, then the
-    candidate bids/executions (broadcast together) are evaluated through
-    the closed-form kernel of :mod:`repro.agents.kernels` — O(K + n)
-    instead of the former ``(K, n)``-tile evaluation.  This is the
-    kernel behind fast landscapes and audits.
-    """
-    from repro.agents import kernels
-
-    other_values = np.asarray(other_values, dtype=np.float64)
-    if other_values.ndim != 1 or other_values.size < 2:
-        raise ValueError(
-            "other_values must be a 1-D vector of at least two machines"
-        )
-    arrival_rate = check_positive_scalar(arrival_rate, "arrival_rate")
-    if compensation not in ("observed", "declared"):
-        raise ValueError("compensation must be 'observed' or 'declared'")
-    agent_bids, agent_executions = np.broadcast_arrays(
-        np.asarray(agent_bids, dtype=np.float64),
-        np.asarray(agent_executions, dtype=np.float64),
-    )
-    for name, values in (("agent_bids", agent_bids), ("agent_executions", agent_executions)):
-        if not np.all(np.isfinite(values)) or np.any(values <= 0.0):
-            raise ValueError(f"all entries of {name} must be strictly positive and finite")
-
-    s_minus, q_minus = kernels.sufficient_statistics(other_values, agent=agent)
-    return kernels.utility_kernel(
-        agent_bids,
-        agent_executions,
-        s_minus,
-        q_minus,
-        arrival_rate,
-        mode=compensation,
-    )

@@ -8,10 +8,14 @@ profile is ``(n,)`` (the mechanisms' ``payments`` stages), a stack is
 ``(U, n)`` (``batch_run``, fused cohorts, horizon Phase B).
 
 The module splits at the totals ``S = sum_j 1/b_j`` and ``L``: callers
-that gather ``S`` and ``Q = sum_j t̃_j / b_j^2`` over a tree instead
-(shard settle from the broadcast totals, the distributed mechanism)
-price their members through :func:`price_gathered`, which derives
-``L = (R/S)^2 Q`` and takes the same :func:`price_members` step.
+that know ``S`` and ``Q = sum_j t̃_j / b_j^2`` instead of the whole
+profile price their members through :func:`price_gathered`, which
+derives the charged ``L = (R/S)^2 Q`` and takes the same
+:func:`price_members` step.  Those callers are the shard settle and the
+distributed mechanism (totals gathered over a tree) and the strategic
+kernels of :mod:`repro.agents.kernels` (one agent's candidate
+``(b, e)`` against the others' ``(S_{-i}, Q_{-i})``), so a new payment
+rule is one row of :data:`RULES`.
 
 Contract: a stacked row is byte-identical to its profile priced alone —
 last-axis sums and :func:`row_dots` reduce each row exactly as a lone
@@ -96,17 +100,25 @@ def price_members(rule: str, bids, executions, loads_sq, total, latency, rates):
     return repaid * loads_sq, bonus, -executions * loads_sq
 
 
-def price_gathered(bids, executions, total, quotient, rate):
-    """Observed-rule ``(loads, compensation, bonus, valuation)`` from ``(S, Q)``.
+def price_gathered(rule: str, bids, executions, total, quotient, rate):
+    """``(loads, compensation, bonus, valuation)`` from gathered ``(S, Q)``.
 
-    ``Q = sum_j t̃_j / b_j^2`` gives the realised latency as
-    ``L = (R/S)^2 Q``, so the members price themselves from their own
-    bids and executions plus the two gathered scalars.
+    The charged latency is ``L = (R/S)^2 Q`` with ``Q = sum_j c_j / b_j^2``
+    over the slope ``c`` the rule's bonus charges: ``quotient`` sums the
+    executions ``t̃`` (observed and declared rules); at the bids ``Q`` is
+    ``S`` itself (VCG), and Archer–Tardos charges no latency.  So the
+    members price themselves from their own bids and executions plus the
+    two gathered totals.
     """
     _, loads = allocate(bids, rate, total)
-    latency = (rate / total) ** 2 * quotient
+    charged = RULES[rule][1]
+    latency = None
+    if charged is not None:
+        latency = (rate / total) ** 2 * (
+            quotient if charged == "execution" else total
+        )
     return (loads, *price_members(
-        "observed", bids, executions, loads**2, total, latency, rate,
+        rule, bids, executions, loads**2, total, latency, rate,
     ))
 
 

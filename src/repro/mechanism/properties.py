@@ -27,6 +27,7 @@ from repro._validation import (
     check_positive,
     check_positive_scalar,
 )
+from repro.mechanism import pricing
 from repro.mechanism.base import Mechanism
 from repro.types import MechanismOutcome
 
@@ -34,6 +35,7 @@ __all__ = [
     "DeviationResult",
     "TruthfulnessReport",
     "best_deviation_gain",
+    "deviation_utilities",
     "truthfulness_audit",
     "voluntary_participation_margin",
     "frugality_ratio",
@@ -99,6 +101,53 @@ def _agent_utility(
     return float(outcome.payments.utility[agent])
 
 
+def deviation_utilities(
+    mechanism: Mechanism,
+    true_values: np.ndarray,
+    arrival_rate: float,
+    agent: int,
+    bids: np.ndarray,
+    executions: np.ndarray,
+) -> np.ndarray:
+    """Utility of ``agent`` at each ``(bids[k], executions[k])``, others truthful.
+
+    For a mechanism with a payment rule in
+    :data:`~repro.mechanism.pricing.RULES` (:func:`repro.agents.kernels.supports`)
+    the deviations form one ``(K, n)`` profile stack priced by one
+    :func:`~repro.mechanism.pricing.price` call; each row is byte-identical
+    to :meth:`Mechanism.run` on that profile, and the utility is summed as
+    ``(compensation + bonus) + valuation``, the order of
+    :attr:`~repro.types.PaymentResult.utility`.  Any other mechanism runs
+    once per deviation.  Inputs are checked as a run would check them.
+    """
+    from repro.agents import kernels  # deferred: kernels imports repro.mechanism
+
+    bids = np.asarray(bids, dtype=np.float64)
+    executions = np.asarray(executions, dtype=np.float64)
+    for name, values in (("bids", bids), ("executions", executions)):
+        if not (np.all(np.isfinite(values)) and np.all(values > 0.0)):
+            raise ValueError(f"deviation {name} must be finite and strictly positive")
+    if np.any(executions < true_values[agent] - 1e-12):
+        raise ValueError("machines cannot execute faster than their capacity")
+    if not kernels.supports(mechanism):
+        return np.array([
+            _agent_utility(mechanism, true_values, arrival_rate, agent, b, e)
+            for b, e in zip(bids, executions)
+        ])
+    stack_bids = np.tile(true_values, (bids.size, 1))
+    stack_bids[:, agent] = bids
+    stack_executions = np.tile(true_values, (bids.size, 1))
+    stack_executions[:, agent] = executions
+    priced = pricing.price(
+        kernels.kernel_mode_of(mechanism), stack_bids, stack_executions,
+        arrival_rate,
+    )
+    return (
+        (priced.compensation[:, agent] + priced.bonus[:, agent])
+        + priced.valuation[:, agent]
+    )
+
+
 def best_deviation_gain(
     mechanism: Mechanism,
     true_values: np.ndarray,
@@ -123,6 +172,10 @@ def best_deviation_gain(
     bid_factors, exec_factors:
         Multiplicative deviations applied to the agent's true value.
         Execution factors below 1 are rejected (capacity constraint).
+
+    The truthful point and every ``(bid, execution)`` pair are priced
+    together by :func:`deviation_utilities`; the first maximal deviation
+    in ``bid_factors``-major order wins.
     """
     true_values = as_float_array(true_values, "true_values")
     check_positive(true_values, "true_values")
@@ -131,26 +184,22 @@ def best_deviation_gain(
     if any(f < 1.0 for f in exec_factors):
         raise ValueError("execution factors must be >= 1 (cannot beat capacity)")
 
-    truthful = _agent_utility(
-        mechanism, true_values, arrival_rate, agent,
-        true_values[agent], true_values[agent],
+    t_i = true_values[agent]
+    bid_grid = np.asarray(bid_factors, dtype=np.float64) * t_i
+    exec_grid = np.asarray(exec_factors, dtype=np.float64) * t_i
+    bids = np.concatenate(([t_i], np.repeat(bid_grid, exec_grid.size)))
+    executions = np.concatenate(([t_i], np.tile(exec_grid, bid_grid.size)))
+    utilities = deviation_utilities(
+        mechanism, true_values, arrival_rate, agent, bids, executions
     )
 
-    best_utility = -np.inf
-    best_bid = best_exec = true_values[agent]
-    for bf in bid_factors:
-        bid = bf * true_values[agent]
-        for ef in exec_factors:
-            execution = ef * true_values[agent]
-            u = _agent_utility(
-                mechanism, true_values, arrival_rate, agent, bid, execution
-            )
-            if u > best_utility:
-                best_utility, best_bid, best_exec = u, bid, execution
-
+    best_utility, best_bid, best_exec = -np.inf, t_i, t_i
+    if utilities.size > 1:
+        k = 1 + int(np.argmax(utilities[1:]))
+        best_utility, best_bid, best_exec = float(utilities[k]), bids[k], executions[k]
     return DeviationResult(
         agent=agent,
-        truthful_utility=truthful,
+        truthful_utility=float(utilities[0]),
         best_utility=best_utility,
         best_bid=float(best_bid),
         best_execution=float(best_exec),

@@ -15,7 +15,7 @@ config.  This subpackage exploits exactly that and nothing more:
   scheduling over a ``multiprocessing`` pool, cache-hit short-circuit,
   cache hit/miss counters and per-unit latency histograms via the
   observability layer, per-worker span export; plus the generic
-  :func:`parallel_map` the heavy benchmark drivers submit through;
+  order-preserving pool map :func:`parallel_map`;
 * :mod:`repro.parallel.fusion` — the fused backend (1.9.0): homogeneous
   closed-form cache misses grouped into ``(variant, n_machines)``
   cohorts and evaluated as single stacked broadcasts, bit-identical to

@@ -38,7 +38,11 @@ __all__ = [
 ]
 
 _KINDS = ("scenario", "protocol")
-_VARIANTS = ("observed", "declared", "vcg", "archer-tardos", "dynamics", "drift")
+#: The variants that name one payment rule; the campaign adds kernel-driven
+#: best-response dynamics (:class:`repro.agents.game.BestResponseDynamics`)
+#: and stale-bid drift sweeps (:func:`repro.dynamic.drift.drift_sweep`).
+_MECHANISM_VARIANTS = ("observed", "declared", "vcg", "archer-tardos")
+_VARIANTS = _MECHANISM_VARIANTS + ("dynamics", "drift")
 
 
 @dataclass(frozen=True)

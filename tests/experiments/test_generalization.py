@@ -70,6 +70,38 @@ class TestConfigurationDependentClaims:
             assert 0.0 <= value <= 1.0
 
 
+class TestPinnedResults:
+    """Fractions pinned for fixed seeds; sizes up to 64 over 60 draws
+    leave most sizes with a single configuration."""
+
+    FIELDS = (
+        "true1_is_minimum", "c1_utility_peaks_at_true1", "vp_holds",
+        "high_ordering_holds", "low2_is_worst", "frugality_within_2_5",
+        "low2_utility_negative",
+    )
+
+    @pytest.mark.parametrize(
+        "seed, counts",
+        [
+            (0, (60, 60, 60, 60, 60, 55, 59)),
+            (1, (60, 60, 60, 60, 59, 58, 58)),
+            (2, (60, 60, 60, 60, 58, 53, 55)),
+        ],
+    )
+    def test_study_matches_pinned_counts(self, seed, counts):
+        study = generalization_study(
+            np.random.default_rng(seed),
+            n_configurations=60,
+            n_machines_range=(2, 64),
+            t_range=(1.0, 100.0),
+        )
+        expected = GeneralizationResult(
+            n_configurations=60,
+            **{name: count / 60 for name, count in zip(self.FIELDS, counts)},
+        )
+        assert study == expected
+
+
 class TestValidation:
     def test_bad_parameters(self):
         rng = np.random.default_rng(0)

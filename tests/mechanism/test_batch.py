@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.mechanism import VerificationMechanism
-from repro.mechanism.batch import batch_run, batch_utility_of_agent
+from repro.mechanism.batch import batch_run
 
 
 def _random_batch(rng, k=50, n=6):
@@ -56,32 +56,6 @@ class TestBatchInvariants:
             batch.utility, batch.payment + batch.valuation
         )
         assert batch.n_profiles == 30
-
-
-class TestBatchUtilityOfAgent:
-    def test_grid_matches_scalar_utilities(self, small_true_values):
-        mechanism = VerificationMechanism()
-        bid_grid = np.array([0.5, 1.0, 2.0]) * small_true_values[0]
-        utilities = batch_utility_of_agent(
-            0, bid_grid, small_true_values[0], small_true_values, 10.0
-        )
-        for bid, utility in zip(bid_grid, utilities):
-            bids = small_true_values.copy()
-            bids[0] = bid
-            expected = mechanism.run(
-                bids, 10.0, small_true_values
-            ).payments.utility[0]
-            assert utility == pytest.approx(float(expected))
-
-    def test_broadcasting_grids(self, small_true_values):
-        bid_grid = np.array([0.5, 1.0, 2.0])[:, None] * small_true_values[1]
-        exec_grid = np.array([1.0, 1.5])[None, :] * small_true_values[1]
-        surface = batch_utility_of_agent(
-            1, bid_grid, exec_grid, small_true_values, 10.0
-        )
-        assert surface.shape == (3, 2)
-        # Truth (1.0, 1.0) must dominate on the grid.
-        assert surface.max() == pytest.approx(surface[1, 0])
 
 
 class TestValidation:

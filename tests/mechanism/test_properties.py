@@ -30,6 +30,20 @@ class TestBestDeviationGain:
                 mechanism, small_true_values, 10.0, 0, exec_factors=(0.5,)
             )
 
+    @pytest.mark.parametrize("factor", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("stacked", [True, False])
+    def test_invalid_bid_factor_rejected(self, small_true_values, factor, stacked):
+        # A deviating bid must be finite and positive on the stacked path
+        # and on the per-deviation fallback alike.
+        class Subclass(VerificationMechanism):
+            pass
+
+        mechanism = VerificationMechanism() if stacked else Subclass()
+        with pytest.raises(ValueError):
+            best_deviation_gain(
+                mechanism, small_true_values, 10.0, 0, bid_factors=(1.0, factor)
+            )
+
     def test_agent_index_validated(self, mechanism, small_true_values):
         with pytest.raises(IndexError):
             best_deviation_gain(mechanism, small_true_values, 10.0, 99)

@@ -309,6 +309,20 @@ class TestTournament:
             "observed", "vcg", "archer-tardos"
         }
 
+    def test_equilibrium_column_prints_no_negative_zero(self, capsys):
+        # The equilibria sit at the optimum up to ~1e-14 percent, of
+        # either sign; a value that rounds to zero prints as 0.00.
+        out = run_cli(capsys, "tournament")
+        assert "-0.00" not in out
+
+    def test_percent_format_keeps_real_negatives(self):
+        from repro.cli import _fmt_percent
+
+        assert _fmt_percent(-2.220446049250313e-14) == "0.00"
+        assert _fmt_percent(-0.004) == "0.00"
+        assert _fmt_percent(-1.5) == "-1.50"
+        assert _fmt_percent(102.876) == "102.88"
+
     def test_cache_dir_serves_the_second_run(self, capsys, tmp_path):
         cache = str(tmp_path / "cache")
         first = run_cli(capsys, "tournament", "--cache-dir", cache, "--json")
