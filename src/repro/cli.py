@@ -1119,7 +1119,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     landscape.add_argument("--agent", type=int, default=0)
     landscape.add_argument(
-        "--variant", choices=("observed", "declared"), default="observed"
+        "--variant", choices=_MECHANISM_VARIANTS, default="observed"
     )
     landscape.set_defaults(func=_cmd_landscape)
 

@@ -40,7 +40,7 @@ from __future__ import annotations
 import asyncio
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -54,6 +54,7 @@ from repro.distributed.gather import (
 )
 from repro.distributed.shard import (
     CoordinatorShard,
+    NamedRows,
     ShardCrash,
     partition_names,
 )
@@ -65,7 +66,7 @@ from repro.observability.instrumentation import (
     record_counter,
     trace_span,
 )
-from repro.protocol.execution import split_by_machine
+from repro.protocol.execution import sort_by_machine
 from repro.resilience.checkpoint import CheckpointStore, CoordinatorCheckpoint
 from repro.system.workload import PoissonWorkload, split_assignments
 from repro.types import MechanismOutcome
@@ -206,14 +207,14 @@ def _shard_worker(conn, spec: dict) -> None:
                 payment_notices=message[2],
                 **make_kwargs,
             )
-            conn.send(("ok", None, shard.checkpoint().to_json()))
+            conn.send(("ok", None, shard.checkpoint_json()))
             continue
         _, method, args = message
         try:
             result = getattr(shard, method)(*args)
-            conn.send(("ok", result, shard.checkpoint().to_json()))
+            conn.send(("ok", result, shard.checkpoint_json()))
         except ShardCrash as exc:
-            conn.send(("crash", shard.checkpoint().to_json(), str(exc)))
+            conn.send(("crash", shard.checkpoint_json(), str(exc)))
         except Exception as exc:  # surface worker-side failures verbatim
             conn.send(("error", f"{type(exc).__name__}: {exc}"))
 
@@ -292,14 +293,21 @@ class _ProcessShardExecutor:
 
 @dataclass(frozen=True)
 class ShardedRoundResult:
-    """Everything observable after one sharded service round."""
+    """Everything observable after one sharded service round.
+
+    ``loads`` (name → load) and ``payments`` (name → (payment,
+    compensation, bonus)) are read-only mappings over the round's
+    columns (:class:`~repro.distributed.shard.NamedRows`), iterated in
+    ``names`` order; ``dict(result.payments)``
+    copies one out.
+    """
 
     index: int
     names: list[str]
     outcome: MechanismOutcome | None
     estimated_execution_values: np.ndarray | None
-    loads: dict[str, float]
-    payments: dict[str, tuple[float, float, float]]
+    loads: Mapping[str, float]
+    payments: Mapping[str, tuple[float, float, float]]
     payment_notices: dict[str, int]
     jobs_routed: int
     simulated_time: float
@@ -341,7 +349,8 @@ class ShardedRound:
         self._total_quotient: float | None = None
         self._jobs_routed = 0
         self._simulated_time = 0.0
-        self._payments: dict[str, tuple[float, float, float]] = {}
+        self._ledger: np.ndarray | None = None
+        self._notices: dict[str, int] = {}
         self._outcome: MechanismOutcome | None = None
         # Each shard's payment-notice counts as the round opens: the
         # parent's durable copy, which seeds a restored shard.
@@ -388,14 +397,10 @@ class ShardedRound:
             bids = concatenate_payload(root, "bids")
             allocation = service.mechanism.allocate(bids, service.arrival_rate)
             loads = np.asarray(allocation.loads, dtype=np.float64)
-            offsets = np.cumsum([0] + [len(part) for part in service.partition])
             service._run_stage(
                 self,
                 "apply_allocation",
-                [
-                    (loads[offsets[k] : offsets[k + 1]],)
-                    for k in range(service.n_shards)
-                ],
+                [(loads[lo:hi],) for lo, hi in service._member_bounds],
             )
             self._bids_full = bids
             self._loads_full = loads
@@ -424,11 +429,18 @@ class ShardedRound:
                 int(times.size), self._loads_full / total, service._rng
             )
             self._jobs_routed = int(times.size)
-            pieces = split_by_machine(times, assignments, self._loads_full.size)
-            ends = np.cumsum([len(part) for part in service.partition]).tolist()
-            args = [(pieces[lo:hi], payload) for lo, hi in zip([0, *ends], ends)]
+            ordered, counts = sort_by_machine(
+                times, assignments, self._loads_full.size
+            )
+            # Each shard's jobs: its members' counts and the contiguous
+            # run of the sorted column they cover.
+            offsets = np.concatenate(([0], np.cumsum(counts)))
+            args = [
+                (ordered[offsets[lo] : offsets[hi]], counts[lo:hi], payload)
+                for lo, hi in service._member_bounds
+            ]
         else:
-            args = [(None, payload) for _ in service.partition]
+            args = [(None, None, payload) for _ in service.partition]
         results = service._stage_values(self, "run_execution", args)
         partials = [partial for partial, _meta in results]
         root, stats = aggregate_shards(service.overlay, partials)
@@ -463,25 +475,19 @@ class ShardedRound:
                 self._bids_full, service.arrival_rate, self._estimates_full
             )
             payments = self._outcome.payments
-            # tolist() hands back plain Python floats in one C pass;
-            # indexing the property arrays per member is 3n attribute
-            # lookups on the hot path.
-            paid = payments.payment.tolist()
-            comp = payments.compensation.tolist()
-            bonus = payments.bonus.tolist()
-            amounts = {
-                name: (paid[k], comp[k], bonus[k])
-                for k, name in enumerate(service.machine_names)
-            }
-            args = [
-                ({name: amounts[name] for name in members},)
-                for members in service.partition
-            ]
-            ledgers = service._stage_values(self, "settle", args, recover=True)
+            rows = np.column_stack(
+                (payments.payment, payments.compensation, payments.bonus)
+            )
+            replies = service._stage_values(
+                self,
+                "run_settle",
+                [(rows[lo:hi],) for lo, hi in service._member_bounds],
+                recover=True,
+            )
         else:
             assert self._total_inverse is not None
             assert self._total_quotient is not None
-            ledgers = service._stage_values(
+            replies = service._stage_values(
                 self,
                 "settle_from_totals",
                 [
@@ -490,25 +496,24 @@ class ShardedRound:
                 ],
                 recover=True,
             )
-        for ledger in ledgers:
-            self._payments.update(ledger)
+        self._ledger = np.concatenate([ledger for ledger, _ in replies])
+        for _, notices in replies:
+            self._notices.update(notices)
 
     # ------------------------------------------------------------ result
 
     def result(self) -> ShardedRoundResult:
         """Package the completed round."""
-        assert self._loads_full is not None
-        names = self._service.machine_names
+        assert self._loads_full is not None and self._ledger is not None
+        index = self._service._index
         return ShardedRoundResult(
             index=self.index,
-            names=names,
+            names=self._service.machine_names,
             outcome=self._outcome,
             estimated_execution_values=self._estimates_full,
-            loads={
-                name: float(load) for name, load in zip(names, self._loads_full)
-            },
-            payments=dict(self._payments),
-            payment_notices=self._service._payment_notices(),
+            loads=NamedRows(index, self._loads_full),
+            payments=NamedRows(index, self._ledger),
+            payment_notices=self._notices,
             jobs_routed=self._jobs_routed,
             simulated_time=self._simulated_time,
             aggregation=list(self._stats),
@@ -605,7 +610,12 @@ class ShardedCoordinatorService:
         self.max_shard_restarts = int(max_shard_restarts)
         self._rng = rng if rng is not None else np.random.default_rng(0)
         self._agents: dict[str, Agent] = dict(zip(machine_names, agents))
+        # Name -> global row, read by every round's result views.
+        self._index = {name: k for k, name in enumerate(self._agents)}
         self.partition = partition_names(list(machine_names), shards)
+        ends = np.cumsum([len(part) for part in self.partition]).tolist()
+        # Each shard's [lo, hi) rows of the global member order.
+        self._member_bounds = list(zip([0, *ends[:-1]], ends))
         self.overlay: Overlay = tree_overlay(shards)
         self.stores = [CheckpointStore() for _ in range(shards)]
         self.restarts_total = 0
@@ -761,15 +771,6 @@ class ShardedCoordinatorService:
     ) -> list:
         results = self._run_stage(round_, method, args_per_shard, recover)
         return [results[k] for k in range(self.n_shards)]
-
-    def _payment_notices(self) -> dict[str, int]:
-        counts = self._stage_values(None, "get_payment_notices", [
-            () for _ in self.partition
-        ])
-        merged: dict[str, int] = {}
-        for per_shard in counts:
-            merged.update(per_shard)
-        return merged
 
     # ------------------------------------------------------------ rounds
 

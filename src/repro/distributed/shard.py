@@ -14,6 +14,18 @@ write-ahead checkpoint/ledger discipline
 (:mod:`repro.resilience.checkpoint`) — so a crashed shard restores
 mid-phase and never pays a member twice.
 
+A shard keeps its round as columns in member order (``machine_names``):
+the bids, loads, report job counts and mean sojourns are arrays, and
+the ledger is one ``(n, 3)`` array of (payment, compensation, bonus)
+rows plus a sent count.  Settle pays in member order, so the paid
+members are always a prefix, and returns the ledger as
+:class:`LedgerRows`, a name-keyed view over a copy of the rows.  Its
+jobs arrive as one machine-sorted
+time column plus per-member counts, its payments as rows, and its
+stage snapshots are encoded straight from the arrays
+(:func:`~repro.resilience.checkpoint.encode_checkpoint`), in the same
+string :meth:`CoordinatorCheckpoint.to_json` writes.
+
 What a shard does *not* do is hold any global state: the cross-shard
 quantities it needs (``S = sum 1/b_j`` for loads, ``Q = sum t̂_j/b_j^2``
 for latency) arrive as two scalars from the aggregation tree
@@ -23,7 +35,7 @@ sufficient-statistic structure buys (docs/distributed.md).
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 import numpy as np
 
@@ -36,12 +48,22 @@ from repro.protocol.execution import (
     check_execution_values,
     serve_batch,
     sojourn_means,
-    split_by_machine,
+    sort_by_machine,
 )
-from repro.resilience.checkpoint import CheckpointStore, CoordinatorCheckpoint
+from repro.resilience.checkpoint import (
+    CheckpointStore,
+    CoordinatorCheckpoint,
+    encode_checkpoint,
+)
 from repro.system.workload import PoissonWorkload, split_assignments
 
-__all__ = ["ShardCrash", "CoordinatorShard", "partition_names"]
+__all__ = [
+    "ShardCrash",
+    "CoordinatorShard",
+    "NamedRows",
+    "LedgerRows",
+    "partition_names",
+]
 
 
 class ShardCrash(RuntimeError):
@@ -72,6 +94,52 @@ def partition_names(names: Sequence[str], n_shards: int) -> list[list[str]]:
         slices.append(list(names[start : start + size]))
         start += size
     return slices
+
+
+class NamedRows(Mapping):
+    """A read-only name-keyed view over the rows of a member-order array.
+
+    ``index`` maps each name to its row (built once per member list and
+    shared by every view over it); iteration follows it, so it follows
+    the member order.  A 1-d array reads as floats, an ``(n, 3)`` ledger
+    as (payment, compensation, bonus) tuples; ``rows`` is the array
+    itself.  Keeping a round's floats in arrays, not in 10^4 boxed
+    Python objects, is what keeps the garbage collector out of a large
+    round.
+    """
+
+    __slots__ = ("index", "rows")
+
+    def __init__(self, index: Mapping[str, int], rows: np.ndarray) -> None:
+        self.index = index
+        self.rows = rows
+
+    def __getitem__(self, name: str):
+        value = self.rows[self.index[name]]
+        return float(value) if value.ndim == 0 else tuple(value.tolist())
+
+    def __iter__(self):
+        return iter(self.index)
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self)!r})"
+
+
+class LedgerRows(NamedRows):
+    """A settled round's ledger rows, keyed by member name.
+
+    :meth:`CoordinatorShard.settle` returns one over its own copy of
+    the rows, so the caller owns them: assigning a (payment,
+    compensation, bonus) triple to a name writes that member's row.
+    """
+
+    __slots__ = ()
+
+    def __setitem__(self, name: str, amounts: Sequence[float]) -> None:
+        self.rows[self.index[name]] = amounts
 
 
 class CoordinatorShard:
@@ -130,24 +198,37 @@ class CoordinatorShard:
         self.fail_after_payments = fail_after_payments
         self._rng = rng
 
-        # Long-lived state: each member's execution value, read once;
-        # execution serves members as arrays, with no machine objects.
-        values = check_execution_values(
+        # Long-lived state, in member order: each member's execution
+        # value, read once; execution serves members as arrays, with no
+        # machine objects.
+        self.machine_names: list[str] = list(names)
+        self._index = {name: k for k, name in enumerate(self.machine_names)}
+        self._execution_values = check_execution_values(
             [agent.execution_value() for agent in agents]
         )
-        self._execution_values: dict[str, float] = dict(zip(names, values.tolist()))
-
-        # Per-round state.
-        self.machine_names: list[str] = list(names)
-        self.phase = ProtocolPhase.IDLE
-        self.payments_sent: dict[str, tuple[float, float, float]] = {}
         self.payment_notices: dict[str, int] = {name: 0 for name in names}
-        self._bids: dict[str, float] = {}
+        self._reset_round()
+
+    def _reset_round(self) -> None:
+        self.phase = ProtocolPhase.IDLE
+        self._bids: np.ndarray | None = None
         self._loads: np.ndarray | None = None
-        self._reports: dict[str, tuple[int, float]] = {}
+        self._jobs: np.ndarray | None = None
+        self._means: np.ndarray | None = None
         self._estimates: np.ndarray | None = None
         self._simulated_time = 0.0
-        self._bids_cache: np.ndarray | None = None
+        # The round's (payment, compensation, bonus) rows; the first
+        # ``_sent`` were issued.
+        self._ledger = np.empty((len(self.machine_names), 3))
+        self._sent = 0
+
+    @property
+    def payments_sent(self) -> dict[str, tuple[float, float, float]]:
+        """Payments issued this round: name → (payment, compensation, bonus)."""
+        sent = self._sent
+        return dict(
+            zip(self.machine_names[:sent], map(tuple, self._ledger[:sent].tolist()))
+        )
 
     # ------------------------------------------------------------- round
 
@@ -157,37 +238,23 @@ class CoordinatorShard:
         The service keeps them to seed a replacement if this shard has
         to be restored mid-settle.
         """
-        self.phase = ProtocolPhase.IDLE
-        self.payments_sent = {}
-        self._bids = {}
-        self._loads = None
-        self._reports = {}
-        self._estimates = None
-        self._simulated_time = 0.0
-        self._bids_cache = None
+        self._reset_round()
         return dict(self.payment_notices)
 
     def collect_bids(self) -> np.ndarray:
         """Ask every member for its bid; returns the local bid vector."""
         self.phase = ProtocolPhase.BIDDING
-        for name in self.machine_names:
-            self._bids[name] = float(self.agents[name].bid())
-        self._bids_cache = None
+        self._bids = np.array(
+            [agent.bid() for agent in self.agents.values()], dtype=np.float64
+        )
         self._save_checkpoint()
-        return self.bids_vector()
+        return self._bids.copy()
 
     def bids_vector(self) -> np.ndarray:
-        """Recorded bids in local member order (cached per phase)."""
-        cache = self._bids_cache
-        if cache is not None and cache.size == len(self.machine_names):
-            return cache.copy()
-        missing = [n for n in self.machine_names if n not in self._bids]
-        if missing:
-            raise RuntimeError(f"bids are not complete yet: missing {missing}")
-        self._bids_cache = np.array(
-            [self._bids[name] for name in self.machine_names]
-        )
-        return self._bids_cache.copy()
+        """Recorded bids in local member order."""
+        if self._bids is None:
+            raise RuntimeError("no bids collected yet")
+        return self._bids.copy()
 
     # -------------------------------------------------------- allocation
 
@@ -217,12 +284,13 @@ class CoordinatorShard:
 
     # --------------------------------------------------------- execution
 
-    def execute(self, arrivals: Sequence[np.ndarray]) -> dict:
+    def execute(self, times: np.ndarray, counts: Sequence[int]) -> dict:
         """Run this shard's slice of the routed stream; report estimates.
 
-        ``arrivals`` holds one absolute-arrival-time array per live
-        member (the service routed the global stream).  Jobs run
-        through the batched kernel
+        ``times`` holds the members' absolute arrival times sorted by
+        member, ``counts`` each member's job count
+        (:func:`~repro.protocol.execution.sort_by_machine`; the service
+        routed the global stream).  Jobs run through the batched kernel
         :func:`~repro.protocol.execution.serve_batch` — per-agent
         control messages stay inside the shard as function calls; only
         the aggregation-tree messages cross shard boundaries.
@@ -234,26 +302,25 @@ class CoordinatorShard:
         """
         if self._loads is None:
             raise RuntimeError("no allocation applied yet")
-        if len(arrivals) != len(self.machine_names):
+        counts = np.asarray(counts, dtype=np.int64)
+        if counts.size != len(self.machine_names):
             raise ValueError(
-                f"expected {len(self.machine_names)} arrival arrays, "
-                f"got {len(arrivals)}"
+                f"expected {len(self.machine_names)} job counts, "
+                f"got {counts.size}"
             )
-
         sojourns, last = serve_batch(
-            arrivals,
-            [self._execution_values[name] for name in self.machine_names],
+            times,
+            counts,
+            self._execution_values,
             self._loads,
             self._rng,
             self.deterministic_service,
         )
-        counts, means = sojourn_means(sojourns)
+        self._jobs = counts
+        self._means = sojourn_means(sojourns, counts)
         self._simulated_time = 0.0 if last is None else last
         if last is not None:
-            record_gauge("protocol.events_skipped", 2 * int(counts.sum()) - 1)
-        self._reports.update(
-            zip(self.machine_names, zip(counts.tolist(), means.tolist()))
-        )
+            record_gauge("protocol.events_skipped", 2 * sojourns.size - 1)
         self._save_checkpoint()
         return self._report_payload()
 
@@ -271,12 +338,12 @@ class CoordinatorShard:
         n = len(self.machine_names)
         local_rate = float(self._loads.sum())
         if local_rate == 0.0:
-            return self.execute([np.empty(0)] * n)
+            return self.execute(np.empty(0), np.zeros(n, dtype=np.int64))
         times = PoissonWorkload(local_rate, self._rng).generate_times(self.duration)
         assignments = split_assignments(
             int(times.size), self._loads / local_rate, self._rng
         )
-        return self.execute(split_by_machine(times, assignments, n))
+        return self.execute(*sort_by_machine(times, assignments, n))
 
     def _derive_estimates(self) -> np.ndarray:
         """The shared estimator over this shard's reports.
@@ -284,26 +351,15 @@ class CoordinatorShard:
         Pure function of (bids, loads, reports), so a shard restored
         from a checkpoint re-derives the identical vector.
         """
-        reports = [self._reports[name] for name in self.machine_names]
-        return verified_estimates(
-            self.bids_vector(),
-            self._loads,
-            [jobs for jobs, _ in reports],
-            [mean_sojourn for _, mean_sojourn in reports],
-        )
+        return verified_estimates(self._bids, self._loads, self._jobs, self._means)
 
     def _report_payload(self) -> dict:
-        assert self._loads is not None
         self._estimates = self._derive_estimates()
-        bids = self.bids_vector()
         return {
-            "names": list(self.machine_names),
             "estimates": self._estimates,
-            "quotients": self._estimates / bids**2,
-            "jobs": np.array([self._reports[n][0] for n in self.machine_names]),
-            "mean_sojourns": np.array(
-                [self._reports[n][1] for n in self.machine_names]
-            ),
+            "quotients": self._estimates / self._bids**2,
+            "jobs": self._jobs,
+            "mean_sojourns": self._means,
             "simulated_time": self._simulated_time,
         }
 
@@ -311,37 +367,34 @@ class CoordinatorShard:
 
     def local_payments(
         self, total_inverse: float, total_quotient: float
-    ) -> dict[str, tuple[float, float, float]]:
-        """Per-member payments from the two global scalars (scalar mode).
+    ) -> np.ndarray:
+        """The members' payment rows from the two global scalars (scalar mode).
 
         With ``S`` and ``Q`` broadcast down the tree, each member's
         amounts follow from its own bid and estimate alone, through the
         gathered-pricing step the distributed mechanism shares
-        (:func:`repro.mechanism.pricing.price_gathered`).
+        (:func:`repro.mechanism.pricing.price_gathered`).  Returns one
+        (payment, compensation, bonus) row per member, in member order.
         """
         if self._estimates is None:
             raise RuntimeError("no execution reports yet")
         _, compensation, bonus, _ = pricing.price_gathered(
-            "observed", self.bids_vector(), self._estimates, total_inverse,
+            "observed", self._bids, self._estimates, total_inverse,
             total_quotient, self.arrival_rate,
         )
-        payment = compensation + bonus
-        return {
-            name: (float(payment[k]), float(compensation[k]), float(bonus[k]))
-            for k, name in enumerate(self.machine_names)
-        }
+        return np.column_stack((compensation + bonus, compensation, bonus))
 
-    def settle(
-        self, amounts: Mapping[str, tuple[float, float, float]]
-    ) -> dict[str, tuple[float, float, float]]:
+    def settle(self, rows: np.ndarray) -> LedgerRows:
         """Issue payments with write-ahead, at-most-once semantics.
 
-        Each amount is recorded in the ledger and checkpointed *before*
-        its notice goes out; members already in ``payments_sent`` (from
-        a pre-crash attempt) are skipped, so a restored shard completes
-        the round without ever double-paying — the exact discipline of
-        :class:`~repro.resilience.SupervisedCoordinator`.  Returns the
-        full round ledger, so a re-settle after recovery still reports
+        ``rows`` holds one (payment, compensation, bonus) row per
+        member, in member order.  Each amount is recorded in the ledger
+        and checkpointed *before* its notice goes out; members already
+        paid (from a pre-crash attempt) are skipped, so a restored
+        shard completes the round without ever double-paying — the
+        exact discipline of :class:`~repro.resilience.SupervisedCoordinator`.
+        Returns the round's full ledger rows as :class:`LedgerRows`
+        (name → amounts), so a re-settle after recovery still reports
         every member's amounts.
 
         Persistence is snapshot-plus-ledger: the execution stage's
@@ -352,37 +405,42 @@ class CoordinatorShard:
         would make settling O(n²) and is exactly what the A24
         benchmark would catch.
         """
+        names = self.machine_names
+        n = len(names)
+        rows = np.asarray(rows, dtype=np.float64)
+        if rows.shape != (n, 3):
+            raise ValueError(f"expected ({n}, 3) payment rows, got {rows.shape}")
         self.phase = ProtocolPhase.VERIFYING
         store = self.checkpoint_store
         if store is not None and not store.has_snapshot:
             self._save_checkpoint()  # no prior stage ran: journal base
-        unpaid = [n for n in self.machine_names if n not in self.payments_sent]
-        if store is not None and unpaid:
-            store.append_ledger(unpaid, [amounts[name] for name in unpaid])
-        for name in unpaid:
-            if (
-                self.fail_after_payments is not None
-                and len(self.payments_sent) >= self.fail_after_payments
-            ):
-                self._save_checkpoint()
-                raise ShardCrash(
-                    f"shard {self.shard_id} died after issuing "
-                    f"{len(self.payments_sent)} payments"
-                )
-            payment, compensation, bonus = amounts[name]
+        sent = self._sent
+        self._ledger[sent:] = rows[sent:]
+        if store is not None and sent < n:
+            store.append_ledger(names[sent:], self._ledger[sent:])
+        # The chaos hook crashes once this many payments were issued.
+        stop = n
+        if self.fail_after_payments is not None:
+            stop = min(n, max(sent, self.fail_after_payments))
+        notices = self.payment_notices
+        for k in range(sent, stop):
             # Write-ahead: record and persist the intent, then send.
-            self.payments_sent[name] = (
-                float(payment), float(compensation), float(bonus)
-            )
+            self._sent = k + 1
             if store is not None:
                 store.mark_sent()
-            self.payment_notices[name] = self.payment_notices.get(name, 0) + 1
+            name = names[k]
+            notices[name] = notices[name] + 1
+        if stop < n:
+            self._save_checkpoint()
+            raise ShardCrash(
+                f"shard {self.shard_id} died after issuing {stop} payments"
+            )
         self.phase = ProtocolPhase.DONE
         # No closing snapshot: the ledger lives in the journal until the
         # next stage snapshot compacts it, and a post-settle restore
         # (stale EXECUTING phase + complete ledger) re-settles to a
         # no-op — every member is already ledgered.
-        return dict(self.payments_sent)
+        return LedgerRows(self._index, self._ledger.copy())
 
     # ------------------------------------------------------ stage wrappers
     #
@@ -412,21 +470,23 @@ class CoordinatorShard:
 
     def run_execution(
         self,
-        arrivals: Sequence[np.ndarray] | None = None,
+        times: np.ndarray | None = None,
+        counts: Sequence[int] | None = None,
         include_payload: bool = True,
     ):
         """Execution stage: run jobs, return the shard's ``Q`` partial.
 
-        ``arrivals=None`` selects deployment-mode local workload
+        ``times=None`` selects deployment-mode local workload
         generation (:meth:`execute_local`); otherwise the service
-        routed the global stream and passes this shard's slice.
+        routed the global stream and passes this shard's time column
+        and job counts.
         """
         from repro.distributed.gather import PartialSum, ShardPartial
 
-        if arrivals is None:
+        if times is None:
             report = self.execute_local()
         else:
-            report = self.execute(arrivals)
+            report = self.execute(times, counts)
         payload = (
             {self.shard_id: {"estimates": report["estimates"]}}
             if include_payload
@@ -435,7 +495,7 @@ class CoordinatorShard:
         partial = ShardPartial(
             shard_id=self.shard_id,
             n_agents=len(self.machine_names),
-            inverse_sum=PartialSum.of(1.0 / self.bids_vector()),
+            inverse_sum=PartialSum.of(1.0 / self._bids),
             quotient_sum=PartialSum.of(report["quotients"]),
             payload=payload,
         )
@@ -444,15 +504,19 @@ class CoordinatorShard:
             "simulated_time": report["simulated_time"],
         }
 
+    def run_settle(self, rows: np.ndarray) -> tuple[np.ndarray, dict[str, int]]:
+        """Payment stage, exact mode: pay the root's rows.
+
+        Returns the ledger rows and the members' notice counts, so the
+        round needs no stage of its own to collect them.
+        """
+        return self.settle(rows).rows, dict(self.payment_notices)
+
     def settle_from_totals(
         self, total_inverse: float, total_quotient: float
-    ) -> dict[str, tuple[float, float, float]]:
+    ) -> tuple[np.ndarray, dict[str, int]]:
         """Payment stage, scalar mode: price locally from (S, Q), pay."""
-        return self.settle(self.local_payments(total_inverse, total_quotient))
-
-    def get_payment_notices(self) -> dict[str, int]:
-        """Per-member payment-notice counts (at-most-once observability)."""
-        return dict(self.payment_notices)
+        return self.run_settle(self.local_payments(total_inverse, total_quotient))
 
     def arm_crash(self, after_payments: int | None) -> None:
         """Arm (or disarm) the chaos hook on a live shard."""
@@ -460,21 +524,32 @@ class CoordinatorShard:
 
     # ------------------------------------------------------- persistence
 
+    def checkpoint_json(self) -> str:
+        """This shard's round inputs as one checkpoint string.
+
+        Encoded from the member-order arrays: the same string
+        :meth:`CoordinatorCheckpoint.to_json` writes for this state.
+        """
+        names = self.machine_names
+        bidded, reported = self._bids is not None, self._jobs is not None
+        sent = self._sent
+        return encode_checkpoint(
+            self.phase.value,
+            names,
+            self.arrival_rate,
+            bids=(names, self._bids) if bidded else ((), ()),
+            loads=self._loads,
+            reports=(names, self._jobs, self._means) if reported else ((), (), ()),
+            payments_sent=(names[:sent], self._ledger[:sent]),
+        )
+
     def checkpoint(self) -> CoordinatorCheckpoint:
         """Snapshot this shard's round inputs (the coordinator format)."""
-        return CoordinatorCheckpoint(
-            phase=self.phase.value,
-            machine_names=list(self.machine_names),
-            arrival_rate=self.arrival_rate,
-            bids=dict(self._bids),
-            loads=None if self._loads is None else self._loads.tolist(),
-            reports=dict(self._reports),
-            payments_sent=dict(self.payments_sent),
-        )
+        return CoordinatorCheckpoint.from_json(self.checkpoint_json())
 
     def _save_checkpoint(self) -> None:
         if self.checkpoint_store is not None:
-            self.checkpoint_store.save(self.checkpoint())
+            self.checkpoint_store.save(self.checkpoint_json())
 
     @classmethod
     def restore(
@@ -495,14 +570,19 @@ class CoordinatorShard:
         healthy); estimates are re-derived from the checkpointed
         reports when the crash hit at or after verification.
 
-        ``payment_notices`` seeds the members' notice counts (the
-        service passes its durable copy); without it they start at 0.
+        ``agents`` must own every one of the checkpoint's
+        ``machine_names``.  Bids and reports must be empty or keyed by
+        ``machine_names`` in order, and ``payments_sent`` a prefix of
+        it (settle pays in that order); anything else raises
+        :class:`ValueError`.  ``payment_notices`` seeds the members'
+        notice counts (the service passes its durable copy); without it
+        they start at 0.
         """
-        member_names = list(agents)
+        names = list(checkpoint.machine_names)
         shard = cls(
             shard_id,
-            member_names,
-            [agents[n] for n in member_names],
+            names,
+            [agents[n] for n in names],
             checkpoint.arrival_rate,
             rng=rng,
             duration=duration,
@@ -510,16 +590,30 @@ class CoordinatorShard:
             checkpoint_store=checkpoint_store,
         )
         shard.phase = ProtocolPhase(checkpoint.phase)
-        shard.machine_names = list(checkpoint.machine_names)
-        shard._bids = dict(checkpoint.bids)
-        shard._loads = (
-            None if checkpoint.loads is None else np.array(checkpoint.loads)
-        )
-        shard._reports = dict(checkpoint.reports)
-        shard.payments_sent = dict(checkpoint.payments_sent)
+        if checkpoint.bids:
+            shard._bids = np.array(_member_column(checkpoint.bids, names, "bids"))
+        if checkpoint.loads is not None:
+            shard._loads = np.array(checkpoint.loads, dtype=np.float64)
+        if checkpoint.reports:
+            jobs, means = zip(*_member_column(checkpoint.reports, names, "reports"))
+            shard._jobs = np.array(jobs, dtype=np.int64)
+            shard._means = np.array(means, dtype=np.float64)
+        paid = list(checkpoint.payments_sent)
+        if paid != names[: len(paid)]:
+            raise ValueError(
+                "checkpoint payments_sent is not a prefix of its machine_names"
+            )
+        shard._sent = len(paid)
+        if paid:
+            shard._ledger[: len(paid)] = list(checkpoint.payments_sent.values())
         shard.payment_notices.update(payment_notices or {})
-        if shard._loads is not None and len(shard._reports) == len(
-            checkpoint.machine_names
-        ):
+        if shard._bids is not None and shard._loads is not None and shard._jobs is not None:
             shard._estimates = shard._derive_estimates()
         return shard
+
+
+def _member_column(section: Mapping[str, object], names: list[str], label: str) -> list:
+    """A checkpoint section's values, which must be keyed by ``names`` in order."""
+    if list(section) != names:
+        raise ValueError(f"checkpoint {label} are not keyed by its machine_names")
+    return list(section.values())

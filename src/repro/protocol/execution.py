@@ -1,18 +1,24 @@
 """The protocol's execute step, written once for every round path.
 
 A round's jobs are routed with one vectorised draw
-(:func:`~repro.system.workload.split_assignments`), split per machine
-with one stable sort (:func:`split_by_machine`), and served by one of
-two dispatchers with the same signature: :func:`dispatch_events`, one
-heap event per arrival and per completion, or :func:`dispatch_batched`,
-the batched kernel :func:`serve_batch` plus a single *event-horizon*
-no-op that advances the clock to the last completion.  The paper's
-linear-latency machines serve jobs concurrently, so the interleaving
-carries nothing the verification estimator uses; only the O(n) control
-messages stay discrete events (DESIGN.md §11).  :func:`execute_jobs` is
-the whole step for the message-driven rounds; the sharded service and
-the horizon-fused engine share its split and call :func:`serve_batch`
-on plain arrays.
+(:func:`~repro.system.workload.split_assignments`) and grouped by
+machine with one stable sort (:func:`sort_by_machine`): one
+machine-sorted time column plus per-machine job counts.  The batched
+kernel :func:`serve_batch` serves that column as it stands and returns
+the sojourns as one flat column in the same order, and
+:func:`sojourn_means` reduces it per machine; :func:`per_machine`
+slices a column into per-machine arrays only where a caller needs
+them.  Two dispatchers with the same signature serve the message-driven
+rounds: :func:`dispatch_events`, one heap event per arrival and per
+completion, and :func:`dispatch_batched`, :func:`serve_batch` plus a
+single *event-horizon* no-op that advances the clock to the last
+completion.  The paper's linear-latency machines serve jobs
+concurrently, so the interleaving carries nothing the verification
+estimator uses; only the O(n) control messages stay discrete events
+(DESIGN.md §11).  :func:`execute_jobs` is the whole step for the
+message-driven rounds; the sharded service and the horizon-fused
+engine call :func:`sort_by_machine` and :func:`serve_batch` on plain
+arrays.
 
 Contract: with deterministic service the two engines are bit-identical
 — same RNG stream, same per-job sojourn floats (``(arrival + duration)
@@ -37,7 +43,8 @@ from repro.system.workload import Job, split_assignments
 __all__ = [
     "EXECUTION_MODES",
     "resolve_execution",
-    "split_by_machine",
+    "sort_by_machine",
+    "per_machine",
     "check_execution_values",
     "serve_batch",
     "sojourn_means",
@@ -66,26 +73,39 @@ def resolve_execution(execution: str) -> str:
     return "batched" if execution == "auto" else execution
 
 
-def split_by_machine(
+def sort_by_machine(
     arrival_times: np.ndarray, assignments: np.ndarray, n: int
-) -> list[np.ndarray]:
-    """Each machine's arrivals, in arrival order, from one stable sort.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The round's arrivals grouped by machine, from one stable sort.
 
-    Entry ``k`` is byte-identical to masking the stream with
-    ``assignments`` equal to ``k`` (the stable sort keeps each machine's
-    arrival sequence), but costs one sort of the jobs instead of ``n``
-    full-stream comparisons — at ``n = 10^4`` that is the difference
-    between a few and tens of milliseconds per round.  Machines with
-    no jobs get empty arrays.
+    Returns the arrival times ordered by machine (each machine's in
+    arrival order: the sort is stable) and the ``(n,)`` int64 job
+    counts, so machine ``k``'s jobs are the ``counts[k]`` entries after
+    ``counts[:k].sum()``.  One sort of the jobs replaces ``n``
+    full-stream comparisons; at ``n = 10^4`` that is the difference
+    between a few and tens of milliseconds per round.
 
-    >>> split_by_machine(np.array([0.5, 1.0, 1.5, 2.0]), np.array([1, 0, 1, 1]), 3)
-    [array([1.]), array([0.5, 1.5, 2. ]), array([], dtype=float64)]
+    >>> sort_by_machine(np.array([0.5, 1.0, 1.5, 2.0]), np.array([1, 0, 1, 1]), 3)
+    (array([1. , 0.5, 1.5, 2. ]), array([1, 3, 0]))
     """
     times = np.asarray(arrival_times, dtype=np.float64)
     order = np.argsort(assignments, kind="stable")
-    ordered = times[order]
-    ends = np.cumsum(np.bincount(assignments, minlength=n)).tolist()
-    return [ordered[lo:hi] for lo, hi in zip([0, *ends], ends[:n])]
+    counts = np.bincount(assignments, minlength=n)[:n].astype(np.int64, copy=False)
+    return times[order], counts
+
+
+def per_machine(column: np.ndarray, counts: np.ndarray) -> list[np.ndarray]:
+    """Slice a machine-ordered column into one array per machine.
+
+    On :func:`sort_by_machine`'s output, entry ``k`` is byte-identical
+    to masking the stream with ``assignments`` equal to ``k``; machines
+    with no jobs get empty arrays.
+
+    >>> per_machine(np.array([1.0, 0.5, 1.5, 2.0]), np.array([1, 3, 0]))
+    [array([1.]), array([0.5, 1.5, 2. ]), array([], dtype=float64)]
+    """
+    ends = np.cumsum(counts).tolist()
+    return [column[lo:hi] for lo, hi in zip([0, *ends], ends)]
 
 
 def check_execution_values(values: Sequence[float]) -> np.ndarray:
@@ -103,49 +123,70 @@ def check_execution_values(values: Sequence[float]) -> np.ndarray:
 
 
 def serve_batch(
-    arrivals: Sequence[np.ndarray],
+    times: np.ndarray,
+    counts: Sequence[int],
     execution_values: Sequence[float],
     loads: Sequence[float],
     rng: np.random.Generator,
     deterministic_service: bool,
-) -> tuple[list[np.ndarray], float | None]:
+) -> tuple[np.ndarray, float | None]:
     """Serve every machine's arrivals at once: the batched execute kernel.
 
+    ``times`` is the round's machine-sorted arrival column and
+    ``counts`` the per-machine job counts (:func:`sort_by_machine`).
     Machine ``k``'s jobs have mean service time ``t̃_k x_k``.  One
     ``rng.exponential`` call draws the floats, and leaves the generator
     state, of ``rng.exponential(mean_k, size=count_k)`` per machine in
     machine order; deterministic service takes the means themselves.
     Sojourns are ``(arrival + duration) - arrival``, the float the event
-    engine reads off the clock.  Returns each machine's sojourns (empty
-    for no jobs) and the last completion time (``None`` if no job ran).
+    engine reads off the clock.  Returns the sojourns as one column in
+    the order of ``times`` and the last completion time (``None`` if no
+    job ran).
     """
     values = check_execution_values(execution_values)
     loads = np.asarray(loads, dtype=np.float64)
-    counts = np.array([len(times) for times in arrivals], dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
+    times = np.asarray(times, dtype=np.float64)
+    if counts.size != values.size or loads.size != values.size:
+        raise ValueError(
+            f"expected {values.size} job counts and loads, "
+            f"got {counts.size} and {loads.size}"
+        )
+    if times.size != counts.sum():
+        raise ValueError(
+            f"{times.size} arrival times for {int(counts.sum())} counted jobs"
+        )
     unloaded = np.flatnonzero((counts > 0) & ~(loads > 0.0))
     if unloaded.size:
         raise RuntimeError(
             f"machine {unloaded[0]} received a job but was allocated zero load"
         )
-    if not counts.any():
-        return [np.empty(0) for _ in arrivals], None
-    times = np.concatenate(arrivals).astype(np.float64, copy=False)
+    if not times.size:
+        return np.empty(0), None
     means = np.repeat(values * loads, counts)
     durations = means if deterministic_service else rng.exponential(means)
     completions = times + durations
-    sojourns = completions - times
-    ends = np.cumsum(counts).tolist()
-    return (
-        [sojourns[lo:hi] for lo, hi in zip([0, *ends], ends)],
-        float(completions.max()),
-    )
+    return completions - times, float(completions.max())
 
 
-def sojourn_means(sojourns: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Per-machine job counts and per-slice ``.mean()`` sojourns (0.0 for none)."""
-    counts = np.array([s.size for s in sojourns], dtype=np.int64)
-    means = np.array([s.mean() if s.size else 0.0 for s in sojourns])
-    return counts, means
+def sojourn_means(sojourns: np.ndarray, counts: Sequence[int]) -> np.ndarray:
+    """Per-machine mean sojourns of a :func:`serve_batch` column (0.0 for none).
+
+    Each non-empty machine's mean is its slice's own ``.mean()``, so the
+    floats are those of averaging per-machine arrays.
+
+    >>> sojourn_means(np.array([1.0, 2.0, 4.0]), np.array([0, 1, 2]))
+    array([0., 1., 3.])
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    ends = np.cumsum(counts)
+    ran = np.flatnonzero(counts)
+    means = np.zeros(counts.size)
+    means[ran] = [
+        sojourns[lo:hi].mean()
+        for lo, hi in zip((ends[ran] - counts[ran]).tolist(), ends[ran].tolist())
+    ]
+    return means
 
 
 def dispatch_batched(
@@ -167,11 +208,13 @@ def dispatch_batched(
         (:func:`round_machines` builds them so).
     arrivals:
         One array of absolute arrival times per machine, in arrival
-        order (:func:`split_by_machine`) — the same floats
+        order (:func:`per_machine` of :func:`sort_by_machine`) — the
+        same floats
         :func:`dispatch_events` would schedule.
 
-    The machines' execution values and loads go through
-    :func:`serve_batch`, and each machine records its sojourns.
+    The arrivals, concatenated, and the machines' execution values and
+    loads go through :func:`serve_batch`, and each machine records its
+    slice of the sojourns.
     Returns the number of jobs routed.  Records the
     ``protocol.events_skipped`` gauge: the event engine would have
     pushed two heap events per job (arrival + completion) where this
@@ -183,18 +226,20 @@ def dispatch_batched(
     if len(modes) > 1:
         raise ValueError("batched machines must share one generator and service mode")
     ((rng, deterministic),) = modes
+    counts = [len(times) for times in arrivals]
     sojourns, last = serve_batch(
-        arrivals,
+        np.concatenate(arrivals),
+        counts,
         [machine.execution_value for machine in machines],
         [machine.load for machine in machines],
         rng,
         deterministic,
     )
-    for machine, served in zip(machines, sojourns):
+    for machine, served in zip(machines, per_machine(sojourns, counts)):
         machine.record_sojourns(served)
     if last is None:
         return 0
-    count = sum(served.size for served in sojourns)
+    count = sojourns.size
     sim.schedule_at(last, lambda s: None)
     record_gauge("protocol.events_skipped", 2 * count - 1)
     return count
@@ -260,5 +305,5 @@ def execute_jobs(
     for machine, load in zip(machines, loads):
         machine.configure(float(load))
     assignments = split_assignments(int(times.size), loads / loads.sum(), rng)
-    arrivals = split_by_machine(sim.now + times, assignments, len(machines))
-    return dispatch(sim, machines, arrivals)
+    ordered, counts = sort_by_machine(sim.now + times, assignments, len(machines))
+    return dispatch(sim, machines, per_machine(ordered, counts))

@@ -75,8 +75,8 @@ same seed — every float in every :class:`RoundResult`, through
    0.0, so allocation fires at ``sim.now == 0.0`` and the dispatched
    arrival times are ``0.0 + times`` — bitwise the raw draw.
    The kernel's sojourns are ``(times_k + duration) - times_k`` on the
-   per-machine arrivals of the one shared split,
-   :func:`~repro.protocol.execution.split_by_machine`.
+   machine-sorted arrivals of the one shared sort,
+   :func:`~repro.protocol.execution.sort_by_machine`.
 3. **Dual loads.**  The sequential round uses the *incremental
    allocator's* loads for machine configuration, routing fractions,
    and execution-value estimates, but the *mechanism's* fresh PR
@@ -106,7 +106,7 @@ from repro.observability.instrumentation import (
 )
 from repro.protocol.coordinator import effective_bid
 from repro.protocol.estimator import verified_estimates
-from repro.protocol.execution import serve_batch, sojourn_means, split_by_machine
+from repro.protocol.execution import per_machine, serve_batch, sort_by_machine
 from repro.protocol.monitoring import slowdown_alerts
 from repro.system.workload import split_assignments
 from repro.types import AllocationResult, MechanismOutcome, PaymentResult
@@ -248,17 +248,25 @@ def _run_fused_segment(supervisor: "RoundSupervisor", count: int) -> list:
             jobs_routed, alloc_loads / alloc_loads.sum(), supervisor._rng
         )
 
-        # The batched kernel on the per-machine arrivals the sequential
-        # round dispatches (0.0 + times, bitwise the raw draws under the
-        # zero-delay network).
-        machine_sojourns, _ = serve_batch(
-            split_by_machine(times, assignments, len(admitted)),
+        # The batched kernel on the machine-sorted arrivals the
+        # sequential round dispatches (0.0 + times, bitwise the raw
+        # draws under the zero-delay network).
+        ordered, counts = sort_by_machine(times, assignments, len(admitted))
+        sojourns, _ = serve_batch(
+            ordered,
+            counts,
             execution_values,
             alloc_loads,
             supervisor._rng,
             supervisor.deterministic_service,
         )
-        counts, mean_sojourns = sojourn_means(machine_sojourns)
+        # Sliced once: the estimator takes each non-empty machine's own
+        # ``.mean()`` (the floats of ``sojourn_means``) and the detector
+        # reads the slices.
+        machine_sojourns = per_machine(sojourns, counts)
+        mean_sojourns = np.array(
+            [served.mean() if served.size else 0.0 for served in machine_sojourns]
+        )
 
         estimates = verified_estimates(bids, alloc_loads, counts, mean_sojourns)
 

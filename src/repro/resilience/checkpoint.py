@@ -37,13 +37,13 @@ from __future__ import annotations
 import base64
 import json
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.observability.instrumentation import record_counter, timed_section
 
-__all__ = ["CoordinatorCheckpoint", "CheckpointStore"]
+__all__ = ["CoordinatorCheckpoint", "CheckpointStore", "encode_checkpoint"]
 
 
 @dataclass(frozen=True)
@@ -98,28 +98,17 @@ class CoordinatorCheckpoint:
         each name once; any other section stores its own keys in
         insertion order.
         """
-        names = list(self.machine_names)
-        bids = _section(self.bids, names)
-        bids["values"] = _column(list(self.bids.values()), _F8)
-        reports = _section(self.reports, names)
         jobs, sojourns = zip(*self.reports.values()) if self.reports else ((), ())
-        reports["jobs"] = _column(jobs, _I8)
-        reports["sojourns"] = _column(sojourns, _F8)
-        payments = _section(self.payments_sent, names)
-        payments["amounts"] = _column(list(self.payments_sent.values()), _F8)
-        return json.dumps(
-            {
-                "phase": self.phase,
-                "machine_names": names,
-                "arrival_rate": self.arrival_rate,
-                "bids": bids,
-                "loads": None if self.loads is None else _column(self.loads, _F8),
-                "reports": reports,
-                "excluded": self.excluded,
-                "withheld": self.withheld,
-                "payments_sent": payments,
-            },
-            default=float,
+        return encode_checkpoint(
+            self.phase,
+            self.machine_names,
+            self.arrival_rate,
+            bids=(self.bids, list(self.bids.values())),
+            loads=self.loads,
+            reports=(self.reports, jobs, sojourns),
+            payments_sent=(self.payments_sent, list(self.payments_sent.values())),
+            excluded=self.excluded,
+            withheld=self.withheld,
         )
 
     @classmethod
@@ -162,10 +151,54 @@ def _array(column: str, dtype: np.dtype) -> np.ndarray:
     return np.frombuffer(base64.b64decode(column), dtype=dtype)
 
 
-def _section(mapping: dict, names: list[str]) -> dict:
-    """A columnar section's header: its key list unless keyed by ``names``."""
-    keys = list(mapping)
-    return {} if keys == names else {"names": keys}
+def _section(keys: Iterable[str], names: list[str], **columns: str) -> dict:
+    """A columnar section: its key list unless keyed by ``names``, then columns."""
+    keys = list(keys)
+    return {**({} if keys == names else {"names": keys}), **columns}
+
+
+def encode_checkpoint(
+    phase: str,
+    machine_names: Sequence[str],
+    arrival_rate: float,
+    *,
+    bids: tuple[Iterable[str], object],
+    loads: object | None,
+    reports: tuple[Iterable[str], object, object],
+    payments_sent: tuple[Iterable[str], object],
+    excluded: Sequence[str] = (),
+    withheld: Sequence[str] = (),
+) -> str:
+    """The one columnar JSON encoder of a checkpoint, from its columns.
+
+    Each per-machine section is its keys plus value columns in key
+    order: ``bids`` as (keys, values), ``reports`` as (keys, jobs,
+    mean sojourns), ``payments_sent`` as (keys, ``(k, 3)`` amount
+    rows).  :meth:`CoordinatorCheckpoint.to_json` passes its dicts; a
+    coordinator shard passes the arrays it keeps in member order, and
+    both get the same string for the same state.
+    """
+    names = list(machine_names)
+    paid, amounts = payments_sent
+    return json.dumps(
+        {
+            "phase": phase,
+            "machine_names": names,
+            "arrival_rate": arrival_rate,
+            "bids": _section(bids[0], names, values=_column(bids[1], _F8)),
+            "loads": None if loads is None else _column(loads, _F8),
+            "reports": _section(
+                reports[0],
+                names,
+                jobs=_column(reports[1], _I8),
+                sojourns=_column(reports[2], _F8),
+            ),
+            "excluded": list(excluded),
+            "withheld": list(withheld),
+            "payments_sent": _section(paid, names, amounts=_column(amounts, _F8)),
+        },
+        default=float,
+    )
 
 
 def _raw_from_json(payload: str) -> dict:

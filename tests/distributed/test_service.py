@@ -283,6 +283,95 @@ class TestCrashRecovery:
         )
 
 
+class TestStages:
+    @pytest.mark.parametrize(
+        ("aggregation", "methods"),
+        [
+            ("exact", ["begin_round", "run_bidding", "apply_allocation",
+                       "run_execution", "run_settle"]),
+            ("scalar", ["begin_round", "run_bidding", "allocate_from_total",
+                        "run_execution", "settle_from_totals"]),
+        ],
+    )
+    def test_serial_round_calls_five_shard_methods_per_shard(
+        self, aggregation, methods
+    ):
+        # The settle reply carries the notice counts, so no sixth stage
+        # collects them.
+        svc = service(3, shards=4, aggregation=aggregation)
+        executor = svc._executor
+        fan_out = executor.map
+        calls = {k: [] for k in range(svc.n_shards)}
+
+        def recording_map(method, args_per_shard, only=None):
+            outcomes = fan_out(method, args_per_shard, only)
+            for k in outcomes:
+                calls[k].append(method)
+            return outcomes
+
+        executor.map = recording_map
+        try:
+            result = svc.run_round()
+        finally:
+            svc.close()
+        assert calls == {k: methods for k in range(svc.n_shards)}
+        assert set(result.payment_notices.values()) == {1}
+
+
+class TestResultViews:
+    def test_views_equal_the_name_keyed_dicts(self):
+        svc = service(42, shards=3)
+        try:
+            result = svc.run_round()
+        finally:
+            svc.close()
+        outcome = result.outcome
+        loads = {
+            name: float(load) for name, load in zip(result.names, outcome.loads)
+        }
+        paid = outcome.payments.payment.tolist()
+        comp = outcome.payments.compensation.tolist()
+        bonus = outcome.payments.bonus.tolist()
+        payments = {
+            name: (paid[k], comp[k], bonus[k])
+            for k, name in enumerate(result.names)
+        }
+        assert dict(result.loads) == loads
+        assert dict(result.payments) == payments
+        assert repr(dict(result.payments)) == repr(payments)
+        assert result.payment_totals == {n: p[0] for n, p in payments.items()}
+
+    def test_views_iterate_in_names_order(self):
+        names = [f"M{k}" for k in (3, 1, 2, 0, 5, 4, 7, 6)]
+        svc = service(1, shards=3, machine_names=names)
+        try:
+            result = svc.run_round()
+        finally:
+            svc.close()
+        assert result.names == names
+        assert list(result.loads) == list(result.payments) == names
+        assert [name for name, _ in result.payments.items()] == names
+        assert len(result.loads) == len(result.payments) == len(names)
+
+    def test_views_are_read_only_and_reject_unknown_names(self):
+        svc = service(1, shards=2)
+        try:
+            result = svc.run_round()
+        finally:
+            svc.close()
+        with pytest.raises(KeyError):
+            result.loads["nobody"]
+        with pytest.raises(KeyError):
+            result.payments["nobody"]
+        assert "nobody" not in result.payments and "C1" in result.payments
+        with pytest.raises(TypeError):
+            result.payments["C1"] = (0.0, 0.0, 0.0)
+        with pytest.raises(TypeError):
+            result.loads["C1"] = 0.0
+        with pytest.raises(TypeError):
+            del result.loads["C1"]
+
+
 class TestValidation:
     def test_rejects_unknown_modes(self):
         with pytest.raises(ValueError, match="aggregation"):

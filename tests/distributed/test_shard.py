@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -71,7 +72,7 @@ class TestRoundStages:
         shard.collect_bids()
         shard.allocate_from_total(1.75)
         shard.run_execution()
-        amounts = {n: (1.0, 0.5, 0.5) for n in shard.machine_names}
+        amounts = np.tile([1.0, 0.5, 0.5], (3, 1))
         shard.settle(amounts)
         # A second settle (the service's recovery re-map) sends nothing.
         shard.settle(amounts)
@@ -88,7 +89,7 @@ class TestRoundStages:
         shard.allocate_from_total(float(np.sum(1.0 / shard.bids_vector())))
         shard.run_execution()
         saves, appends = store.saves, store.appends
-        shard.settle({n: (1.0, 0.5, 0.5) for n in shard.machine_names})
+        shard.settle(np.tile([1.0, 0.5, 0.5], (members, 1)))
         assert (store.saves - saves, store.appends - appends) == (0, 1)
         assert len(store.load().payments_sent) == members
 
@@ -99,7 +100,7 @@ class TestRoundStages:
         shard.collect_bids()
         shard.allocate_from_total(1.75)
         shard.run_execution()
-        amounts = {n: (1.0, 0.5, 0.5) for n in shard.machine_names}
+        amounts = np.tile([1.0, 0.5, 0.5], (3, 1))
         with pytest.raises(ShardCrash):
             shard.settle(amounts)
         assert len(store.load().payments_sent) == 1
@@ -150,3 +151,39 @@ class TestCheckpointRestore:
         assert restored.payment_notices["C1"] == 0
         assert restored.payment_notices["C2"] == 0
         assert restored.payment_notices["C3"] == 1
+
+    def test_settle_returns_the_callers_copy_of_the_rows_by_name(self):
+        shard = make_shard()
+        shard.begin_round()
+        shard.collect_bids()
+        shard.allocate_from_total(1.75)
+        shard.run_execution()
+        amounts = shard.local_payments(1.75, 1.75)
+        ledger = shard.settle(amounts)
+        assert ledger.rows.tobytes() == amounts.tobytes()
+        assert list(ledger) == ["C1", "C2", "C3"]
+        assert ledger["C2"] == tuple(amounts[1].tolist())
+        with pytest.raises(KeyError):
+            ledger["nobody"]
+        ledger["C1"] = (0.0, 0.0, 0.0)
+        assert ledger.rows[0].tolist() == [0.0, 0.0, 0.0]
+        # The shard's own ledger is untouched.
+        assert shard.payments_sent["C1"] == tuple(amounts[0].tolist())
+
+    def test_restore_rejects_a_ledger_that_is_not_a_member_prefix(self):
+        # Settle pays in member order, so a checkpoint whose paid
+        # members skip one cannot have come from a shard.
+        store = CheckpointStore()
+        shard = make_shard(store=store)
+        shard.begin_round()
+        shard.collect_bids()
+        checkpoint = replace(
+            shard.checkpoint(), payments_sent={"C2": (1.0, 0.5, 0.5)}
+        )
+        with pytest.raises(ValueError, match="prefix"):
+            CoordinatorShard.restore(
+                checkpoint,
+                shard_id=0,
+                agents=shard.agents,
+                rng=np.random.default_rng(3),
+            )

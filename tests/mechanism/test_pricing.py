@@ -187,14 +187,14 @@ class TestGatheredTotalsWithinTolerance:
         inverse_sum = float(np.sum(1.0 / bids[0]))
         shard.allocate_from_total(inverse_sum)
         # One job per machine: each estimate is its observed slope.
-        report = shard.execute([np.zeros(1)] * len(names))
+        report = shard.execute(np.zeros(len(names)), np.ones(len(names)))
         amounts = shard.local_payments(
             inverse_sum, float(np.sum(report["quotients"]))
         )
         outcome = MECHANISMS["observed"].run(
             bids[0], rate, report["estimates"]
         )
-        paid = np.array([amounts[name][0] for name in names])
+        paid = amounts[:, 0]
         scale = np.max(optimal_latency_excluding_each(bids[0], rate))
         assert _relative_gap(paid, outcome.payments.payment, scale) <= 1e-12
 

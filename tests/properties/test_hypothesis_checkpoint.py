@@ -19,6 +19,10 @@ delivered messages and the instant after each payment.
 A shard does not snapshot when settle moves it past ``EXECUTING`` (the
 ledger on top of the execution snapshot is its record), so during and
 after settle the shard's phase is left out of the comparison.
+
+A shard encodes its snapshots from the arrays it keeps in member
+order; every string it writes must equal ``to_json`` of the same state
+held as dicts, the coordinator's own format.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from repro.agents import TruthfulAgent
 from repro.distributed import CoordinatorShard, ShardCrash
 from repro.resilience import (
     CheckpointStore,
+    CoordinatorCheckpoint,
     FaultPlan,
     MachineFault,
     RoundFaults,
@@ -224,9 +229,107 @@ class TestShardCrashPoints:
             ledger = shard.settle(amounts)
             assert all(shard.payment_notices[n] == 0 for n in paid_before)
         assert_stored(store, shard.checkpoint(), phase=False)
-        # repr: a NaN amount must compare equal to itself.
-        assert repr(ledger) == repr({n: amounts[n] for n in live})
+        # Bytes: a NaN amount must compare equal to itself.
+        assert ledger.rows.tobytes() == amounts.tobytes()
 
         again = restore()
-        assert repr(again.settle(amounts)) == repr(ledger)
+        assert again.settle(amounts).rows.tobytes() == ledger.rows.tobytes()
         assert not any(again.payment_notices.values())
+
+
+def as_dicts(shard: CoordinatorShard) -> CoordinatorCheckpoint:
+    """The shard's round state as the coordinator's name-keyed dicts."""
+    names = shard.machine_names
+    reported = shard._jobs is not None
+    return CoordinatorCheckpoint(
+        phase=shard.phase.value,
+        machine_names=list(names),
+        arrival_rate=shard.arrival_rate,
+        bids={} if shard._bids is None else dict(zip(names, shard._bids.tolist())),
+        loads=None if shard._loads is None else shard._loads.tolist(),
+        reports=(
+            dict(zip(names, zip(shard._jobs.tolist(), shard._means.tolist())))
+            if reported
+            else {}
+        ),
+        payments_sent=shard.payments_sent,
+    )
+
+
+class _EncodingChecked(CheckpointStore):
+    """A store that checks every shard snapshot against the dict encoding."""
+
+    def __init__(self):
+        super().__init__()
+        self.shard = None
+        self.snapshots = 0
+
+    def save(self, checkpoint):
+        assert isinstance(checkpoint, str)  # encoded from the arrays
+        assert checkpoint == as_dicts(self.shard).to_json()
+        self.snapshots += 1
+        super().save(checkpoint)
+
+
+class TestShardSnapshotEncoding:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        values=st.lists(st.floats(0.5, 20.0), min_size=1, max_size=9),
+        crash_after=st.none() | st.integers(0, 9),
+        deterministic=st.booleans(),
+        stages=st.booleans(),
+    )
+    def test_stage_snapshots_equal_the_dict_encoding(
+        self, values, crash_after, deterministic, stages
+    ):
+        names = [f"C{i + 1}" for i in range(len(values))]
+        agents = {n: TruthfulAgent(v) for n, v in zip(names, values)}
+        store = _EncodingChecked()
+        shard = store.shard = CoordinatorShard(
+            0,
+            names,
+            list(agents.values()),
+            7.0,
+            rng=np.random.default_rng(2),
+            deterministic_service=deterministic,
+            checkpoint_store=store,
+            fail_after_payments=crash_after,
+        )
+
+        def check(live):
+            assert live.checkpoint_json() == as_dicts(live).to_json()
+
+        shard.begin_round()
+        check(shard)  # empty sections: before bidding and execution
+        if stages:
+            shard.collect_bids()
+            total = float(np.sum(1.0 / shard.bids_vector()))
+            shard.allocate_from_total(total)
+            partial, _ = shard.run_execution()
+            with np.errstate(divide="ignore", invalid="ignore"):
+                rows = shard.local_payments(total, partial.quotient_sum.value)
+        else:
+            # Settle with no stage before it: the base snapshot holds
+            # empty sections and the journal the ledger.
+            rows = np.arange(3.0 * len(names)).reshape(-1, 3)
+        shard.payment_notices = _Watched(
+            shard.payment_notices, lambda: check(shard)
+        )
+        try:
+            shard.settle(rows)
+        except ShardCrash:
+            check(shard)  # a partial ledger: its names are listed
+            shard = store.shard = CoordinatorShard.restore(
+                store.load(),
+                shard_id=0,
+                agents=agents,
+                rng=np.random.default_rng(2),
+                checkpoint_store=store,
+            )
+            check(shard)
+            shard.payment_notices = _Watched(
+                shard.payment_notices, lambda: check(shard)
+            )
+            shard.settle(rows)
+        check(shard)
+        assert store.snapshots >= (3 if stages else 1)

@@ -1,6 +1,7 @@
 """Property-based guarantees for the shared execute step.
 
-Every round path splits its routed stream with ``split_by_machine`` and
+Every round path splits its routed stream with ``sort_by_machine`` and
+``per_machine`` and
 runs it through one of the two dispatchers, so the split must be the
 per-machine masks byte for byte, and under deterministic service the
 two engines must leave identical sojourns and the same final clock.
@@ -17,11 +18,18 @@ from hypothesis import strategies as st
 from repro.protocol.execution import (
     dispatch_batched,
     dispatch_events,
+    per_machine,
     round_machines,
     serve_batch,
-    split_by_machine,
+    sojourn_means,
+    sort_by_machine,
 )
 from repro.system.des import Simulator
+
+
+def split_by_machine(times, assignments, n):
+    """Each machine's arrivals: the sorted column, sliced per machine."""
+    return per_machine(*sort_by_machine(times, assignments, n))
 
 
 @st.composite
@@ -101,7 +109,9 @@ class TestBatchedKernel:
         loads[np.bincount(assignments, minlength=n) == 0] = 0.0
 
         rng = np.random.default_rng(seed)
-        sojourns, last = serve_batch(arrivals, values, loads, rng, False)
+        ordered, counts = sort_by_machine(times, assignments, n)
+        column, last = serve_batch(ordered, counts, values, loads, rng, False)
+        sojourns = per_machine(column, counts)
 
         # Reference: one exponential block per machine, in machine
         # order, zero-job machines included.
@@ -115,3 +125,46 @@ class TestBatchedKernel:
         assert rng.bit_generator.state == reference.bit_generator.state
         finished = np.concatenate(completions)
         assert last == (float(finished.max()) if finished.size else None)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        stream=routed_streams(max_machines=12, max_jobs=200),
+        seed=st.integers(0, 2**31),
+        deterministic=st.booleans(),
+    )
+    def test_column_kernel_equals_per_machine_arrays(
+        self, stream, seed, deterministic
+    ):
+        # The column in, column out kernel against per-machine arrays:
+        # one rng.exponential (or the mean itself) per machine in
+        # machine order, zero-job machines included, and each mean the
+        # machine's own slice .mean().
+        times, assignments, n = stream
+        ordered, counts = sort_by_machine(times, assignments, n)
+        assert counts.tolist() == np.bincount(assignments, minlength=n).tolist()
+        values = np.random.default_rng(n).uniform(0.5, 4.0, size=n)
+        loads = np.random.default_rng(n + 1).uniform(0.1, 2.0, size=n)
+        loads[counts == 0] = 0.0
+
+        rng = np.random.default_rng(seed)
+        column, last = serve_batch(ordered, counts, values, loads, rng, deterministic)
+        means = sojourn_means(column, counts)
+
+        reference = np.random.default_rng(seed)
+        expected, finished = [], []
+        for k, sub in enumerate(split_by_machine(times, assignments, n)):
+            mean = values[k] * loads[k]
+            done = sub + (
+                np.full(sub.size, mean)
+                if deterministic
+                else reference.exponential(mean, size=sub.size)
+            )
+            expected.append(done - sub)
+            finished.append(done)
+        assert column.tobytes() == np.concatenate(expected).tobytes()
+        assert rng.bit_generator.state == reference.bit_generator.state
+        assert means.tobytes() == np.array(
+            [s.mean() if s.size else 0.0 for s in expected]
+        ).tobytes()
+        every = np.concatenate(finished)
+        assert last == (float(every.max()) if every.size else None)

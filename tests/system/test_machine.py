@@ -92,14 +92,14 @@ class TestSubmitBatch:
     def test_default_sampler_draws_one_exponential_block(self):
         arrivals = np.sort(np.random.default_rng(4).uniform(0, 3000.0, 9000))
         rng = np.random.default_rng(3)
-        (sojourns,), last = serve_batch([arrivals], [2.0], [3.0], rng, False)
+        sojourns, last = serve_batch(arrivals, [arrivals.size], [2.0], [3.0], rng, False)
         block = np.random.default_rng(3).exponential(6.0, size=9000)
         assert sojourns.tobytes() == ((arrivals + block) - arrivals).tobytes()
         assert last == float((arrivals + block).max())
         assert sojourns.mean() == pytest.approx(6.0, rel=0.05)
 
     def test_empty_batch_is_a_no_op(self, rng):
-        assert serve_batch([np.empty(0)], [1.0], [1.0], rng, False)[1] is None
+        assert serve_batch(np.empty(0), [0], [1.0], [1.0], rng, False)[1] is None
         machine = LinearLatencyMachine("C1", 1.0, rng)
         machine.configure(1.0)
         assert dispatch_batched(Simulator(), [machine], [np.empty(0)]) == 0
@@ -112,7 +112,7 @@ class TestSubmitBatch:
 
     def test_zero_load_refuses_jobs(self, rng):
         with pytest.raises(RuntimeError, match="zero load"):
-            serve_batch([np.empty(0), np.array([0.0])], [1.0, 1.0], [1.0, 0.0],
+            serve_batch(np.array([0.0]), [0, 1], [1.0, 1.0], [1.0, 0.0],
                         rng, False)
         machine = LinearLatencyMachine("C1", 1.0, rng)
         machine.configure(0.0)

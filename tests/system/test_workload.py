@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.protocol.execution import split_by_machine
+from repro.protocol.execution import per_machine, sort_by_machine
 from repro.system import DeterministicWorkload, PoissonWorkload
 from repro.system.workload import split_assignments
 from repro.system.workload import Job
@@ -68,11 +68,12 @@ def split_workload(count, fractions, rng):
     """Route ``count`` jobs (ids ``0..count-1``) to per-machine id arrays."""
     ids = np.arange(count, dtype=np.float64)
     choices = split_assignments(count, fractions, rng)
-    return split_by_machine(ids, choices, np.asarray(fractions).size)
+    return per_machine(*sort_by_machine(ids, choices, np.asarray(fractions).size))
 
 
 class TestSplitWorkload:
-    """Routing a stream: ``split_assignments`` then ``split_by_machine``."""
+    """Routing a stream: ``split_assignments``, then ``sort_by_machine`` and
+    ``per_machine``."""
 
     def test_every_job_routed_exactly_once(self, rng):
         buckets = split_workload(1000, np.array([0.5, 0.3, 0.2]), rng)

@@ -121,6 +121,14 @@ class TestLandscape:
         out = run_cli(capsys, "landscape", "--agent", "5")
         assert "machine C6" in out
 
+    @pytest.mark.parametrize("variant", ["vcg", "archer-tardos"])
+    def test_truthful_rules_peak_at_truth(self, capsys, variant):
+        # Both rules are truthful, so their landscapes peak at the
+        # true bid and full-speed execution too.
+        out = run_cli(capsys, "landscape", "--variant", variant)
+        header = out.splitlines()[0]
+        assert f"({variant} mechanism); max at bid 1x, execution 1x" in header
+
 
 class TestResilience:
     def test_chaos_campaign_runs_clean(self, capsys):
