@@ -35,7 +35,7 @@ sufficient-statistic structure buys (docs/distributed.md).
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import ItemsView, Mapping, Sequence, ValuesView
 
 import numpy as np
 
@@ -124,8 +124,38 @@ class NamedRows(Mapping):
     def __len__(self) -> int:
         return len(self.index)
 
+    def values(self) -> ValuesView:
+        return _RowValues(self)
+
+    def items(self) -> ItemsView:
+        return _RowItems(self)
+
+    def _read(self):
+        """Every name's value in index order, from one ``tolist``."""
+        rows = self.rows
+        rows = rows.tolist() if rows.ndim == 1 else list(zip(*rows.T.tolist()))
+        return map(rows.__getitem__, self.index.values())
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}({dict(self)!r})"
+
+
+class _RowValues(ValuesView):
+    """:meth:`NamedRows.values`, read in one pass instead of per name."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        return self._mapping._read()
+
+
+class _RowItems(ItemsView):
+    """:meth:`NamedRows.items`, read in one pass instead of per name."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        return zip(self._mapping.index, self._mapping._read())
 
 
 class LedgerRows(NamedRows):

@@ -5,14 +5,16 @@ A round's jobs are routed with one vectorised draw
 machine with one stable sort (:func:`sort_by_machine`): one
 machine-sorted time column plus per-machine job counts.  The batched
 kernel :func:`serve_batch` serves that column as it stands and returns
-the sojourns as one flat column in the same order, and
-:func:`sojourn_means` reduces it per machine; :func:`per_machine`
-slices a column into per-machine arrays only where a caller needs
-them.  Two dispatchers with the same signature serve the message-driven
-rounds: :func:`dispatch_events`, one heap event per arrival and per
-completion, and :func:`dispatch_batched`, :func:`serve_batch` plus a
-single *event-horizon* no-op that advances the clock to the last
-completion.  The paper's linear-latency machines serve jobs
+the sojourns as one flat column in the same order;
+:func:`sojourn_means` and
+:func:`~repro.protocol.monitoring.slowdown_alerts` read that column and
+the counts as they stand, and :func:`per_machine` slices a column into
+per-machine arrays only where a caller needs them (a machine object's
+``record_sojourns``).  Two dispatchers with the same signature serve
+the message-driven rounds: :func:`dispatch_events`, one heap event per
+arrival and per completion, and :func:`dispatch_batched`,
+:func:`serve_batch` plus a single *event-horizon* no-op that advances
+the clock to the last completion.  The paper's linear-latency machines serve jobs
 concurrently, so the interleaving carries nothing the verification
 estimator uses; only the O(n) control messages stay discrete events
 (DESIGN.md §11).  :func:`execute_jobs` is the whole step for the
@@ -172,19 +174,23 @@ def serve_batch(
 def sojourn_means(sojourns: np.ndarray, counts: Sequence[int]) -> np.ndarray:
     """Per-machine mean sojourns of a :func:`serve_batch` column (0.0 for none).
 
-    Each non-empty machine's mean is its slice's own ``.mean()``, so the
-    floats are those of averaging per-machine arrays.
+    Each non-empty machine's mean is one ``np.add.reduce`` of its slice
+    divided by its count: the sum and the true division ``.mean()``
+    itself performs, so the floats are those of averaging per-machine
+    arrays, without ``.mean()``'s per-call wrapper.  (``np.add.reduceat``
+    sums in another order and is not bit-identical.)
 
     >>> sojourn_means(np.array([1.0, 2.0, 4.0]), np.array([0, 1, 2]))
     array([0., 1., 3.])
     """
     counts = np.asarray(counts, dtype=np.int64)
-    ends = np.cumsum(counts)
     ran = np.flatnonzero(counts)
+    ends = np.cumsum(counts)[ran].tolist()
+    sizes = counts[ran].tolist()
+    reduce = np.add.reduce
     means = np.zeros(counts.size)
     means[ran] = [
-        sojourns[lo:hi].mean()
-        for lo, hi in zip((ends[ran] - counts[ran]).tolist(), ends[ran].tolist())
+        reduce(sojourns[end - size : end]) / size for end, size in zip(ends, sizes)
     ]
     return means
 

@@ -42,11 +42,15 @@ A fused segment runs in two phases:
   *same* ``RoundSupervisor._generate_times``, the batched execute
   kernel :func:`~repro.protocol.execution.serve_batch` (the one
   ``dispatch_batched`` serves through, on plain arrays instead of
-  machine objects), :func:`~repro.protocol.estimator.verified_estimates`,
+  machine objects), :func:`~repro.protocol.execution.sojourn_means` and
+  :func:`~repro.protocol.estimator.verified_estimates`,
   :func:`~repro.protocol.monitoring.slowdown_alerts`, and
-  ``RoundSupervisor._close_round``.  Membership churn (an alert
-  quarantining a machine mid-segment, probes re-admitted) is handled
-  naturally because admission still happens round by round.
+  ``RoundSupervisor._close_round``.  The kernel's flat sojourn column
+  and the per-machine job counts go to the estimator and the detector
+  as they stand; Phase A makes no per-machine slices.  Membership
+  churn (an alert quarantining a machine mid-segment, probes
+  re-admitted) is handled naturally because admission still happens
+  round by round.
 * **Phase B (stacked):** all live rounds of the segment are grouped
   by machine count and priced as one ``(T_seg, n)`` call into
   :mod:`repro.mechanism.pricing` — the kernel
@@ -106,7 +110,7 @@ from repro.observability.instrumentation import (
 )
 from repro.protocol.coordinator import effective_bid
 from repro.protocol.estimator import verified_estimates
-from repro.protocol.execution import per_machine, serve_batch, sort_by_machine
+from repro.protocol.execution import serve_batch, sojourn_means, sort_by_machine
 from repro.protocol.monitoring import slowdown_alerts
 from repro.system.workload import split_assignments
 from repro.types import AllocationResult, MechanismOutcome, PaymentResult
@@ -260,15 +264,11 @@ def _run_fused_segment(supervisor: "RoundSupervisor", count: int) -> list:
             supervisor._rng,
             supervisor.deterministic_service,
         )
-        # Sliced once: the estimator takes each non-empty machine's own
-        # ``.mean()`` (the floats of ``sojourn_means``) and the detector
-        # reads the slices.
-        machine_sojourns = per_machine(sojourns, counts)
-        mean_sojourns = np.array(
-            [served.mean() if served.size else 0.0 for served in machine_sojourns]
+        # The estimator and the detector read the column and the counts
+        # as they stand: no per-machine slices.
+        estimates = verified_estimates(
+            bids, alloc_loads, counts, sojourn_means(sojourns, counts)
         )
-
-        estimates = verified_estimates(bids, alloc_loads, counts, mean_sojourns)
 
         # ---------------------------------------------------- mechanism
         outcome: MechanismOutcome | None = None
@@ -292,7 +292,8 @@ def _run_fused_segment(supervisor: "RoundSupervisor", count: int) -> list:
             admitted,
             bids,
             mech_loads,
-            machine_sojourns,
+            sojourns,
+            counts,
             threshold=supervisor.detector_threshold,
             slack=supervisor.detector_slack,
         )

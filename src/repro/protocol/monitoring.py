@@ -20,9 +20,11 @@ exponential reference model: ~0 false alarms over 20k honest jobs while
 catching a 2x slowdown within ~50 completions (see
 ``bench_monitoring.py`` for the measured operating curve).
 
-:func:`slowdown_alerts` runs one detector per machine over a finished
-round's sojourns; both supervised round paths (sequential and
-horizon-fused) detect through it.
+:func:`slowdown_alerts` checks a finished round's machine-sorted
+sojourn column (one array plus per-machine job counts) in one
+elementwise pass and runs a detector only on the machines with a
+positive standardised excess; both supervised round paths (sequential
+and horizon-fused) detect through it.
 """
 
 from __future__ import annotations
@@ -144,35 +146,49 @@ def slowdown_alerts(
     names: Sequence[str],
     declared: Sequence[float],
     loads: Sequence[float],
-    sojourns: Sequence[Sequence[float] | None],
+    sojourns: Sequence[float],
+    counts: Sequence[int],
     *,
     threshold: float,
     slack: float,
 ) -> list[str]:
     """Names whose CUSUM detector fires on one round's sojourns, in order.
 
+    ``sojourns`` is the round's machine-sorted column and ``counts`` the
+    per-machine job counts (the shape
+    :func:`~repro.protocol.execution.serve_batch` returns): machine
+    ``k``'s jobs are the ``counts[k]`` entries after ``counts[:k].sum()``.
     Machine ``k`` is checked against its declared value and load; one
-    with no load or no sojourns (``None`` or empty) is skipped.  When
-    every standardised excess ``s/(b x) - 1 - slack`` is non-positive
-    the statistic provably stays at 0, so no detector is run at all.
+    with no load or no jobs is skipped.  While a machine's standardised
+    excess ``s/(b x) - 1 - slack`` is non-positive at every job its
+    statistic provably stays at 0, so one elementwise pass over the
+    column picks the machines to run a detector on, and only those run
+    one.
 
     >>> slowdown_alerts(["A", "B"], [1.0, 1.0], [1.0, 1.0],
-    ...                 [[1.0] * 10, [3.0] * 10], threshold=5.0, slack=0.5)
+    ...                 [1.0] * 10 + [3.0] * 10, [10, 10],
+    ...                 threshold=5.0, slack=0.5)
     ['B']
     """
+    declared = np.asarray(declared, dtype=np.float64)
+    loads = np.asarray(loads, dtype=np.float64)
+    counts = np.asarray(counts, dtype=np.int64)
+    sojourns = np.asarray(sojourns, dtype=np.float64)
+    live = (loads > 0.0) & (counts > 0)
+    # Skipped machines divide by 1.0, so they raise no division warning.
+    expected = np.where(live, declared * loads, 1.0)
+    excess = sojourns / np.repeat(expected, counts) - 1.0 - slack > 0.0
+    if not excess.any():
+        return []
+    ends = np.cumsum(counts)
+    suspects = np.unique(np.searchsorted(ends, np.flatnonzero(excess), side="right"))
     alerts = []
-    for name, bid, load, observed in zip(names, declared, loads, sojourns):
-        if load <= 0.0 or observed is None or len(observed) == 0:
-            continue
-        bid, load = float(bid), float(load)
-        observed = np.asarray(observed, dtype=np.float64)
-        if not np.any(observed / (bid * load) - 1.0 - slack > 0.0):
-            continue
+    for k in suspects[live[suspects]].tolist():
         detector = CusumSlowdownDetector(
-            bid, load, threshold=threshold, slack=slack
+            float(declared[k]), float(loads[k]), threshold=threshold, slack=slack
         )
-        if detector.observe_many(observed) is not None:
-            alerts.append(name)
+        if detector.observe_many(sojourns[ends[k] - counts[k] : ends[k]]) is not None:
+            alerts.append(names[k])
     return alerts
 
 

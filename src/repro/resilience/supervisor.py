@@ -31,6 +31,7 @@ round.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import TYPE_CHECKING, Callable, Collection, Sequence
 
 import numpy as np
@@ -64,7 +65,7 @@ from repro.protocol.messages import (
 from repro.protocol.monitoring import slowdown_alerts
 from repro.protocol.network import SimulatedNetwork
 from repro.resilience.checkpoint import CheckpointStore, CoordinatorCheckpoint
-from repro.resilience.quarantine import CircuitState, QuarantinePolicy
+from repro.resilience.quarantine import QuarantinePolicy
 from repro.resilience.retry import BackoffPolicy
 from repro.system.des import Simulator
 from repro.protocol.execution import (
@@ -398,8 +399,9 @@ class _IncrementalAllocator:
         with timed_section("allocation.incremental.seconds"):
             self._reconcile(names, bids, arrival_rate)
             assert self._state is not None
-            order = [self._position[n] for n in names]
-            loads = self._state.loads()[order]
+            loads = self._state.loads()
+            if self._names != names:
+                loads = loads[[self._position[n] for n in names]]
         if self.incremental_ops > ops_before:
             record_counter(
                 "allocation.incremental.ops", self.incremental_ops - ops_before
@@ -418,6 +420,18 @@ class _IncrementalAllocator:
     def _reconcile(
         self, names: list[str], bids: np.ndarray, arrival_rate: float
     ) -> None:
+        if (
+            self._state is not None
+            and self._state.arrival_rate == arrival_rate
+            and self._names == names
+        ):
+            # Steady membership: one array comparison finds the changed
+            # bids, updated in index order as the general path would.
+            changed = np.flatnonzero(np.asarray(bids) != self._state.bids)
+            for index in changed.tolist():
+                self._state.update_bid(index, float(bids[index]))
+            self.incremental_ops += changed.size
+            return
         wanted = dict(zip(names, (float(b) for b in bids)))
         if (
             self._state is None
@@ -739,11 +753,7 @@ class RoundSupervisor:
         return dict(
             index=index,
             participants=admitted,
-            probes=[
-                n
-                for n in admitted
-                if self.quarantine.state_of(n) is CircuitState.HALF_OPEN
-            ],
+            probes=self.quarantine.probes(),
             quarantined=self.quarantine.quarantined(),
             arrival_rate=rate,
         )
@@ -963,14 +973,17 @@ class RoundSupervisor:
 
         # ------------------------------------------------- online detection
         with trace_span("supervisor.detection"):
+            observed = [
+                () if n in withheld else nodes[n].machine.sojourn_times
+                for n in names
+            ]
+            counts = [len(sojourns) for sojourns in observed]
             alerts = slowdown_alerts(
                 names,
                 outcome.allocation.bids,
                 outcome.loads,
-                [
-                    None if n in withheld else nodes[n].machine.sojourn_times
-                    for n in names
-                ],
+                np.fromiter(chain.from_iterable(observed), np.float64, sum(counts)),
+                counts,
                 threshold=self.detector_threshold,
                 slack=self.detector_slack,
             )

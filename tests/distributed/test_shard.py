@@ -12,6 +12,7 @@ import pytest
 
 from repro.agents import TruthfulAgent
 from repro.distributed import CoordinatorShard, ShardCrash, partition_names
+from repro.distributed.shard import LedgerRows, NamedRows
 from repro.resilience import CheckpointStore
 
 
@@ -48,6 +49,44 @@ class TestPartitionNames:
     def test_zero_shards_rejected(self):
         with pytest.raises(ValueError, match="at least 1"):
             partition_names(["a"], 0)
+
+
+class TestNamedRows:
+    """``values()``/``items()`` read all rows at once; per-key reads are the oracle."""
+
+    @staticmethod
+    def assert_reads_match_per_key(view):
+        per_key = [view[name] for name in view]
+        assert list(view.values()) == per_key
+        assert list(view.items()) == list(zip(view, per_key))
+        for got, want in zip(view.values(), per_key):
+            assert type(got) is type(want)
+            if isinstance(want, tuple):
+                assert len(got) == 3
+                assert all(type(x) is float for x in got)
+            assert repr(got) == repr(want)
+        assert repr(view) == f"{type(view).__name__}({dict(zip(view, per_key))!r})"
+
+    @pytest.mark.parametrize("shape", [(7,), (7, 3)])
+    def test_bulk_reads_equal_per_key_reads(self, shape):
+        rows = np.random.default_rng(3).normal(size=shape)
+        rows.flat[0] = -0.0
+        names = [f"M{k}" for k in (4, 0, 6, 2, 5, 1, 3)]
+        index = {name: k for k, name in enumerate(names)}
+        self.assert_reads_match_per_key(NamedRows(index, rows))
+        # Rows in another order than the member list: reads follow the index.
+        shuffled = dict(zip(names, (6, 2, 0, 5, 1, 3, 4)))
+        self.assert_reads_match_per_key(NamedRows(shuffled, rows))
+
+    def test_bulk_reads_see_ledger_writes(self):
+        ledger = LedgerRows({"A": 0, "B": 1}, np.zeros((2, 3)))
+        ledger["B"] = (1.0, 2.0, -1.0)
+        assert list(ledger.values()) == [(0.0, 0.0, 0.0), (1.0, 2.0, -1.0)]
+        self.assert_reads_match_per_key(ledger)
+
+    def test_empty_view(self):
+        assert list(NamedRows({}, np.empty(0)).items()) == []
+        assert list(NamedRows({}, np.empty((0, 3))).values()) == []
 
 
 class TestRoundStages:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.allocation import (
+    IncrementalPRState,
     optimal_latency_excluding_each,
     optimal_total_latency,
     pr_loads,
@@ -140,3 +141,34 @@ class TestIncrementalAllocatorChurn:
             np.testing.assert_allclose(loads, pr_loads(vector, rate), rtol=1e-12)
         assert allocator.rebuilds == 1
         assert allocator.incremental_ops == changes
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_steady_membership_updates_only_changed_bids(self, data):
+        from repro.resilience.supervisor import _IncrementalAllocator
+
+        n = data.draw(st.integers(1, 12))
+        names = [f"C{k}" for k in range(n)]
+        bid_values = st.floats(min_value=0.5, max_value=10.0)
+        bids = np.array([data.draw(bid_values) for _ in names])
+        rate = data.draw(rates)
+        allocator = _IncrementalAllocator()
+        allocator.allocate(list(names), bids.copy(), rate)
+        reference = IncrementalPRState(bids, rate)
+        changes = 0
+        for _ in range(data.draw(st.integers(1, 6))):
+            # None, some or all of the bids move; membership stays.
+            moved = data.draw(st.sampled_from(["none", "some", "all"]))
+            new_bids = bids.copy()
+            for k in range(n):
+                if moved == "all" or (moved == "some" and data.draw(st.booleans())):
+                    new_bids[k] = data.draw(bid_values)
+            for k in range(n):
+                if new_bids[k] != bids[k]:
+                    reference.update_bid(k, float(new_bids[k]))
+                    changes += 1
+            bids = new_bids
+            loads = allocator.allocate(list(names), bids.copy(), rate).loads
+            assert loads.tobytes() == reference.loads().tobytes()
+        assert allocator.incremental_ops == changes
+        assert allocator.rebuilds == 1

@@ -168,3 +168,24 @@ class TestBatchedKernel:
         ).tobytes()
         every = np.concatenate(finished)
         assert last == (float(every.max()) if every.size else None)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        counts=st.lists(
+            st.sampled_from([0, 1, 7, 8, 9, 127, 128, 129, 255, 256, 257])
+            | st.integers(0, 600),
+            min_size=1,
+            max_size=8,
+        ),
+        seed=st.integers(0, 2**31),
+    )
+    def test_means_equal_slice_means_across_summation_blocks(self, counts, seed):
+        # Slices of 1 to 600 jobs cross numpy's 8-element unrolled and
+        # 128-element pairwise summation blocks; each mean must still be
+        # the slice's own .mean(), byte for byte.
+        column = np.random.default_rng(seed).exponential(3.0, size=sum(counts))
+        means = sojourn_means(column, np.array(counts))
+        slices = per_machine(column, np.array(counts))
+        assert means.tobytes() == np.array(
+            [s.mean() if s.size else 0.0 for s in slices]
+        ).tobytes()
