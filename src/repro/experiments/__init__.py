@@ -3,8 +3,9 @@
 * :mod:`repro.experiments.table1` — the 16-computer system configuration;
 * :mod:`repro.experiments.table2` — the eight bid/execution scenarios;
 * :mod:`repro.experiments.figures` — data generators for Figures 1–6;
-* :mod:`repro.experiments.report` — plain-text table rendering used by
-  the benchmark harness to print the same rows the paper reports;
+* :mod:`repro.experiments.report` — plain-text rendering: one function
+  per paper table, figure and the claim report, shared by the CLI and
+  :func:`~repro.experiments.reproduce_all`;
 * :mod:`repro.experiments.tournament` — the cross-mechanism tournament
   (verification vs VCG vs Archer–Tardos under coalitions of liars).
 """
@@ -26,7 +27,14 @@ from repro.experiments.figures import (
     figure6_data,
     figure6_truthful_structure,
 )
-from repro.experiments.report import render_table, render_records
+from repro.experiments.report import (
+    render_claims,
+    render_figure,
+    render_records,
+    render_table,
+    render_table1,
+    render_table2,
+)
 from repro.experiments.runner import ReproductionBundle, reproduce_all
 from repro.experiments.generalization import (
     GeneralizationResult,
@@ -79,6 +87,10 @@ __all__ = [
     "load_records_json",
     "render_table",
     "render_records",
+    "render_table1",
+    "render_table2",
+    "render_figure",
+    "render_claims",
     "EquilibriumRow",
     "ManipulationPattern",
     "TOURNAMENT_VARIANTS",

@@ -26,18 +26,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.experiments.figures import (
-    figure1_data,
-    figure2_data,
-    figure345_data,
-    figure6_data,
-    figure6_truthful_structure,
-)
 from repro.experiments.io import records_to_csv, records_to_json
 from repro.experiments.paper_check import ReproductionReport, verify_reproduction
-from repro.experiments.report import render_records, render_table
+from repro.experiments.report import (
+    render_claims,
+    render_figure,
+    render_table1,
+    render_table2,
+)
 from repro.experiments.table1 import table1_configuration
-from repro.experiments.table2 import PAPER_SCENARIOS
 
 __all__ = ["ReproductionBundle", "reproduce_all"]
 
@@ -85,78 +82,15 @@ def reproduce_all(
     campaign = run_figures_campaign(engine, config)
     records = list(campaign.records)
 
-    # --- tables ------------------------------------------------------------
-    rows = [[machines, value] for machines, value in config.groups]
-    rows.append(["arrival rate R", config.arrival_rate])
-    _write(
-        root / "tables" / "table1.txt",
-        render_table(["computers", "true value (t)"], rows,
-                     title="Table 1. System configuration."),
-        written, root,
-    )
-    rows = [
-        [s.name, f"{s.bid_factor:g}*t1", f"{s.execution_factor:g}*t1",
-         s.characterization]
-        for s in PAPER_SCENARIOS
-    ]
-    _write(
-        root / "tables" / "table2.txt",
-        render_table(["experiment", "bid", "execution", "characterization"],
-                     rows, title="Table 2. Types of experiments."),
-        written, root,
-    )
-
-    # --- figures -----------------------------------------------------------
-    fig1 = figure1_data(config, records=records)
-    optimum = fig1["True1"]
-    _write(
-        root / "figures" / "figure1.txt",
-        render_table(
-            ["experiment", "total latency", "degradation %"],
-            [[k, v, 100 * (v / optimum - 1)] for k, v in fig1.items()],
-            title="Figure 1. Performance degradation.",
-        ),
-        written, root,
-    )
-    fig2 = figure2_data(config, records=records)
-    _write(
-        root / "figures" / "figure2.txt",
-        render_table(
-            ["experiment", "C1 payment", "C1 utility"],
-            [[k, p, u] for k, (p, u) in fig2.items()],
-            title="Figure 2. Payment and utility for computer C1.",
-        ),
-        written, root,
-    )
-    names = config.cluster.names
-    for number, scenario in ((3, "True1"), (4, "High1"), (5, "Low1")):
-        data = figure345_data(scenario, config, records=records)
+    # --- tables and figures -------------------------------------------------
+    _write(root / "tables" / "table1.txt", render_table1(config), written, root)
+    _write(root / "tables" / "table2.txt", render_table2(), written, root)
+    for number in range(1, 7):
         _write(
             root / "figures" / f"figure{number}.txt",
-            render_table(
-                ["computer", "payment", "utility"],
-                [[names[i], data["payment"][i], data["utility"][i]]
-                 for i in range(len(names))],
-                title=f"Figure {number}. Payment and utility per computer "
-                f"({scenario}).",
-            ),
+            render_figure(number, config, records=records),
             written, root,
         )
-    fig6 = figure6_data(config, records=records)
-    structure = figure6_truthful_structure(config, records=records)
-    fig6_text = render_table(
-        ["experiment", "total payment", "total |valuation|", "ratio"],
-        [[k, row["total_payment"], row["total_valuation"], row["ratio"]]
-         for k, row in fig6.items()],
-        title="Figure 6. Aggregate payment structure per experiment.",
-    )
-    fig6_text += "\n\n" + render_table(
-        ["computer", "payment", "|valuation|", "ratio"],
-        [[names[i], structure["payment"][i], structure["valuation"][i],
-          structure["ratio"][i]] for i in range(len(names))],
-        title="Figure 6 (per computer, True1).",
-    )
-    _write(root / "figures" / "figure6.txt", fig6_text, written, root)
 
     # --- machine-readable data ----------------------------------------------
     (root / "data").mkdir(exist_ok=True)
@@ -167,20 +101,7 @@ def reproduce_all(
 
     # --- claim report ---------------------------------------------------------
     report = verify_reproduction()
-    report_rows = [
-        ["PASS" if c.passed else "FAIL", c.claim, c.paper_value, c.measured]
-        for c in report.checks
-    ]
-    _write(
-        root / "report.txt",
-        render_table(
-            ["status", "claim", "paper", "measured"],
-            report_rows,
-            title=f"Reproduction report: {report.n_passed}/"
-            f"{len(report.checks)} claims pass.",
-        ),
-        written, root,
-    )
+    _write(root / "report.txt", render_claims(report), written, root)
 
     # --- manifest -------------------------------------------------------------
     from repro import __version__

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.allocation.pr import optimal_total_latency
+from repro.experiments.report import render_table
 from repro.experiments.table1 import Table1Configuration, table1_configuration
 from repro.experiments.table2 import PAPER_SCENARIOS
 from repro.parallel.engine import CampaignEngine
@@ -329,6 +330,49 @@ class TournamentResult:
             ],
             "standings": self.standings(),
         }
+
+    def render(self, top: int = 10) -> str:
+        """The standings, then the ``top`` manipulations by coalition gain."""
+        standings = render_table(
+            ["mechanism", "frugality", "worst degr %", "indiv. gain",
+             "collusion wins", "eq. degr %"],
+            [
+                [
+                    s["mechanism"],
+                    f"{s['truthful_frugality_ratio']:.3f}",
+                    f"{s['worst_degradation_percent']:.2f}",
+                    f"{s['max_individual_gain']:.3f}",
+                    f"{s['profitable_collusion_patterns']}",
+                    "-" if s["equilibrium_degradation_percent"] is None
+                    else _fmt_percent(s["equilibrium_degradation_percent"]),
+                ]
+                for s in self.standings()
+            ],
+            title="Tournament standings: all payment rules, all liars.",
+        )
+        worst = sorted(
+            (r for r in self.rows if r.pattern_kind != "truthful"),
+            key=lambda r: r.robustness_gain,
+            reverse=True,
+        )[:top]
+        return standings + "\n\n" + render_table(
+            ["mechanism", "pattern", "degradation %", "coalition gain", "profitable"],
+            [
+                [r.mechanism, r.pattern, f"{r.degradation_percent:.2f}",
+                 f"{r.robustness_gain:+.3f}", "yes" if r.profitable else "no"]
+                for r in worst
+            ],
+            title=f"Top {top} manipulations by coalition gain.",
+        )
+
+
+def _fmt_percent(value: float) -> str:
+    """Two decimals, with a value that rounds to zero printed as ``0.00``.
+
+    Adding ``0.0`` turns the ``-0.0`` that ``round`` leaves for a tiny
+    negative into ``0.0``; a real negative keeps its sign.
+    """
+    return f"{round(value, 2) + 0.0:.2f}"
 
 
 def _equilibrium_row(

@@ -14,8 +14,7 @@ config.  This subpackage exploits exactly that and nothing more:
 * :mod:`repro.parallel.engine` — :class:`CampaignEngine`, chunked
   scheduling over a ``multiprocessing`` pool, cache-hit short-circuit,
   cache hit/miss counters and per-unit latency histograms via the
-  observability layer, per-worker span export; plus the generic
-  order-preserving pool map :func:`parallel_map`;
+  observability layer, per-worker span export;
 * :mod:`repro.parallel.fusion` — the fused backend (1.9.0): homogeneous
   closed-form cache misses grouped into ``(variant, n_machines)``
   cohorts and evaluated as single stacked broadcasts, bit-identical to
@@ -43,7 +42,6 @@ from repro.parallel.engine import (
     CampaignResult,
     CampaignStats,
     default_chunk_size,
-    parallel_map,
 )
 from repro.parallel.fusion import (
     FUSE_MODES,
@@ -89,7 +87,6 @@ __all__ = [
     "figures_campaign_units",
     "fusable",
     "partition_pending",
-    "parallel_map",
     "protocol_units",
     "record_from_payload",
     "records_from_campaign",

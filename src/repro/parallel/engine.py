@@ -51,7 +51,7 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass
-from typing import Callable, IO, Iterable, Sequence, TypeVar
+from typing import IO, Sequence, TypeVar
 
 from repro.observability.instrumentation import (
     annotate,
@@ -68,11 +68,9 @@ __all__ = [
     "CampaignResult",
     "CampaignStats",
     "default_chunk_size",
-    "parallel_map",
 ]
 
 T = TypeVar("T")
-R = TypeVar("R")
 
 #: Chunks per worker the scheduler aims for; >1 so uneven unit costs
 #: rebalance, small enough that per-chunk IPC stays negligible.
@@ -96,41 +94,6 @@ def default_chunk_size(n_items: int, workers: int) -> int:
 
 def _chunked(items: Sequence[T], size: int) -> list[Sequence[T]]:
     return [items[i : i + size] for i in range(0, len(items), size)]
-
-
-# ----------------------------------------------------- generic pool map
-
-
-def _apply_chunk(args: tuple[Callable, Sequence]) -> list:
-    func, chunk = args
-    return [func(item) for item in chunk]
-
-
-def parallel_map(
-    func: Callable[[T], R],
-    items: Iterable[T],
-    *,
-    workers: int = 0,
-    chunk_size: int | None = None,
-) -> list[R]:
-    """``[func(x) for x in items]``, fanned across a process pool.
-
-    ``func`` must be a module-level (picklable) function.  With
-    ``workers <= 1`` this is exactly the list comprehension — no pool,
-    no pickling — which is also the fallback the heavy benchmark
-    drivers use when a box has a single core.  Results preserve input
-    order either way.
-    """
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [func(item) for item in items]
-    workers = min(workers, len(items))
-    if chunk_size is None:
-        chunk_size = default_chunk_size(len(items), workers)
-    chunks = _chunked(items, chunk_size)
-    with _pool_context().Pool(processes=workers) as pool:
-        nested = pool.map(_apply_chunk, [(func, chunk) for chunk in chunks])
-    return [result for chunk in nested for result in chunk]
 
 
 # ------------------------------------------------------- campaign engine

@@ -387,6 +387,10 @@ class _IncrementalAllocator:
         self._state: IncrementalPRState | None = None
         self._names: list[str] = []
         self._position: dict[str, int] = {}  # name -> index into _names
+        # The last round's names and, when they are not in state order,
+        # each one's state index; kept until membership changes.
+        self._round_names: list[str] = []
+        self._gather: np.ndarray | None = None
         self.incremental_ops = 0
         self.rebuilds = 0
 
@@ -400,8 +404,8 @@ class _IncrementalAllocator:
             self._reconcile(names, bids, arrival_rate)
             assert self._state is not None
             loads = self._state.loads()
-            if self._names != names:
-                loads = loads[[self._position[n] for n in names]]
+            if self._gather is not None:
+                loads = loads[self._gather]
         if self.incremental_ops > ops_before:
             record_counter(
                 "allocation.incremental.ops", self.incremental_ops - ops_before
@@ -423,15 +427,31 @@ class _IncrementalAllocator:
         if (
             self._state is not None
             and self._state.arrival_rate == arrival_rate
-            and self._names == names
+            and self._round_names == names
         ):
             # Steady membership: one array comparison finds the changed
-            # bids, updated in index order as the general path would.
-            changed = np.flatnonzero(np.asarray(bids) != self._state.bids)
+            # bids, updated in state index order as the general path would.
+            ordered = np.asarray(bids, dtype=float)
+            if self._gather is not None:
+                ordered = np.empty_like(ordered)
+                ordered[self._gather] = bids
+            changed = np.flatnonzero(ordered != self._state.bids)
             for index in changed.tolist():
-                self._state.update_bid(index, float(bids[index]))
+                self._state.update_bid(index, float(ordered[index]))
             self.incremental_ops += changed.size
             return
+        self._membership(names, bids, arrival_rate)
+        self._round_names = list(names)
+        self._gather = (
+            None
+            if self._names == names
+            else np.array([self._position[n] for n in names], dtype=np.intp)
+        )
+
+    def _membership(
+        self, names: list[str], bids: np.ndarray, arrival_rate: float
+    ) -> None:
+        """Rebuild, or remove, update and add machines to match ``names``."""
         wanted = dict(zip(names, (float(b) for b in bids)))
         if (
             self._state is None

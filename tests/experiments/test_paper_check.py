@@ -49,6 +49,19 @@ class TestReportStructure:
         assert report.n_passed == 1
         assert [c.claim for c in report.failures()] == ["b"]
 
+    def test_rendered_report_flags_failures(self):
+        from repro.experiments import render_claims
+
+        report = ReproductionReport(
+            checks=(
+                ClaimCheck("a", "1", "1", True),
+                ClaimCheck("b", "2", "3", False),
+            )
+        )
+        lines = render_claims(report).splitlines()
+        assert lines[0] == "Reproduction report: 1/2 claims pass."
+        assert lines[-1] == "FAILURES PRESENT — see rows marked FAIL."
+
 
 class TestCliVerify:
     def test_cli_reports_all_pass(self, capsys):

@@ -8,15 +8,7 @@ from repro.experiments.table1 import table1_configuration
 from repro.observability import instrumented
 from repro.parallel.cache import ResultCache
 from repro.parallel.campaigns import protocol_units, scenario_units
-from repro.parallel.engine import (
-    CampaignEngine,
-    default_chunk_size,
-    parallel_map,
-)
-
-
-def _square(x: int) -> int:
-    return x * x
+from repro.parallel.engine import CampaignEngine, default_chunk_size
 
 
 class TestChunking:
@@ -28,19 +20,6 @@ class TestChunking:
         assert default_chunk_size(0, 4) == 1
         assert default_chunk_size(3, 16) == 1
         assert default_chunk_size(5, 0) == 2
-
-
-class TestParallelMap:
-    def test_serial_path_is_plain_map(self):
-        assert parallel_map(_square, range(5)) == [0, 1, 4, 9, 16]
-
-    def test_parallel_preserves_order(self):
-        assert parallel_map(_square, range(20), workers=2) == [
-            i * i for i in range(20)
-        ]
-
-    def test_empty_input(self):
-        assert parallel_map(_square, [], workers=4) == []
 
 
 @pytest.fixture

@@ -172,3 +172,51 @@ class TestIncrementalAllocatorChurn:
             assert loads.tobytes() == reference.loads().tobytes()
         assert allocator.incremental_ops == changes
         assert allocator.rebuilds == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_readmitted_machine_keeps_the_steady_path(self, data):
+        from repro.resilience.supervisor import _IncrementalAllocator
+
+        class CountingDict(dict):
+            lookups = 0
+
+            def __getitem__(self, key):
+                CountingDict.lookups += 1
+                return super().__getitem__(key)
+
+            def __contains__(self, key):
+                CountingDict.lookups += 1
+                return super().__contains__(key)
+
+        # A machine other than the last leaves and comes back, so the
+        # state holds it at the end while rounds list it in place.
+        n = data.draw(st.integers(2, 10))
+        names = [f"C{k}" for k in range(n)]
+        gone = names[data.draw(st.integers(0, n - 2))]
+        bid_values = st.floats(min_value=0.5, max_value=10.0)
+        bids = {name: data.draw(bid_values) for name in names}
+        rate = 3.0
+        allocator = _IncrementalAllocator()
+        # The reference re-derives membership every round.
+        reference = _IncrementalAllocator()
+
+        def allocate(members):
+            vector = np.array([bids[m] for m in members])
+            reference._round_names = []
+            expected = reference.allocate(members, vector, rate).loads
+            loads = allocator.allocate(members, vector, rate).loads
+            assert loads.tobytes() == expected.tobytes()
+            assert allocator.incremental_ops == reference.incremental_ops
+
+        allocate(names)
+        allocate([name for name in names if name != gone])
+        allocate(names)
+        # Later rounds with the same members look no name up.
+        allocator._position = CountingDict(allocator._position)
+        for _ in range(data.draw(st.integers(1, 6))):
+            for name in names:
+                if data.draw(st.booleans()):
+                    bids[name] = data.draw(bid_values)
+            allocate(names)
+        assert CountingDict.lookups == 0

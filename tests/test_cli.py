@@ -202,7 +202,14 @@ class TestMetrics:
 class TestCampaign:
     @pytest.mark.parametrize(
         "argv",
-        [["campaign", "--seeds", "-1"], ["campaign", "--duration", "0"]],
+        [
+            ["campaign", "--seeds", "-1"],
+            ["campaign", "--duration", "0"],
+            ["serve", "--shards", "0"],
+            ["serve", "--rounds", "0"],
+            ["horizon", "--rounds", "0"],
+            ["remediate", "--scenario", "nope"],
+        ],
     )
     def test_bad_arguments_error_cleanly(self, capsys, argv):
         code = main(argv)
@@ -324,7 +331,7 @@ class TestTournament:
         assert "-0.00" not in out
 
     def test_percent_format_keeps_real_negatives(self):
-        from repro.cli import _fmt_percent
+        from repro.experiments.tournament import _fmt_percent
 
         assert _fmt_percent(-2.220446049250313e-14) == "0.00"
         assert _fmt_percent(-0.004) == "0.00"
