@@ -49,6 +49,8 @@ COMMANDS = {
     "serve.txt": "serve --machines 12 --shards 3 --rounds 3 --seed 5",
     "tournament.txt": "tournament --no-dynamics",
     "tournament.json": "tournament --no-dynamics --json",
+    "tournament_dynamics.txt": "tournament",
+    "tournament_dynamics.json": "tournament --json",
     "resilience.txt": "resilience --rounds 50 --machines 8 --seed 0",
     "serve_exact.json": "serve --machines 12 --shards 3 --rounds 3 --seed 5 --json",
     "serve_scalar_local.json": (
@@ -68,6 +70,8 @@ UNTIMED = {
     "metrics.json": "metrics --rounds 2 --machines 4 --seed 1 --json",
     "campaign.txt": "campaign --no-cache",
     "campaign.json": "campaign --no-cache --json",
+    "campaign_dynamics.json": "campaign --no-cache --variant dynamics --json",
+    "campaign_drift.json": "campaign --no-cache --variant drift --json",
 }
 
 BUNDLE = (
