@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import BiddingGame, VerificationMechanism, paper_cluster
+from repro import BestResponseDynamics, VerificationMechanism, paper_cluster
 from repro.experiments import render_table
 
 
@@ -71,7 +71,7 @@ def main() -> None:
     # --- Where does bidding competition converge? -------------------------
     small = t[:6]  # keep the best-response dynamics quick
     for label, mech in (("Def 3.3", observed), ("declared", declared)):
-        game = BiddingGame(mech, small, 10.0)
+        game = BestResponseDynamics(mech, small, 10.0)
         trace = game.run(max_rounds=6)
         drift = trace.max_drift_from(small)
         print(

@@ -69,7 +69,6 @@ from repro.agents import (
     best_response,
     best_response_fast,
     BestResponseDynamics,
-    BiddingGame,
 )
 from repro.system import Cluster, paper_cluster, random_cluster, grouped_cluster
 from repro.protocol import run_horizon, run_protocol
@@ -93,7 +92,7 @@ from repro.experiments import (
     figure6_truthful_structure,
 )
 
-__version__ = "1.22.0"
+__version__ = "1.23.0"
 
 __all__ = [
     "AllocationResult",
@@ -124,7 +123,6 @@ __all__ = [
     "best_response",
     "best_response_fast",
     "BestResponseDynamics",
-    "BiddingGame",
     "Cluster",
     "paper_cluster",
     "random_cluster",

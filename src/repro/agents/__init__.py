@@ -27,9 +27,10 @@ from repro.agents.behaviors import (
     profile_bids,
     profile_execution_values,
 )
-from repro.agents.best_response import best_response, best_response_fast, BestResponse
-from repro.agents.game import BestResponseDynamics, BiddingGame, GameTrace
+from repro.agents.best_response import best_response, BestResponse
+from repro.agents.game import BestResponseDynamics, GameTrace
 from repro.agents.kernels import (
+    best_response_fast,
     sufficient_statistics,
     utility_kernel,
     utility_grid,
@@ -53,7 +54,6 @@ __all__ = [
     "best_response_fast",
     "BestResponse",
     "BestResponseDynamics",
-    "BiddingGame",
     "GameTrace",
     "sufficient_statistics",
     "utility_kernel",

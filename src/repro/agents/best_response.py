@@ -43,7 +43,7 @@ from repro._validation import (
 from repro.agents import kernels
 from repro.mechanism.base import Mechanism
 
-__all__ = ["BestResponse", "best_response", "best_response_fast"]
+__all__ = ["BestResponse", "best_response"]
 
 _METHODS = ("auto", "bruteforce", "vectorized")
 
@@ -204,15 +204,3 @@ def best_response(
         return BestResponse(agent, t_i, t_i, truthful, truthful)
     return BestResponse(agent, b_star, e_star, u_star, truthful)
 
-
-def best_response_fast(
-    mechanism: Mechanism,
-    true_values: np.ndarray,
-    arrival_rate: float,
-    agent: int,
-    **kwargs,
-) -> BestResponse:
-    """Alias for the kernel path; see :func:`repro.agents.kernels.best_response_fast`."""
-    return kernels.best_response_fast(
-        mechanism, true_values, arrival_rate, agent, **kwargs
-    )

@@ -7,24 +7,25 @@ non-truthful declared-compensation variant the dynamics drift away from
 the truth — the demonstration that verification-style payments are what
 keeps the system at the efficient allocation.
 
-Two drivers share the :class:`GameTrace` contract:
+:class:`BestResponseDynamics` plays that loop for every mechanism; only
+its agent step depends on the payment rule:
 
-* :class:`BiddingGame` — calls
-  :func:`~repro.agents.best_response.best_response` per agent per
-  round, recomputing the others' profile from scratch each time; works
-  for any mechanism, with a ``method`` switch for the grid evaluation.
-* :class:`BestResponseDynamics` — the fast path for every mechanism
-  with a closed-form kernel (:func:`repro.agents.kernels.supports`:
-  the verification mechanism, VCG, and Archer–Tardos): maintains the
-  sufficient statistics ``S = sum 1/b_j`` and ``Q = sum t~_j/b_j**2``
-  in an :class:`~repro.allocation.IncrementalStrategicState` and feeds
-  each agent's step through the closed-form kernel, so a round costs
-  O(n * grid) arithmetic instead of O(n^2 * grid) mechanism runs.
+* for every mechanism with a closed-form kernel
+  (:func:`repro.agents.kernels.supports`: the verification mechanism,
+  VCG, and Archer–Tardos) the sufficient statistics ``S = sum 1/b_j``
+  and ``Q = sum t~_j/b_j**2`` live in an
+  :class:`~repro.allocation.IncrementalStrategicState` and each step
+  goes through the kernel, so a round costs O(n * grid) arithmetic;
+* any other mechanism steps through the brute-force
+  :func:`~repro.agents.best_response.best_response`, one
+  :meth:`Mechanism.run` per grid candidate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
+from typing import Iterable
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from repro.agents.best_response import BestResponse, best_response
 from repro.allocation.incremental import IncrementalStrategicState
 from repro.mechanism.base import Mechanism
 
-__all__ = ["GameTrace", "BiddingGame", "BestResponseDynamics"]
+__all__ = ["GameTrace", "BestResponseDynamics"]
 
 
 @dataclass(frozen=True)
@@ -57,115 +58,25 @@ class GameTrace:
 
 
 @dataclass
-class BiddingGame:
+class BestResponseDynamics:
     """Simultaneous-bid game induced by a mechanism on fixed true values.
+
+    Every non-deviating machine is presumed to execute exactly as it
+    declared (``t~_j = b_j``), so the state's execution vector tracks
+    the bid vector across rounds.
 
     Parameters
     ----------
     mechanism:
         Mechanism mapping bids (and executions) to payments.
     true_values:
-        Agents' private types.
+        Agents' private types (at least two).
     arrival_rate:
         Total rate ``R``.
     honest_execution:
         When true (default), agents always execute at capacity and only
-        optimise their bids; the full two-dimensional deviation is
-        covered by :func:`repro.agents.best_response.best_response`.
-    method:
-        Grid-evaluation method forwarded to
-        :func:`~repro.agents.best_response.best_response` —
-        ``"bruteforce"``, ``"vectorized"``, or ``"auto"`` (default).
-    """
-
-    mechanism: Mechanism
-    true_values: np.ndarray
-    arrival_rate: float
-    honest_execution: bool = True
-    method: str = "auto"
-    _tolerance: float = field(default=1e-6, repr=False)
-
-    def __post_init__(self) -> None:
-        self.true_values = as_float_array(self.true_values, "true_values")
-        check_positive(self.true_values, "true_values")
-        self.arrival_rate = check_positive_scalar(self.arrival_rate, "arrival_rate")
-
-    def run(
-        self,
-        start_bids: np.ndarray | None = None,
-        max_rounds: int = 20,
-    ) -> GameTrace:
-        """Iterate best responses until bids stop moving or rounds run out."""
-        n = self.true_values.size
-        bids = (
-            self.true_values.copy()
-            if start_bids is None
-            else as_float_array(start_bids, "start_bids").copy()
-        )
-        if bids.size != n:
-            raise ValueError("start_bids must have one entry per agent")
-        check_positive(bids, "start_bids")
-
-        exec_cap = 1.0 if self.honest_execution else 4.0
-        history = [bids.copy()]
-        converged = False
-        for _ in range(max_rounds):
-            previous = bids.copy()
-            for agent in range(n):
-                br = best_response(
-                    self.mechanism,
-                    self.true_values,
-                    self.arrival_rate,
-                    agent,
-                    other_bids=bids,
-                    execution_cap_factor=exec_cap,
-                    method=self.method,
-                )
-                bids[agent] = br.bid
-            history.append(bids.copy())
-            if np.max(np.abs(bids - previous) / previous) < self._tolerance:
-                converged = True
-                break
-
-        return GameTrace(
-            bid_history=np.array(history),
-            converged=converged,
-            rounds=len(history) - 1,
-        )
-
-    def truthful_is_equilibrium(self) -> bool:
-        """Whether no agent gains by deviating from the all-truthful profile."""
-        exec_cap = 1.0 if self.honest_execution else 4.0
-        for agent in range(self.true_values.size):
-            br = best_response(
-                self.mechanism,
-                self.true_values,
-                self.arrival_rate,
-                agent,
-                execution_cap_factor=exec_cap,
-                method=self.method,
-            )
-            if not br.is_truthful:
-                return False
-        return True
-
-
-@dataclass
-class BestResponseDynamics:
-    """Incremental iterated best response through the closed-form kernel.
-
-    Behaviourally equivalent to :class:`BiddingGame` on any mechanism
-    the kernel supports — the verification mechanism, VCG, and
-    Archer–Tardos (the property tests pin the agreement) — but each
-    agent step reads its leave-one-out
-    statistics ``(S_{-i}, Q_{-i})`` from an
-    :class:`~repro.allocation.IncrementalStrategicState` — two O(1)
-    subtractions plus a rank-1 update per step — instead of re-running
-    the mechanism over the full profile for every grid candidate.
-
-    As in :class:`BiddingGame`, every non-deviating machine is presumed
-    to execute exactly as it declared (``t~_j = b_j``), so the state's
-    execution vector tracks the bid vector across rounds.
+        optimise their bids; otherwise each step also searches
+        execution values up to four times the true value.
     """
 
     mechanism: Mechanism
@@ -180,12 +91,82 @@ class BestResponseDynamics:
         if self.true_values.size < 2:
             raise ValueError("best-response dynamics require at least two agents")
         self.arrival_rate = check_positive_scalar(self.arrival_rate, "arrival_rate")
-        # Raises TypeError for mechanisms without a closed-form kernel.
-        self._mode = kernels.kernel_mode_of(self.mechanism)
+        self._mode = (
+            kernels.kernel_mode_of(self.mechanism)
+            if kernels.supports(self.mechanism)
+            else None
+        )
 
     @property
     def _execution_cap(self) -> float:
         return 1.0 if self.honest_execution else 4.0
+
+    def _best_response(
+        self,
+        state: IncrementalStrategicState,
+        bids: np.ndarray,
+        agent: int,
+        rate: float,
+    ) -> BestResponse:
+        """One agent's best response to the others' current bids."""
+        if self._mode is None:
+            return best_response(
+                self.mechanism,
+                self.true_values,
+                rate,
+                agent,
+                other_bids=bids,
+                execution_cap_factor=self._execution_cap,
+                method="bruteforce",
+            )
+        s_minus, q_minus = state.statistics_excluding(agent)
+        bid, execution, utility, truthful = kernels.best_response_given_stats(
+            s_minus,
+            q_minus,
+            float(self.true_values[agent]),
+            rate,
+            mode=self._mode,
+            execution_cap_factor=self._execution_cap,
+        )
+        return BestResponse(agent, bid, execution, utility, truthful)
+
+    def _play(
+        self,
+        rates: Iterable[float],
+        start_bids: np.ndarray | None,
+        *,
+        stop_when_converged: bool,
+    ) -> GameTrace:
+        """Gauss–Seidel rounds, one per rate; ``converged`` is the last round's."""
+        bids = (
+            self.true_values.copy()
+            if start_bids is None
+            else as_float_array(start_bids, "start_bids").copy()
+        )
+        if bids.size != self.true_values.size:
+            raise ValueError("start_bids must have one entry per agent")
+        check_positive(bids, "start_bids")
+
+        state = IncrementalStrategicState(bids)
+        history = [bids.copy()]
+        converged = False
+        for rate in rates:
+            previous = bids.copy()
+            for agent in range(bids.size):
+                new_bid = self._best_response(state, bids, agent, rate).bid
+                state.update(agent, new_bid)
+                bids[agent] = new_bid
+            history.append(bids.copy())
+            converged = bool(
+                np.max(np.abs(bids - previous) / previous) < self._tolerance
+            )
+            if converged and stop_when_converged:
+                break
+        return GameTrace(
+            bid_history=np.array(history),
+            converged=converged,
+            rounds=len(history) - 1,
+        )
 
     def run(
         self,
@@ -193,42 +174,10 @@ class BestResponseDynamics:
         max_rounds: int = 20,
     ) -> GameTrace:
         """Iterate best responses until bids stop moving or rounds run out."""
-        n = self.true_values.size
-        bids = (
-            self.true_values.copy()
-            if start_bids is None
-            else as_float_array(start_bids, "start_bids").copy()
-        )
-        if bids.size != n:
-            raise ValueError("start_bids must have one entry per agent")
-        check_positive(bids, "start_bids")
-
-        state = IncrementalStrategicState(bids)
-        history = [bids.copy()]
-        converged = False
-        for _ in range(max_rounds):
-            previous = bids.copy()
-            for agent in range(n):
-                s_minus, q_minus = state.statistics_excluding(agent)
-                new_bid, _, _, _ = kernels.best_response_given_stats(
-                    s_minus,
-                    q_minus,
-                    float(self.true_values[agent]),
-                    self.arrival_rate,
-                    mode=self._mode,
-                    execution_cap_factor=self._execution_cap,
-                )
-                state.update(agent, new_bid)
-                bids[agent] = new_bid
-            history.append(bids.copy())
-            if np.max(np.abs(bids - previous) / previous) < self._tolerance:
-                converged = True
-                break
-
-        return GameTrace(
-            bid_history=np.array(history),
-            converged=converged,
-            rounds=len(history) - 1,
+        return self._play(
+            repeat(self.arrival_rate, max_rounds),
+            start_bids,
+            stop_when_converged=True,
         )
 
     def run_path(
@@ -248,59 +197,14 @@ class BestResponseDynamics:
         """
         rates = as_float_array(rates, "rates")
         check_positive(rates, "rates")
-        if rates.size < 1:
-            raise ValueError("rates must contain at least one round")
-        n = self.true_values.size
-        bids = (
-            self.true_values.copy()
-            if start_bids is None
-            else as_float_array(start_bids, "start_bids").copy()
-        )
-        if bids.size != n:
-            raise ValueError("start_bids must have one entry per agent")
-        check_positive(bids, "start_bids")
-
-        state = IncrementalStrategicState(bids)
-        history = [bids.copy()]
-        converged = False
-        for rate in rates:
-            previous = bids.copy()
-            for agent in range(n):
-                s_minus, q_minus = state.statistics_excluding(agent)
-                new_bid, _, _, _ = kernels.best_response_given_stats(
-                    s_minus,
-                    q_minus,
-                    float(self.true_values[agent]),
-                    float(rate),
-                    mode=self._mode,
-                    execution_cap_factor=self._execution_cap,
-                )
-                state.update(agent, new_bid)
-                bids[agent] = new_bid
-            history.append(bids.copy())
-            converged = bool(
-                np.max(np.abs(bids - previous) / previous) < self._tolerance
-            )
-        return GameTrace(
-            bid_history=np.array(history),
-            converged=converged,
-            rounds=len(history) - 1,
-        )
+        return self._play(rates.tolist(), start_bids, stop_when_converged=False)
 
     def truthful_is_equilibrium(self) -> bool:
         """Whether no agent gains by deviating from the all-truthful profile."""
         state = IncrementalStrategicState(self.true_values)
-        for agent in range(self.true_values.size):
-            s_minus, q_minus = state.statistics_excluding(agent)
-            bid, execution, utility, truthful = kernels.best_response_given_stats(
-                s_minus,
-                q_minus,
-                float(self.true_values[agent]),
-                self.arrival_rate,
-                mode=self._mode,
-                execution_cap_factor=self._execution_cap,
-            )
-            br = BestResponse(agent, bid, execution, utility, truthful)
-            if not br.is_truthful:
-                return False
-        return True
+        return all(
+            self._best_response(
+                state, self.true_values, agent, self.arrival_rate
+            ).is_truthful
+            for agent in range(self.true_values.size)
+        )

@@ -62,11 +62,7 @@ from repro.mechanism import truthfulness_audit, voluntary_participation_margin
 from repro.observability import instrumented
 from repro.observability.metrics import format_series
 from repro.parallel import CampaignEngine, figures_campaign_units, records_from_campaign
-from repro.parallel.units import (
-    _MECHANISM_VARIANTS,
-    _VARIANTS as _CAMPAIGN_VARIANTS,
-    _mechanism_for,
-)
+from repro.parallel.units import _VARIANTS, _mechanism_for
 from repro.protocol import run_protocol
 from repro.remediation import default_scenarios, measure_mttr
 from repro.resilience import ChaosHarness, FaultPlan, RoundSupervisor
@@ -288,9 +284,11 @@ def _series(metric: dict) -> str:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> str | dict:
-    supervisor, plan = _supervised(
-        args, chaos=args.chaos and not args.campaign, horizon=args.horizon
-    )
+    if args.campaign:
+        machines = len(table1_configuration().cluster.true_values[: args.machines])
+    else:
+        supervisor, plan = _supervised(args, chaos=args.chaos, horizon=args.horizon)
+        machines = len(supervisor.machine_names)
     with instrumented() as instr:
         if args.campaign:
             workload = "figures campaign x2 (cold then warm cache)"
@@ -362,8 +360,7 @@ def _cmd_metrics(args: argparse.Namespace) -> str | dict:
         render_table(
             ["span", "count", "p50", "p95", "p99", "max"],
             span_rows,
-            title=f"Span timings: {workload}, "
-            f"{len(supervisor.machine_names)} machines, seed {args.seed}.",
+            title=f"Span timings: {workload}, {machines} machines, seed {args.seed}.",
         ),
         render_table(["counter", "value"], counter_rows, title="Counters."),
     ]
@@ -530,6 +527,10 @@ def _cmd_horizon(args: argparse.Namespace) -> str | dict:
     )
 
 
+# Campaign variants that run every scenario profile as a unit of that kind
+# under the observed-compensation rule.
+_CAMPAIGN_KINDS = ("dynamics", "drift")
+
 _CAMPAIGN_STATS = (
     "n_units", "cache_hits", "cache_misses", "hit_rate", "workers", "chunks",
     "fused_cohorts", "fused_units", "fallback_units", "wall_seconds",
@@ -540,7 +541,8 @@ _CAMPAIGN_STATS = (
 def _cmd_campaign(args: argparse.Namespace) -> str | dict:
     if args.seeds < 0:
         raise ValueError(f"--seeds must be >= 0, got {args.seeds}")
-    if args.variant in ("dynamics", "drift") and args.seeds:
+    kind = args.variant if args.variant in _CAMPAIGN_KINDS else None
+    if kind and args.seeds:
         raise ValueError(f"--variant {args.variant} is closed-form only; drop --seeds")
     if args.duration <= 0:
         raise ValueError(f"--duration must be positive, got {args.duration}")
@@ -548,11 +550,14 @@ def _cmd_campaign(args: argparse.Namespace) -> str | dict:
         table1_configuration(),
         seeds=tuple(range(args.seeds)),
         duration=args.duration,
-        variant=args.variant,
+        variant="observed" if kind else args.variant,
     )
-    if args.variant == "drift":
+    if kind:
         units = [
-            replace(unit, drift_rounds=args.drift_rounds, drift_sigma=args.drift_sigma)
+            replace(
+                unit, kind=kind,
+                drift_rounds=args.drift_rounds, drift_sigma=args.drift_sigma,
+            )
             for unit in units
         ]
     engine = CampaignEngine(
@@ -601,7 +606,7 @@ def _cmd_campaign(args: argparse.Namespace) -> str | dict:
         )
     ]
 
-    if args.variant == "drift":
+    if kind == "drift":
         # Drift payloads summarise whole horizons, not single-round
         # mechanism outcomes, so the Figure-1 record shape (and its
         # shared optimum) does not apply.
@@ -622,19 +627,7 @@ def _cmd_campaign(args: argparse.Namespace) -> str | dict:
             )
         )
     else:
-        records = records_from_campaign(result)
-        optimum = records[0].total_latency  # True1
-        parts.append(
-            render_table(
-                ["experiment", "total latency", "degradation %"],
-                [
-                    [r.scenario.name, r.total_latency,
-                     r.degradation_percent(optimum)]
-                    for r in records
-                ],
-                title="Closed-form scenario results (Figure 1 series).",
-            )
-        )
+        parts.append(render_figure(1, records=records_from_campaign(result)))
     if args.trace is not None:
         parts.append(f"Exported {len(result.worker_spans)} worker spans to {args.trace}.")
     return "\n\n".join(parts)
@@ -685,7 +678,7 @@ _SHARED = {
     "duration": {
         "type": float, "help": "job-generation window per round (simulated seconds)"
     },
-    "variant": {"choices": _MECHANISM_VARIANTS},
+    "variant": {"choices": _VARIANTS},
     "chaos": {"action": "store_true"},
     "json": {"action": "store_true"},
     "trace": {"metavar": "FILE"},
@@ -865,7 +858,7 @@ def build_parser() -> argparse.ArgumentParser:
         duration=(200.0, "job-generation window per protocol replication (simulated s)"),
     )
     campaign.add_argument(
-        "--variant", choices=_CAMPAIGN_VARIANTS, default="observed",
+        "--variant", choices=_VARIANTS + _CAMPAIGN_KINDS, default="observed",
         help="mechanism variant the units evaluate ('dynamics' iterates "
         "kernel-driven best responses from each scenario profile; "
         "'drift' scores each profile as a stale-bid drifting horizon)",

@@ -11,15 +11,15 @@ and scores each cell on three axes:
 
 * **equilibrium quality** — realised latency ``L`` against the
   optimum ``L* = R^2 / S`` (degradation percent), plus the fixed point
-  kernel-driven best-response dynamics reach from the worst profile;
+  best-response dynamics reach from the worst profile;
 * **frugality** — total payment over total agent cost (how much the
   broker overpays to keep the allocation honest);
 * **robustness to lying** — the manipulating coalition's utility gain
   over what the same machines earn by telling the truth.
 
 Every cell is an :class:`~repro.parallel.ExperimentUnit` (scenario
-kind, ``manipulators`` coalition field), so tournaments run through the
-campaign engine: cacheable, parallelisable, and reproducible from the
+kind, ``manipulators`` coalition field), and so is every equilibrium
+row (dynamics kind), so tournaments run through the campaign engine: cacheable, parallelisable, and reproducible from the
 ``repro tournament`` CLI.  The committed reference results live in
 ``benchmarks/results/TOURNAMENT_results.json`` (refreshed by the A25
 bench); ``docs/mechanisms.md`` reads its headline numbers.
@@ -27,7 +27,7 @@ bench); ``docs/mechanisms.md`` reads its headline numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -375,39 +375,6 @@ def _fmt_percent(value: float) -> str:
     return f"{round(value, 2) + 0.0:.2f}"
 
 
-def _equilibrium_row(
-    variant: str,
-    worst: TournamentRow,
-    true_values: np.ndarray,
-    arrival_rate: float,
-    optimum: float,
-) -> EquilibriumRow:
-    """Iterate best responses from the worst profile, score the limit."""
-    from repro.agents.game import BestResponseDynamics
-    from repro.parallel.units import _mechanism_for
-
-    mechanism = _mechanism_for(variant)
-    start_bids = true_values.copy()
-    start_bids[list(worst.manipulators)] *= worst.bid_factor
-    dynamics = BestResponseDynamics(
-        mechanism, true_values, arrival_rate, honest_execution=True
-    )
-    trace = dynamics.run(start_bids=start_bids)
-    outcome = mechanism.run(
-        trace.final_bids, arrival_rate, true_values, true_values=true_values
-    )
-    return EquilibriumRow(
-        mechanism=variant,
-        start_pattern=worst.pattern,
-        rounds=int(trace.rounds),
-        converged=bool(trace.converged),
-        final_degradation_percent=(
-            100.0 * (float(outcome.realised_latency) / optimum - 1.0)
-        ),
-        max_drift_from_truth=float(trace.max_drift_from(true_values)),
-    )
-
-
 def run_tournament(
     engine: CampaignEngine | None = None,
     config: Table1Configuration | None = None,
@@ -420,16 +387,18 @@ def run_tournament(
 
     The (mechanism x pattern) cells run through the campaign engine
     (serial and uncached by default — pass an engine for workers or a
-    result cache), then each mechanism's equilibrium row iterates
-    kernel-driven best-response dynamics from its worst manipulated
-    profile (``dynamics=False`` skips that stage).
+    result cache).  Each mechanism's equilibrium row is then a dynamics
+    unit of its own rule, started from its worst manipulated profile
+    and run through the same engine, so a result cache serves it too
+    (``dynamics=False`` skips that stage).
     """
     config = table1_configuration() if config is None else config
     true_values = np.asarray(config.cluster.true_values, dtype=np.float64)
     arrival_rate = float(config.arrival_rate)
     if patterns is None:
         patterns = tournament_patterns(true_values.size)
-    if not any(p.is_truthful for p in patterns):
+    truthful = next((p for p in patterns if p.is_truthful), None)
+    if truthful is None:
         raise ValueError(
             "the pattern grid needs the truthful baseline "
             "(robustness is measured against it)"
@@ -438,20 +407,17 @@ def run_tournament(
     engine = engine or CampaignEngine(workers=0, cache=None)
     units = tournament_units(config, variants=variants, patterns=patterns)
     result = engine.run(units)
-    payloads = dict(zip(result.units, result.payloads))
+    cells = {
+        (unit.variant, unit.scenario): (unit, payload)
+        for unit, payload in zip(result.units, result.payloads)
+    }
 
     optimum = float(optimal_total_latency(true_values, arrival_rate))
     rows: list[TournamentRow] = []
     for variant in variants:
-        baseline = None
+        _, baseline = cells[variant, truthful.name]
         for pattern in patterns:
-            if pattern.is_truthful:
-                unit = _unit_for(units, variant, pattern)
-                baseline = payloads[unit]
-                break
-        assert baseline is not None  # guaranteed by the check above
-        for pattern in patterns:
-            payload = payloads[_unit_for(units, variant, pattern)]
+            _, payload = cells[variant, pattern.name]
             members = list(pattern.manipulators)
             rows.append(
                 TournamentRow(
@@ -476,16 +442,30 @@ def run_tournament(
 
     equilibrium: list[EquilibriumRow] = []
     if dynamics:
+        starts = []
         for variant in variants:
-            lying = [
-                r
-                for r in rows
-                if r.mechanism == variant and r.pattern_kind != "truthful"
-            ]
-            worst = max(lying, key=lambda r: r.degradation_percent)
+            worst = max(
+                (
+                    r
+                    for r in rows
+                    if r.mechanism == variant and r.pattern_kind != "truthful"
+                ),
+                key=lambda r: r.degradation_percent,
+            )
+            start, _ = cells[variant, worst.pattern]
+            starts.append(replace(start, kind="dynamics"))
+        fixed_points = engine.run(starts)
+        for unit, payload in zip(fixed_points.units, fixed_points.payloads):
             equilibrium.append(
-                _equilibrium_row(
-                    variant, worst, true_values, arrival_rate, optimum
+                EquilibriumRow(
+                    mechanism=unit.variant,
+                    start_pattern=unit.scenario,
+                    rounds=payload["rounds"],
+                    converged=payload["converged"],
+                    final_degradation_percent=(
+                        100.0 * (payload["realised_latency"] / optimum - 1.0)
+                    ),
+                    max_drift_from_truth=payload["max_drift_from_truth"],
                 )
             )
 
@@ -497,11 +477,3 @@ def run_tournament(
         equilibrium=tuple(equilibrium),
     )
 
-
-def _unit_for(
-    units: list[ExperimentUnit], variant: str, pattern: ManipulationPattern
-) -> ExperimentUnit:
-    for unit in units:
-        if unit.variant == variant and unit.scenario == pattern.name:
-            return unit
-    raise KeyError(f"no unit for ({variant}, {pattern.name})")

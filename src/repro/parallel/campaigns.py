@@ -150,11 +150,15 @@ def record_from_payload(unit: ExperimentUnit, payload: dict) -> ExperimentRecord
 
 
 def records_from_campaign(result: CampaignResult) -> list[ExperimentRecord]:
-    """Records for every closed-form unit of a campaign, in order."""
+    """Records for every scenario and dynamics unit of a campaign, in order.
+
+    A dynamics unit's payload is the outcome at its fixed point, so it
+    rebuilds into a record like a scenario unit's.
+    """
     return [
         record_from_payload(unit, payload)
         for unit, payload in zip(result.units, result.payloads)
-        if unit.kind == "scenario"
+        if unit.kind in ("scenario", "dynamics")
     ]
 
 

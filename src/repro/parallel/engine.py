@@ -18,14 +18,13 @@ completion order.  ``benchmarks/bench_parallel.py`` (A20) asserts this
 on every run.
 
 Fusion (1.9.0): before anything reaches the pool, cache-miss units
-with a stacked closed form — scenario units under the four direct
-payment rules — are grouped into cohorts by ``(variant, n_machines)``
+with a stacked closed form — scenario units — are grouped into cohorts by ``(variant, n_machines)``
 and each cohort is evaluated in-process as one ``(U, n)`` broadcast
 (:mod:`repro.parallel.fusion`), bit-identical to ``execute_unit`` and
 scattered into the cache under unchanged keys.  ``fuse="auto"``
 (default) fuses cohorts of two or more units, ``"on"`` fuses every
 fusable unit, ``"off"`` restores the pure per-unit path.  Only the
-remaining *fallback* units (protocol, dynamics, or
+remaining *fallback* units (protocol, dynamics, drift, or
 non-cohorted singletons) are chunked — chunk sizing is computed over
 that post-fusion miss count, never over the submitted total, so a
 warm or mostly-fused campaign does not fan near-empty chunks to the

@@ -22,10 +22,10 @@ Cohort grouping rules (:func:`cohort_key`):
 
 Everything else (true values, bid/execution factors, coalitions,
 arrival rates) varies freely *within* a cohort: it stacks into rows
-and broadcast columns.  Units that are not closed-form — protocol
-replications (they simulate), and the ``dynamics`` variant
-(it iterates to a fixed point) — are not fusable
-(:func:`fusable`) and stay on the per-unit path.
+and broadcast columns.  Only scenario units are fusable
+(:func:`fusable`): protocol replications simulate, dynamics units
+iterate to a fixed point and drift units sweep a horizon, so those
+kinds stay on the per-unit path.
 
 **Bit-parity is the contract**, not a tolerance: a fused payload is
 equal — every float, through ``repr`` and back — to the payload
@@ -69,21 +69,14 @@ __all__ = [
 #: ``off`` keeps the pure per-unit path.
 FUSE_MODES = ("auto", "on", "off")
 
-#: Scenario variants with a stacked closed form.  ``dynamics`` is
-#: deliberately absent: it iterates best responses to a fixed point,
-#: so it has no single-broadcast evaluation.
-_FUSABLE_VARIANTS = ("observed", "declared", "vcg", "archer-tardos")
-
 
 def fusable(unit: ExperimentUnit) -> bool:
     """Whether one unit can join a fused cohort.
 
-    True exactly for closed-form scenario units under the four
-    direct payment rules; protocol replications and the
-    iterated ``dynamics`` variant fall back to
-    :func:`~repro.parallel.units.execute_unit`.
+    True exactly for closed-form scenario units; every other kind
+    falls back to :func:`~repro.parallel.units.execute_unit`.
     """
-    return unit.kind == "scenario" and unit.variant in _FUSABLE_VARIANTS
+    return unit.kind == "scenario"
 
 
 def cohort_key(unit: ExperimentUnit) -> tuple[str, int]:
@@ -177,9 +170,10 @@ def execute_cohort(units: Sequence[ExperimentUnit]) -> list[dict]:
     keys = {cohort_key(unit) for unit in units}
     if len(keys) > 1:
         raise ValueError(f"cohort mixes incompatible units: {sorted(keys)}")
+    for unit in units:
+        if not fusable(unit):
+            raise ValueError(f"{unit.kind} units have no fused evaluation")
     variant = units[0].variant
-    if not fusable(units[0]):
-        raise ValueError(f"variant {variant!r} has no fused evaluation")
 
     _, bids, executions, rates = _stack_profiles(units)
     # Variant names spell the kernel rule ``archer_tardos`` with a dash.

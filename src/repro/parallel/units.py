@@ -1,9 +1,11 @@
 """Experiment units and their content-addressed cache keys.
 
 A *unit* is the atom the campaign engine schedules: one
-(seed x bid-profile x mechanism-variant) evaluation, either closed-form
-(``kind="scenario"``) or over the discrete-event protocol
-(``kind="protocol"``).  Units are plain frozen dataclasses so they
+(seed x bid-profile x payment-rule) evaluation — closed-form
+(``kind="scenario"``), over the discrete-event protocol
+(``kind="protocol"``), as iterated best responses from the profile
+(``kind="dynamics"``), or as a stale-bid drifting horizon
+(``kind="drift"``).  Units are plain frozen dataclasses so they
 pickle cheaply across worker processes, and :func:`execute_unit` is a
 **pure function** of the unit — the same unit always produces the same
 payload, byte for byte, which is what makes both the parallel/serial
@@ -37,23 +39,28 @@ __all__ = [
     "unit_cache_key",
 ]
 
-_KINDS = ("scenario", "protocol")
-#: The variants that name one payment rule; the campaign adds kernel-driven
-#: best-response dynamics (:class:`repro.agents.game.BestResponseDynamics`)
-#: and stale-bid drift sweeps (:func:`repro.dynamic.drift.drift_sweep`).
-_MECHANISM_VARIANTS = ("observed", "declared", "vcg", "archer-tardos")
-_VARIANTS = _MECHANISM_VARIANTS + ("dynamics", "drift")
+_KINDS = ("scenario", "protocol", "dynamics", "drift")
+#: The payment rules a unit can be evaluated under.
+_VARIANTS = ("observed", "declared", "vcg", "archer-tardos")
 
 
 @dataclass(frozen=True)
 class ExperimentUnit:
-    """One schedulable experiment: a bid profile under one mechanism.
+    """One schedulable experiment: a bid profile under one payment rule.
 
     Attributes
     ----------
     kind:
         ``"scenario"`` — closed-form mechanism evaluation;
-        ``"protocol"`` — one seeded discrete-event protocol round.
+        ``"protocol"`` — one seeded discrete-event protocol round;
+        ``"dynamics"`` — iterated best responses from the unit's bid
+        profile (:class:`~repro.agents.game.BestResponseDynamics`),
+        the limit scored with machines executing at capacity;
+        ``"drift"`` — a stale-bid drifting horizon scored in one
+        stacked broadcast (:func:`repro.dynamic.drift.drift_sweep`),
+        with the unit's bid profile as the round-0 declarations and
+        the truth wandering for ``drift_rounds`` epochs at
+        ``drift_sigma``.
     scenario:
         Label for grouping results (usually a Table 2 name).
     bid_factor, execution_factor:
@@ -65,17 +72,10 @@ class ExperimentUnit:
         Total job arrival rate ``R``.
     variant:
         Payment rule: ``observed`` / ``declared``
-        (:class:`~repro.mechanism.VerificationMechanism`), ``vcg``,
-        ``archer-tardos``, ``dynamics`` — iterated best response
-        under the observed-compensation mechanism starting from the
-        unit's bid profile, driven by the closed-form kernel
-        (:class:`~repro.agents.game.BestResponseDynamics`) — or
-        ``drift`` — a stale-bid drifting horizon scored in one stacked
-        broadcast (:func:`repro.dynamic.drift.drift_sweep`), with the
-        unit's bid profile as the round-0 declarations and the truth
-        wandering for ``drift_rounds`` epochs at ``drift_sigma``.
+        (:class:`~repro.mechanism.VerificationMechanism`), ``vcg`` or
+        ``archer-tardos``.
     seed:
-        RNG seed for protocol units (ignored by scenario units).
+        RNG seed of protocol and drift units (ignored by the others).
     manipulator:
         Index of the machine the factors apply to (C1 by default).
     manipulators:
@@ -97,7 +97,7 @@ class ExperimentUnit:
     drift_rounds, drift_sigma:
         Horizon length and per-epoch log-step of a ``drift`` unit's
         true-value random walk (ignored — and excluded from the cache
-        key — for every other variant).
+        key — for every other kind).
     """
 
     kind: str
@@ -122,10 +122,6 @@ class ExperimentUnit:
             raise ValueError(
                 f"variant must be one of {_VARIANTS}, got {self.variant!r}"
             )
-        if self.variant == "dynamics" and self.kind != "scenario":
-            raise ValueError("the dynamics variant is closed-form only")
-        if self.variant == "drift" and self.kind != "scenario":
-            raise ValueError("the drift variant is closed-form only")
         if self.drift_rounds < 1:
             raise ValueError("drift_rounds must be at least 1")
         if self.drift_sigma < 0.0:
@@ -169,9 +165,9 @@ class ExperimentUnit:
     def as_config(self) -> dict:
         """The result-affecting fields, as a canonicalisable dict.
 
-        Scenario units are deterministic closed forms, so their
-        ``seed`` and ``duration`` are dropped: two such units that can
-        only produce identical payloads share one cache key.
+        Scenario and dynamics units are deterministic closed forms, so
+        their ``seed`` and ``duration`` are dropped: two such units
+        that can only produce identical payloads share one cache key.
         """
         config = {
             "kind": self.kind,
@@ -187,10 +183,9 @@ class ExperimentUnit:
             # Included only for coalition units, so every pre-existing
             # single-manipulator cache key is preserved.
             config["manipulators"] = list(self.manipulators)
-        if self.variant == "drift":
+        if self.kind == "drift":
             # Drift sweeps are seeded closed forms: the seed shapes the
-            # trajectory, so (unlike other scenario units) it joins the
-            # key — conditionally, preserving all pre-existing keys.
+            # trajectory, so it joins the key.
             config["seed"] = self.seed
             config["drift_rounds"] = self.drift_rounds
             config["drift_sigma"] = self.drift_sigma
@@ -300,10 +295,6 @@ def _mechanism_for(variant: str):
 
     if variant in ("observed", "declared"):
         return VerificationMechanism(variant)
-    if variant in ("dynamics", "drift"):
-        # Dynamics units iterate best responses (and drift units score
-        # stale-bid horizons) under the observed-compensation rule.
-        return VerificationMechanism("observed")
     if variant == "vcg":
         return VCGMechanism()
     return ArcherTardosMechanism()
@@ -348,39 +339,28 @@ def _payload_from_outcome(outcome) -> dict:
 
 def _execute_scenario(unit: ExperimentUnit) -> dict:
     true_values, bids, executions = _profile(unit)
-    mechanism = _mechanism_for(unit.variant)
-    if unit.variant == "dynamics":
-        return _execute_dynamics(unit, true_values, bids, mechanism)
-    if unit.variant == "drift":
-        return _execute_drift(unit, true_values, bids, mechanism)
-    outcome = mechanism.run(
+    outcome = _mechanism_for(unit.variant).run(
         bids, unit.arrival_rate, executions, true_values=true_values
     )
     return _payload_from_outcome(outcome)
 
 
-def _execute_dynamics(
-    unit: ExperimentUnit,
-    true_values: np.ndarray,
-    start_bids: np.ndarray,
-    mechanism,
-) -> dict:
+def _execute_dynamics(unit: ExperimentUnit) -> dict:
     """Iterate best responses from the unit's profile, score the limit.
 
-    The dynamics run through the closed-form kernel (every non-deviating
-    machine executes as declared while agents adjust), then the final
-    bid profile is scored with machines executing at capacity — the
-    steady state the fixed point describes.
+    Every non-deviating machine executes as declared while agents
+    adjust; the final bid profile is then scored with machines
+    executing at capacity — the steady state the fixed point describes.
     """
     from repro.agents import BestResponseDynamics
 
-    dynamics = BestResponseDynamics(
-        mechanism, true_values, unit.arrival_rate, honest_execution=True
+    true_values, start_bids, _ = _profile(unit)
+    mechanism = _mechanism_for(unit.variant)
+    trace = BestResponseDynamics(mechanism, true_values, unit.arrival_rate).run(
+        start_bids=start_bids
     )
-    trace = dynamics.run(start_bids=start_bids)
-    final_bids = trace.final_bids
     outcome = mechanism.run(
-        final_bids, unit.arrival_rate, true_values, true_values=true_values
+        trace.final_bids, unit.arrival_rate, true_values, true_values=true_values
     )
     payload = _payload_from_outcome(outcome)
     payload.update(
@@ -394,12 +374,7 @@ def _execute_dynamics(
     return payload
 
 
-def _execute_drift(
-    unit: ExperimentUnit,
-    true_values: np.ndarray,
-    stale_bids: np.ndarray,
-    mechanism,
-) -> dict:
+def _execute_drift(unit: ExperimentUnit) -> dict:
     """Score a stale-bid drifting horizon as one stacked broadcast.
 
     The unit's bid profile is the round-0 declaration set; the truth
@@ -411,13 +386,14 @@ def _execute_drift(
     """
     from repro.dynamic.drift import drift_sweep
 
+    true_values, stale_bids, _ = _profile(unit)
     result = drift_sweep(
         true_values,
         unit.arrival_rate,
         rounds=unit.drift_rounds,
         sigma=unit.drift_sigma,
         seed=unit.seed,
-        mechanism=mechanism,
+        mechanism=_mechanism_for(unit.variant),
         declared_bids=stale_bids,
     )
     return {
@@ -483,15 +459,23 @@ def _execute_protocol(unit: ExperimentUnit) -> dict:
     return payload
 
 
+_EXECUTORS = {
+    "scenario": _execute_scenario,
+    "protocol": _execute_protocol,
+    "dynamics": _execute_dynamics,
+    "drift": _execute_drift,
+}
+
+
 def execute_unit(unit: ExperimentUnit) -> dict:
     """Evaluate one unit; pure, deterministic, and process-independent.
 
-    Scenario units run the closed-form mechanism; protocol units run
-    one full discrete-event round seeded from ``unit.seed``.  The
-    returned payload contains only JSON-safe scalars and lists, so it
-    survives both pickling to a worker and a cache round-trip without
-    losing a bit.
+    Scenario units run the closed-form mechanism, protocol units one
+    full discrete-event round seeded from ``unit.seed``, dynamics and
+    drift units their iterated game and drifting horizon.  The returned
+    payload contains only JSON-safe scalars and lists, so it survives
+    both pickling to a worker and a cache round-trip without losing a
+    bit.
     """
-    if unit.kind == "scenario":
-        return _execute_scenario(unit)
-    return _execute_protocol(unit)
+    return _EXECUTORS[unit.kind](unit)
+

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from repro.agents import (
     BestResponseDynamics,
-    BiddingGame,
     best_response,
     best_response_fast,
     sufficient_statistics,
@@ -25,6 +24,7 @@ from repro.agents import kernels
 from repro.allocation import IncrementalStrategicState
 from repro.mechanism import (
     ArcherTardosMechanism,
+    Mechanism,
     MM1TruthfulMechanism,
     VCGMechanism,
     VerificationMechanism,
@@ -44,6 +44,27 @@ def _mechanism_for_mode(mode: str):
     if mode == "vcg":
         return VCGMechanism()
     return ArcherTardosMechanism()
+
+
+class _WithoutKernel(Mechanism):
+    """``inner``'s payment rule under a type the kernel does not support.
+
+    Best-response dynamics over it take the brute-force step: one
+    mechanism run per grid candidate.
+    """
+
+    def __init__(self, inner: Mechanism) -> None:
+        self.inner = inner
+        self.uses_verification = inner.uses_verification
+
+    def allocate(self, bids, arrival_rate):
+        return self.inner.allocate(bids, arrival_rate)
+
+    def payments(self, allocation, execution_values):
+        return self.inner.payments(allocation, execution_values)
+
+    def run(self, *args, **kwargs):
+        return self.inner.run(*args, **kwargs)
 
 
 def _run_utility(mechanism, bids, arrival_rate, executions, agent):
@@ -223,11 +244,14 @@ class TestFastMatchesBruteForce:
 
 class TestBestResponseDynamics:
     @pytest.mark.parametrize("mode", KERNEL_MODES)
-    def test_traces_match_bidding_game(self, mode):
+    def test_kernel_matches_bruteforce(self, mode):
         mechanism = _mechanism_for_mode(mode)
+        assert not kernels.supports(_WithoutKernel(mechanism))
         t = np.array([1.0, 2.0, 5.0, 10.0])
         start = np.array([3.0, 2.0, 4.0, 15.0])
-        slow = BiddingGame(mechanism, t, 4.0).run(start_bids=start, max_rounds=6)
+        slow = BestResponseDynamics(_WithoutKernel(mechanism), t, 4.0).run(
+            start_bids=start, max_rounds=6
+        )
         fast = BestResponseDynamics(mechanism, t, 4.0).run(
             start_bids=start, max_rounds=6
         )
@@ -237,9 +261,17 @@ class TestBestResponseDynamics:
             fast.final_bids, slow.final_bids, rtol=1e-6
         )
 
-    def test_rejects_mechanisms_without_a_kernel(self):
-        with pytest.raises(TypeError, match="closed-form utility kernel"):
-            BestResponseDynamics(MM1TruthfulMechanism(), [1.0, 2.0], 3.0)
+    def test_truth_is_a_fixed_point_without_a_kernel(self, mechanism):
+        # Mechanisms without a closed form are played through the
+        # brute-force step instead of being rejected.
+        assert not kernels.supports(MM1TruthfulMechanism())
+        BestResponseDynamics(MM1TruthfulMechanism(), [0.2, 0.4, 0.5], 2.0)
+        t = np.array([1.0, 2.0, 5.0, 10.0])
+        dynamics = BestResponseDynamics(_WithoutKernel(mechanism), t, 4.0)
+        assert dynamics.truthful_is_equilibrium()
+        trace = dynamics.run()
+        assert trace.converged and trace.rounds == 1
+        assert trace.max_drift_from(t) < 1e-6
 
     @pytest.mark.parametrize("mode", TRUTHFUL_MODES)
     def test_truthful_profile_is_a_fixed_point(self, mode):
@@ -304,30 +336,36 @@ class TestPaperSystemRegression:
 
     @pytest.mark.parametrize("method", ["bruteforce", "vectorized"])
     def test_observed_truthful_declared_not(self, method):
+        # "vectorized" is the kernel step; "bruteforce" forces the
+        # brute-force step through a type the kernel does not support.
+        wrap = _WithoutKernel if method == "bruteforce" else (lambda m: m)
         cluster = paper_cluster()
-        observed = BiddingGame(
-            VerificationMechanism("observed"),
-            cluster.true_values, PAPER_ARRIVAL_RATE, method=method,
+        observed = BestResponseDynamics(
+            wrap(VerificationMechanism("observed")),
+            cluster.true_values, PAPER_ARRIVAL_RATE,
         )
-        declared = BiddingGame(
-            VerificationMechanism("declared"),
-            cluster.true_values, PAPER_ARRIVAL_RATE, method=method,
+        declared = BestResponseDynamics(
+            wrap(VerificationMechanism("declared")),
+            cluster.true_values, PAPER_ARRIVAL_RATE,
         )
         assert observed.truthful_is_equilibrium()
         assert not declared.truthful_is_equilibrium()
 
     def test_dynamics_agree_with_the_game_verdicts(self):
-        cluster = paper_cluster()
-        observed = BestResponseDynamics(
-            VerificationMechanism("observed"),
-            cluster.true_values, PAPER_ARRIVAL_RATE,
-        )
-        declared = BestResponseDynamics(
-            VerificationMechanism("declared"),
-            cluster.true_values, PAPER_ARRIVAL_RATE,
-        )
-        assert observed.truthful_is_equilibrium()
-        assert not declared.truthful_is_equilibrium()
+        # The dynamics' equilibrium check is every agent's standalone
+        # best response at the truthful profile.
+        t = paper_cluster().true_values
+        for mode, expected in (("observed", True), ("declared", False)):
+            mechanism = VerificationMechanism(mode)
+            verdicts = [
+                best_response(
+                    mechanism, t, PAPER_ARRIVAL_RATE, agent,
+                    execution_cap_factor=1.0,
+                ).is_truthful
+                for agent in range(t.size)
+            ]
+            dynamics = BestResponseDynamics(mechanism, t, PAPER_ARRIVAL_RATE)
+            assert dynamics.truthful_is_equilibrium() == all(verdicts) == expected
 
 
 class TestSufficientStatisticsAll:

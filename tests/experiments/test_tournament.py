@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.agents import BestResponseDynamics
 from repro.experiments import table1_configuration
 from repro.experiments.tournament import (
     TOURNAMENT_VARIANTS,
@@ -148,16 +149,31 @@ class TestRunnerPlumbing:
         with pytest.raises(ValueError, match="truthful baseline"):
             run_tournament(patterns=lying_only)
 
-    def test_engine_cache_serves_a_rerun(self, tmp_path, result):
+    def test_engine_cache_serves_a_rerun(self, tmp_path, result, monkeypatch):
         patterns = (
             ManipulationPattern("Truthful", "truthful", 1.0, 1.0, (0,)),
             ManipulationPattern("High1 x2", "multi", 3.0, 3.0, (0, 1)),
         )
+        calls = []
+        original = BestResponseDynamics.run
+
+        def counted_run(self, *args, **kwargs):
+            calls.append(type(self.mechanism).__name__)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(BestResponseDynamics, "run", counted_run)
         engine = CampaignEngine(workers=0, cache=str(tmp_path / "cache"))
-        first = run_tournament(engine, patterns=patterns, dynamics=False)
+        first = run_tournament(engine, patterns=patterns)
+        assert len(calls) == len(TOURNAMENT_VARIANTS)
+        # The equilibrium rows are cached units too: a rerun plays no
+        # best-response dynamics at all.
+        calls.clear()
         engine2 = CampaignEngine(workers=0, cache=str(tmp_path / "cache"))
-        second = run_tournament(engine2, patterns=patterns, dynamics=False)
+        second = run_tournament(engine2, patterns=patterns)
+        assert calls == []
         assert first.rows == second.rows
+        assert first.equilibrium == second.equilibrium
+        assert len(second.equilibrium) == len(TOURNAMENT_VARIANTS)
         assert first.rows == tuple(
             r for r in result.rows if r.pattern in ("Truthful", "High1 x2")
         )

@@ -68,7 +68,7 @@ class TestCohortRules:
         assert fusable(_unit(variant))
 
     def test_dynamics_and_protocol_are_not(self):
-        assert not fusable(_unit("dynamics"))
+        assert not fusable(_unit(kind="dynamics"))
         protocol = protocol_units(seeds=(0,), duration=20.0)[0]
         assert not fusable(protocol)
 
@@ -94,10 +94,10 @@ class TestCohortRules:
     def test_partition_preserves_submission_order(self):
         units = [
             _unit("observed", bid_factor=0.5),
-            _unit("dynamics"),
+            _unit(kind="dynamics"),
             _unit("vcg"),
             _unit("observed", bid_factor=2.0),
-            _unit("dynamics", bid_factor=0.5),
+            _unit(kind="dynamics", bid_factor=0.5),
             _unit("vcg", bid_factor=2.0),
         ]
         cohorts, fallback = partition_pending(list(enumerate(units)), "auto")
@@ -114,7 +114,7 @@ class TestCohortRules:
         with pytest.raises(ValueError, match="mixes"):
             execute_cohort([_unit("observed"), _unit("vcg")])
         with pytest.raises(ValueError, match="no fused evaluation"):
-            execute_cohort([_unit("dynamics")])
+            execute_cohort([_unit(kind="dynamics")])
         assert execute_cohort([]) == []
 
 

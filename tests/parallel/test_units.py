@@ -187,7 +187,7 @@ class TestCacheKey:
 
         for unit in (
             paper_unit(),
-            paper_unit(variant="drift", seed=5),
+            paper_unit(kind="drift", seed=5),
             paper_unit(kind="protocol", seed=7, duration=25.0),
         ):
             # version=None resolves to the package version inside the key.
@@ -258,6 +258,40 @@ class TestExecuteUnit:
 
         payload = execute_unit(paper_unit(kind="protocol", duration=20.0))
         assert json.loads(json.dumps(payload)) == payload
+
+    @pytest.mark.parametrize("variant", ["observed", "vcg", "archer-tardos"])
+    def test_dynamics_units_take_the_payment_rule(self, variant):
+        from repro.agents import BestResponseDynamics
+        from repro.parallel.units import _mechanism_for
+
+        unit = paper_unit(kind="dynamics", variant=variant, bid_factor=3.0)
+        payload = execute_unit(unit)
+        true_values = np.asarray(unit.true_values)
+        start = true_values.copy()
+        start[0] *= 3.0
+        mechanism = _mechanism_for(variant)
+        trace = BestResponseDynamics(
+            mechanism, true_values, unit.arrival_rate
+        ).run(start_bids=start)
+        outcome = mechanism.run(
+            trace.final_bids, unit.arrival_rate, true_values,
+            true_values=true_values,
+        )
+        assert payload["start_bids"] == start.tolist()
+        assert payload["rounds"] == trace.rounds
+        assert payload["realised_latency"] == float(outcome.realised_latency)
+        assert payload["payment"] == outcome.payments.payment.tolist()
+
+    def test_the_old_dynamics_and_drift_variants_are_kinds_now(self):
+        for name in ("dynamics", "drift"):
+            with pytest.raises(ValueError, match="variant"):
+                paper_unit(variant=name)
+        dynamics = paper_unit(kind="dynamics")
+        drift = paper_unit(kind="drift", variant="vcg")
+        assert "seed" not in dynamics.as_config()
+        assert drift.as_config()["seed"] == 0
+        assert unit_cache_key(dynamics) != unit_cache_key(paper_unit())
+        assert execute_unit(drift) != execute_unit(paper_unit(kind="drift"))
 
 
 class TestExecutionEngineField:

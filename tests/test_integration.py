@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro import (
-    BiddingGame,
+    BestResponseDynamics,
     ManipulativeAgent,
     TruthfulAgent,
     VerificationMechanism,
@@ -27,7 +27,7 @@ class TestGameThenProtocol:
 
     def test_equilibrium_bids_yield_optimal_protocol_round(self):
         t = paper_cluster().true_values[:6]
-        game = BiddingGame(VerificationMechanism(), t, 10.0)
+        game = BestResponseDynamics(VerificationMechanism(), t, 10.0)
         trace = game.run(max_rounds=3)
         assert trace.converged
 
