@@ -6,8 +6,9 @@ a round costs ~5 heap events *per agent* and the coordinator becomes
 the bottleneck long before the mechanism's math does.  Sharding turns
 the round into four batched stages whose cross-shard traffic is two
 scalars per shard up an aggregation tree (docs/distributed.md), so the
-per-agent work collapses to vectorised NumPy plus an O(1) write-ahead
-journal entry per payment.
+per-agent work collapses to vectorised NumPy: each shard settles with
+one write-ahead ledger record and one watermark bump for its whole
+run of payment notices.
 
 Claims gated here (DESIGN.md §13):
 
@@ -19,9 +20,15 @@ Claims gated here (DESIGN.md §13):
   CI — the speedup is architectural (batched stages vs per-agent
   events), not parallelism, so it must show up without extra cores.
 
-The sweep sizes the service up to n = 10^6 in ``--full`` mode (the
-baseline is capped at 10^5; beyond that a single monolithic round
-takes minutes and measures patience, not architecture).
+The default sweep (the pytest bench, which writes
+``results/ablation_sharded.txt``) adds a service-only point at
+n = 10^5; its monolithic baseline stops at ``GATE_N``.  The standalone
+run without ``--smoke`` sizes the service up to n = 10^6 (the baseline
+is capped at 10^5; beyond that a single monolithic round takes minutes
+and measures patience, not architecture).  Every point records the
+seconds per round and the process's peak RSS once it ran (a
+high-water mark, so it also covers the points before it; they ascend
+in n).
 
 Runs two ways:
 
@@ -35,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import sys
 import time
 from pathlib import Path
@@ -52,6 +60,7 @@ SHARDS = 4                # the gated configuration
 RATE = 64.0               # jobs/sec: ~640 jobs per round, n-independent
 DURATION = 10.0           # short windows keep coordination dominant
 SMOKE_NS = (1_000, 10_000)
+DEFAULT_NS = (1_000, 10_000, 100_000)  # n = 10^5 without a baseline
 FULL_NS = (1_000, 10_000, 100_000, 1_000_000)
 MAX_BASELINE_N = 100_000  # monolithic rounds beyond this take minutes
 SERVICE_ROUNDS = 2        # amortise setup; the service is long-lived
@@ -101,7 +110,7 @@ def _assert_parity(n: int, seed: int = 7) -> bool:
 
 
 def measure_throughput(
-    ns=SMOKE_NS, *, shards: int = SHARDS, max_baseline_n: int = MAX_BASELINE_N
+    ns=DEFAULT_NS, *, shards: int = SHARDS, max_baseline_n: int = GATE_N
 ) -> dict:
     """Rounds/sec for the sharded service vs the monolithic path.
 
@@ -153,6 +162,10 @@ def measure_throughput(
             service.close()
         point["service_seconds_per_round"] = min(service_seconds)
         point["service_rounds_per_sec"] = 1.0 / min(service_seconds)
+        # The process's peak resident set so far (ru_maxrss is in KiB).
+        point["peak_rss_mib"] = (
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        )
 
         if point["monolithic_seconds_per_round"] is not None:
             point["speedup"] = (
@@ -205,7 +218,7 @@ def check_summary(summary: dict) -> list[str]:
 
 
 def test_sharded_throughput_gate(record_result, record_json):
-    summary = measure_throughput(SMOKE_NS)
+    summary = measure_throughput()
     failures = check_summary(summary)
     assert not failures, "; ".join(failures)
 
@@ -218,17 +231,20 @@ def test_sharded_throughput_gate(record_result, record_json):
             "-" if p["monolithic_rounds_per_sec"] is None
             else f"{p['monolithic_rounds_per_sec']:.2f}",
             f"{p['service_rounds_per_sec']:.2f}",
+            f"{p['service_seconds_per_round'] * 1e3:.1f}",
+            f"{p['peak_rss_mib']:.0f}",
             "-" if p["speedup"] is None else f"{p['speedup']:.2f} x",
         ])
     rows.append([
-        "parity", "", "",
+        "parity", "", "", "", "",
         "bit-identical" if summary["parity_bit_identical"] else "BROKEN",
     ])
     record_result(
         "ablation_sharded",
         render_table(
             ["agents", "monolithic rounds/s",
-             f"{summary['shards']}-shard rounds/s", "speedup"],
+             f"{summary['shards']}-shard rounds/s", "ms/round",
+             "peak RSS MiB", "speedup"],
             rows,
             title=(
                 "A24. Sharded coordinator service: rounds/sec vs agent "
@@ -260,8 +276,12 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    ns = SMOKE_NS if args.smoke else FULL_NS
-    summary = measure_throughput(ns, shards=args.shards)
+    if args.smoke:
+        summary = measure_throughput(SMOKE_NS, shards=args.shards)
+    else:
+        summary = measure_throughput(
+            FULL_NS, shards=args.shards, max_baseline_n=MAX_BASELINE_N
+        )
 
     if not args.no_artifacts and not args.smoke:
         RESULTS_DIR.mkdir(exist_ok=True)
@@ -279,7 +299,7 @@ def main(argv: list[str] | None = None) -> int:
                 f"n={p['n']:>9,}  mono "
                 + ("      - " if mono is None else f"{mono:7.2f}")
                 + f" rounds/s  service {p['service_rounds_per_sec']:7.2f}"
-                " rounds/s  speedup "
+                f" rounds/s  peak RSS {p['peak_rss_mib']:6.0f} MiB  speedup "
                 + ("   -" if speed is None else f"{speed:.2f}x")
             )
         print(

@@ -92,7 +92,7 @@ from repro.experiments import (
     figure6_truthful_structure,
 )
 
-__version__ = "1.23.0"
+__version__ = "1.24.0"
 
 __all__ = [
     "AllocationResult",

@@ -285,7 +285,10 @@ def _series(metric: dict) -> str:
 
 def _cmd_metrics(args: argparse.Namespace) -> str | dict:
     if args.campaign:
-        machines = len(table1_configuration().cluster.true_values[: args.machines])
+        units = figures_campaign_units(
+            table1_configuration(), seeds=(args.seed,), duration=min(args.duration, 50.0)
+        )
+        machines = max(len(unit.true_values) for unit in units)
     else:
         supervisor, plan = _supervised(args, chaos=args.chaos, horizon=args.horizon)
         machines = len(supervisor.machine_names)
@@ -296,9 +299,6 @@ def _cmd_metrics(args: argparse.Namespace) -> str | dict:
             # the campaign.cache.{hits,misses} counters and the
             # campaign.unit.seconds histogram are populated: first run
             # all misses, second run all hits.
-            units = figures_campaign_units(
-                table1_configuration(), seeds=(args.seed,), duration=min(args.duration, 50.0)
-            )
             with tempfile.TemporaryDirectory() as cache_dir:
                 CampaignEngine(workers=0, cache=cache_dir).run(units)
                 CampaignEngine(workers=0, cache=cache_dir).run(units)

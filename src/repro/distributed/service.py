@@ -295,11 +295,11 @@ class _ProcessShardExecutor:
 class ShardedRoundResult:
     """Everything observable after one sharded service round.
 
-    ``loads`` (name → load) and ``payments`` (name → (payment,
-    compensation, bonus)) are read-only mappings over the round's
+    ``loads`` (name → load), ``payments`` (name → (payment,
+    compensation, bonus)) and ``payment_notices`` (name → notices sent
+    over the service's life) are read-only mappings over the round's
     columns (:class:`~repro.distributed.shard.NamedRows`), iterated in
-    ``names`` order; ``dict(result.payments)``
-    copies one out.
+    ``names`` order; ``dict(result.payments)`` copies one out.
     """
 
     index: int
@@ -308,7 +308,7 @@ class ShardedRoundResult:
     estimated_execution_values: np.ndarray | None
     loads: Mapping[str, float]
     payments: Mapping[str, tuple[float, float, float]]
-    payment_notices: dict[str, int]
+    payment_notices: Mapping[str, int]
     jobs_routed: int
     simulated_time: float
     aggregation: list[AggregationStats] = field(default_factory=list)
@@ -350,11 +350,12 @@ class ShardedRound:
         self._jobs_routed = 0
         self._simulated_time = 0.0
         self._ledger: np.ndarray | None = None
-        self._notices: dict[str, int] = {}
+        self._notices: np.ndarray | None = None
         self._outcome: MechanismOutcome | None = None
-        # Each shard's payment-notice counts as the round opens: the
-        # parent's durable copy, which seeds a restored shard.
-        self._opening_notices: list[dict[str, int]] = service._stage_values(
+        # Each shard's payment-notice counts as the round opens, in
+        # member order: the parent's durable copy, which seeds a
+        # restored shard.
+        self._opening_notices: list[np.ndarray] = service._stage_values(
             self, "begin_round", [() for _ in service.partition]
         )
 
@@ -371,7 +372,8 @@ class ShardedRound:
         sends its notice in the same step, so a ledgered member was
         notified.
         """
-        notices = dict(self._opening_notices[k])
+        opening = self._opening_notices[k].tolist()
+        notices = dict(zip(self._service.partition[k], opening))
         for name in checkpoint.payments_sent:
             notices[name] += 1
         return notices
@@ -497,14 +499,14 @@ class ShardedRound:
                 recover=True,
             )
         self._ledger = np.concatenate([ledger for ledger, _ in replies])
-        for _, notices in replies:
-            self._notices.update(notices)
+        self._notices = np.concatenate([notices for _, notices in replies])
 
     # ------------------------------------------------------------ result
 
     def result(self) -> ShardedRoundResult:
         """Package the completed round."""
         assert self._loads_full is not None and self._ledger is not None
+        assert self._notices is not None
         index = self._service._index
         return ShardedRoundResult(
             index=self.index,
@@ -513,7 +515,7 @@ class ShardedRound:
             estimated_execution_values=self._estimates_full,
             loads=NamedRows(index, self._loads_full),
             payments=NamedRows(index, self._ledger),
-            payment_notices=self._notices,
+            payment_notices=NamedRows(index, self._notices),
             jobs_routed=self._jobs_routed,
             simulated_time=self._simulated_time,
             aggregation=list(self._stats),

@@ -15,14 +15,16 @@ write-ahead checkpoint/ledger discipline
 mid-phase and never pays a member twice.
 
 A shard keeps its round as columns in member order (``machine_names``):
-the bids, loads, report job counts and mean sojourns are arrays, and
-the ledger is one ``(n, 3)`` array of (payment, compensation, bonus)
-rows plus a sent count.  Settle pays in member order, so the paid
-members are always a prefix, and returns the ledger as
-:class:`LedgerRows`, a name-keyed view over a copy of the rows.  Its
-jobs arrive as one machine-sorted
-time column plus per-member counts, its payments as rows, and its
-stage snapshots are encoded straight from the arrays
+the bids, loads, report job counts, mean sojourns and notice counts
+are arrays, and the ledger is one ``(n, 3)`` array of (payment,
+compensation, bonus) rows plus a sent count.  Bids that are fixed
+numbers are read once at construction, like the execution values.
+Settle pays in member order, so the paid members are always a prefix,
+and returns the ledger as :class:`LedgerRows`, a name-keyed view over
+a copy of the rows.  Its jobs arrive as one machine-sorted time column
+plus per-member counts, its payments as rows, and its stage snapshots
+are encoded straight from the arrays, with the member names encoded
+once per membership
 (:func:`~repro.resilience.checkpoint.encode_checkpoint`), in the same
 string :meth:`CoordinatorCheckpoint.to_json` writes.
 
@@ -35,11 +37,18 @@ sufficient-statistic structure buys (docs/distributed.md).
 
 from __future__ import annotations
 
+import json
 from collections.abc import ItemsView, Mapping, Sequence, ValuesView
 
 import numpy as np
 
 from repro.agents.base import Agent
+from repro.agents.behaviors import (
+    ManipulativeAgent,
+    ScaledBidder,
+    SlowExecutor,
+    TruthfulAgent,
+)
 from repro.mechanism import pricing
 from repro.observability.instrumentation import record_gauge
 from repro.protocol.coordinator import ProtocolPhase
@@ -64,6 +73,14 @@ __all__ = [
     "LedgerRows",
     "partition_names",
 ]
+
+
+# Agent types whose bid is a number fixed at construction, so a shard
+# reads it once.  Matched by exact type: a subclass may bid differently
+# each round, and then gets one ``bid()`` call per round.
+_FIXED_BID_TYPES = frozenset(
+    {TruthfulAgent, ManipulativeAgent, ScaledBidder, SlowExecutor}
+)
 
 
 class ShardCrash(RuntimeError):
@@ -101,9 +118,10 @@ class NamedRows(Mapping):
 
     ``index`` maps each name to its row (built once per member list and
     shared by every view over it); iteration follows it, so it follows
-    the member order.  A 1-d array reads as floats, an ``(n, 3)`` ledger
-    as (payment, compensation, bonus) tuples; ``rows`` is the array
-    itself.  Keeping a round's floats in arrays, not in 10^4 boxed
+    the member order.  A 1-d array reads as Python scalars (floats, or
+    ints from an integer array such as notice counts), an ``(n, 3)``
+    ledger as (payment, compensation, bonus) tuples; ``rows`` is the
+    array itself.  Keeping a round's floats in arrays, not in 10^4 boxed
     Python objects, is what keeps the garbage collector out of a large
     round.
     """
@@ -115,8 +133,8 @@ class NamedRows(Mapping):
         self.rows = rows
 
     def __getitem__(self, name: str):
-        value = self.rows[self.index[name]]
-        return float(value) if value.ndim == 0 else tuple(value.tolist())
+        rows, k = self.rows, self.index[name]
+        return rows.item(k) if rows.ndim == 1 else tuple(rows[k].tolist())
 
     def __iter__(self):
         return iter(self.index)
@@ -228,15 +246,25 @@ class CoordinatorShard:
         self.fail_after_payments = fail_after_payments
         self._rng = rng
 
-        # Long-lived state, in member order: each member's execution
-        # value, read once; execution serves members as arrays, with no
-        # machine objects.
+        # Long-lived state, in member order: the names, and their JSON
+        # list, which every snapshot splices in; each member's execution
+        # value, read once (execution serves members as arrays, with no
+        # machine objects); the fixed bids, read once, and the members
+        # asked for a bid every round; the notice counts.
         self.machine_names: list[str] = list(names)
+        self._encoded_names = json.dumps(self.machine_names)
         self._index = {name: k for k, name in enumerate(self.machine_names)}
         self._execution_values = check_execution_values(
             [agent.execution_value() for agent in agents]
         )
-        self.payment_notices: dict[str, int] = {name: 0 for name in names}
+        fixed = [type(agent) in _FIXED_BID_TYPES for agent in agents]
+        self._fixed_bids = np.array(
+            [agent.bid() if f else np.nan for agent, f in zip(agents, fixed)],
+            dtype=np.float64,
+        )
+        self._asked = [k for k, f in enumerate(fixed) if not f]
+        self._asked_agents = [agents[k] for k in self._asked]
+        self._notices = np.zeros(len(names), dtype=np.int64)
         self._reset_round()
 
     def _reset_round(self) -> None:
@@ -253,6 +281,11 @@ class CoordinatorShard:
         self._sent = 0
 
     @property
+    def payment_notices(self) -> NamedRows:
+        """Payment notices sent to each member, over every round so far."""
+        return NamedRows(self._index, self._notices)
+
+    @property
     def payments_sent(self) -> dict[str, tuple[float, float, float]]:
         """Payments issued this round: name → (payment, compensation, bonus)."""
         sent = self._sent
@@ -262,21 +295,27 @@ class CoordinatorShard:
 
     # ------------------------------------------------------------- round
 
-    def begin_round(self) -> dict[str, int]:
+    def begin_round(self) -> np.ndarray:
         """Reset per-round state; returns the members' notice counts.
 
-        The service keeps them to seed a replacement if this shard has
-        to be restored mid-settle.
+        The counts are a copy in member order.  The service keeps them
+        to seed a replacement if this shard has to be restored
+        mid-settle.
         """
         self._reset_round()
-        return dict(self.payment_notices)
+        return self._notices.copy()
 
     def collect_bids(self) -> np.ndarray:
-        """Ask every member for its bid; returns the local bid vector."""
+        """Collect every member's bid; returns the local bid vector.
+
+        Fixed bids come from the column read at construction; every
+        other member is asked, once, in member order.
+        """
         self.phase = ProtocolPhase.BIDDING
-        self._bids = np.array(
-            [agent.bid() for agent in self.agents.values()], dtype=np.float64
-        )
+        bids = self._fixed_bids.copy()
+        if self._asked:
+            bids[self._asked] = [agent.bid() for agent in self._asked_agents]
+        self._bids = bids
         self._save_checkpoint()
         return self._bids.copy()
 
@@ -430,10 +469,13 @@ class CoordinatorShard:
         Persistence is snapshot-plus-ledger: the execution stage's
         snapshot is the base, and settle pays in ``machine_names``
         order, so before the first notice one priced-amounts record
-        lists every still-unpaid member, and each notice first bumps
-        the record's sent-count watermark.  A per-payment snapshot
-        would make settling O(n²) and is exactly what the A24
-        benchmark would catch.
+        lists every still-unpaid member (reusing the shard's encoded
+        names when nobody was paid yet), and one bump of the record's
+        sent-count watermark covers the whole run of notices before
+        they go out.  The store so holds the same state at the run's
+        end, the only point the chaos hook can crash at, as after
+        per-notice bumps.  A per-payment snapshot would make settling
+        O(n²) and is exactly what the A24 benchmark would catch.
         """
         names = self.machine_names
         n = len(names)
@@ -447,19 +489,21 @@ class CoordinatorShard:
         sent = self._sent
         self._ledger[sent:] = rows[sent:]
         if store is not None and sent < n:
-            store.append_ledger(names[sent:], self._ledger[sent:])
+            store.append_ledger(
+                names[sent:],
+                self._ledger[sent:],
+                encoded_names=self._encoded_names if sent == 0 else None,
+            )
         # The chaos hook crashes once this many payments were issued.
         stop = n
         if self.fail_after_payments is not None:
             stop = min(n, max(sent, self.fail_after_payments))
-        notices = self.payment_notices
-        for k in range(sent, stop):
+        if stop > sent:
             # Write-ahead: record and persist the intent, then send.
-            self._sent = k + 1
+            self._sent = stop
             if store is not None:
-                store.mark_sent()
-            name = names[k]
-            notices[name] = notices[name] + 1
+                store.mark_sent(stop - sent)
+            self._notices[sent:stop] += 1
         if stop < n:
             self._save_checkpoint()
             raise ShardCrash(
@@ -534,17 +578,18 @@ class CoordinatorShard:
             "simulated_time": report["simulated_time"],
         }
 
-    def run_settle(self, rows: np.ndarray) -> tuple[np.ndarray, dict[str, int]]:
+    def run_settle(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Payment stage, exact mode: pay the root's rows.
 
-        Returns the ledger rows and the members' notice counts, so the
-        round needs no stage of its own to collect them.
+        Returns the ledger rows and a copy of the members' notice
+        counts, both in member order, so the round needs no stage of
+        its own to collect them.
         """
-        return self.settle(rows).rows, dict(self.payment_notices)
+        return self.settle(rows).rows, self._notices.copy()
 
     def settle_from_totals(
         self, total_inverse: float, total_quotient: float
-    ) -> tuple[np.ndarray, dict[str, int]]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Payment stage, scalar mode: price locally from (S, Q), pay."""
         return self.run_settle(self.local_payments(total_inverse, total_quotient))
 
@@ -571,6 +616,7 @@ class CoordinatorShard:
             loads=self._loads,
             reports=(names, self._jobs, self._means) if reported else ((), (), ()),
             payments_sent=(names[:sent], self._ledger[:sent]),
+            encoded_names=self._encoded_names,
         )
 
     def checkpoint(self) -> CoordinatorCheckpoint:
@@ -636,7 +682,8 @@ class CoordinatorShard:
         shard._sent = len(paid)
         if paid:
             shard._ledger[: len(paid)] = list(checkpoint.payments_sent.values())
-        shard.payment_notices.update(payment_notices or {})
+        for name, count in (payment_notices or {}).items():
+            shard._notices[shard._index[name]] = count
         if shard._bids is not None and shard._loads is not None and shard._jobs is not None:
             shard._estimates = shard._derive_estimates()
         return shard

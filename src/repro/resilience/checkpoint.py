@@ -168,6 +168,7 @@ def encode_checkpoint(
     payments_sent: tuple[Iterable[str], object],
     excluded: Sequence[str] = (),
     withheld: Sequence[str] = (),
+    encoded_names: str | None = None,
 ) -> str:
     """The one columnar JSON encoder of a checkpoint, from its columns.
 
@@ -177,13 +178,17 @@ def encode_checkpoint(
     rows).  :meth:`CoordinatorCheckpoint.to_json` passes its dicts; a
     coordinator shard passes the arrays it keeps in member order, and
     both get the same string for the same state.
+
+    ``encoded_names`` is ``json.dumps(machine_names)`` if the caller
+    already holds it (a shard encodes its names once per membership);
+    it is spliced in where the name list goes, byte for byte.
     """
     names = list(machine_names)
+    if encoded_names is None:
+        encoded_names = json.dumps(names)
     paid, amounts = payments_sent
-    return json.dumps(
+    rest = json.dumps(
         {
-            "phase": phase,
-            "machine_names": names,
             "arrival_rate": arrival_rate,
             "bids": _section(bids[0], names, values=_column(bids[1], _F8)),
             "loads": None if loads is None else _column(loads, _F8),
@@ -198,6 +203,11 @@ def encode_checkpoint(
             "payments_sent": _section(paid, names, amounts=_column(amounts, _F8)),
         },
         default=float,
+    )
+    # The bytes ``json.dumps`` writes for the whole dict, in that order.
+    return (
+        f'{{"phase": {json.dumps(phase)}, "machine_names": {encoded_names}, '
+        + rest[1:]
     )
 
 
@@ -264,11 +274,12 @@ class CheckpointStore:
     them is one O(1) journal entry on top of the snapshot
     (:meth:`append_bid`, :meth:`append_report`, :meth:`append_payment`).
     A settle that pays a known list in order writes one priced-amounts
-    record (:meth:`append_ledger`) and bumps its sent-count watermark
-    before each notice (:meth:`mark_sent`).  :meth:`load` folds every
-    entry back into the snapshot in append order, so the rebuilt
-    checkpoint equals one snapshot taken at the same point.  A fresh
-    snapshot subsumes (and drops) the journal.
+    record (:meth:`append_ledger`) and, before a run of notices goes
+    out, bumps its sent-count watermark over the whole run in one call
+    (:meth:`mark_sent`).  :meth:`load` folds every entry back into the
+    snapshot in append order, so the rebuilt checkpoint equals one
+    snapshot taken at the same point.  A fresh snapshot subsumes (and
+    drops) the journal.
     """
 
     def __init__(self) -> None:
@@ -312,23 +323,40 @@ class CheckpointStore:
         """Journal one issued payment: (payment, compensation, bonus)."""
         self._append(json.dumps(["payments_sent", name, amounts], default=float))
 
-    def append_ledger(self, names: Sequence[str], amounts: np.ndarray) -> None:
+    def append_ledger(
+        self,
+        names: Sequence[str],
+        amounts: np.ndarray,
+        *,
+        encoded_names: str | None = None,
+    ) -> None:
         """Journal the priced amounts of ``names``, none issued yet.
 
         ``amounts`` holds one (payment, compensation, bonus) row per
         name; :meth:`mark_sent` then marks them issued in order.
+        ``encoded_names`` is ``json.dumps(list(names))`` if the caller
+        already holds it.
         """
         rows = np.asarray(amounts, dtype=_F8).reshape(len(names), 3)
-        ledger = _Ledger(json.dumps(list(names)), rows.tobytes(), len(names))
+        if encoded_names is None:
+            encoded_names = json.dumps(list(names))
+        ledger = _Ledger(encoded_names, rows.tobytes(), len(names))
         self._append(ledger)
         self._ledger = ledger
 
-    def mark_sent(self) -> None:
-        """Mark the next entry of the latest ledger record as issued."""
+    def mark_sent(self, count: int = 1) -> None:
+        """Mark the next ``count`` entries of the latest ledger record as issued.
+
+        One call covers a run of notices.  Raises, changing nothing, if
+        the run would pass the end of the record.
+        """
         ledger = self._ledger
-        if ledger is None or ledger.sent >= ledger.size:
-            raise RuntimeError("no unsent ledger entry to mark")
-        ledger.sent += 1
+        left = 0 if ledger is None else ledger.size - ledger.sent
+        if ledger is None or not 0 <= count <= left:
+            raise RuntimeError(
+                f"no unsent ledger entry to mark: {count} asked, {left} left"
+            )
+        ledger.sent += count
 
     def _append(self, entry: str | _Ledger) -> None:
         if self._payload is None:

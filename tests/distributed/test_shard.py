@@ -10,7 +10,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.agents import TruthfulAgent
+from repro.agents import (
+    ManipulativeAgent,
+    RandomLiar,
+    ScaledBidder,
+    SlowExecutor,
+    TruthfulAgent,
+)
 from repro.distributed import CoordinatorShard, ShardCrash, partition_names
 from repro.distributed.shard import LedgerRows, NamedRows
 from repro.resilience import CheckpointStore
@@ -88,6 +94,57 @@ class TestNamedRows:
         assert list(NamedRows({}, np.empty(0)).items()) == []
         assert list(NamedRows({}, np.empty((0, 3))).values()) == []
 
+    def test_integer_rows_read_as_python_ints(self):
+        view = NamedRows({"A": 0, "B": 1}, np.array([3, 0], dtype=np.int64))
+        self.assert_reads_match_per_key(view)
+        assert type(view["A"]) is int
+        assert dict(view) == {"A": 3, "B": 0}
+
+
+class _Drifting(TruthfulAgent):
+    """A truthful subclass whose bid rises with every call."""
+
+    def __init__(self, true_value):
+        super().__init__(true_value)
+        self.calls = 0
+
+    def bid(self):
+        self.calls += 1
+        return self.true_value * (1.0 + 0.25 * self.calls)
+
+
+def _mixed_agents():
+    return [
+        TruthfulAgent(1.0),
+        _Drifting(2.0),
+        ManipulativeAgent(3.0, 1.5, 2.0),
+        ScaledBidder(4.0, 0.5),
+        RandomLiar(5.0, np.random.default_rng(9)),
+        SlowExecutor(6.0, 3.0),
+        _Drifting(7.0),
+    ]
+
+
+class TestBidColumn:
+    def test_bids_equal_the_per_agent_path_and_ask_only_stateful_bidders(self):
+        agents, oracle = _mixed_agents(), _mixed_agents()
+        shard = CoordinatorShard(
+            0,
+            [f"C{k + 1}" for k in range(len(agents))],
+            agents,
+            7.0,
+            rng=np.random.default_rng(3),
+        )
+        for round_ in range(1, 4):
+            shard.begin_round()
+            shard.collect_bids()
+            expected = np.array([a.bid() for a in oracle], dtype=np.float64)
+            assert shard.bids_vector().tobytes() == expected.tobytes()
+            # One call per round, though it subclasses a fixed bidder.
+            assert [a.calls for a in agents if isinstance(a, _Drifting)] == [
+                round_, round_
+            ]
+
 
 class TestRoundStages:
     def test_bids_allocation_and_quotients(self):
@@ -118,6 +175,19 @@ class TestRoundStages:
         assert all(c == 1 for c in shard.payment_notices.values())
         ckpt = store.load()
         assert set(ckpt.payments_sent) == set(shard.machine_names)
+
+    def test_notice_counts_are_copied_out(self):
+        shard = make_shard()
+        opening = shard.begin_round()
+        shard.collect_bids()
+        shard.allocate_from_total(1.75)
+        shard.run_execution()
+        _, notices = shard.run_settle(np.tile([1.0, 0.5, 0.5], (3, 1)))
+        assert opening.tolist() == [0, 0, 0]
+        assert notices.tolist() == [1, 1, 1]
+        notices[0] = 9
+        assert shard.payment_notices["C1"] == 1
+        assert shard.begin_round().tolist() == [1, 1, 1]
 
     @pytest.mark.parametrize("members", [3, 50])
     def test_settle_writes_one_ledger_record_whatever_the_size(self, members):

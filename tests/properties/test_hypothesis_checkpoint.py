@@ -12,9 +12,12 @@ delivered messages and the instant after each payment.
   crash kinds at varying payment counts, and a round voided below
   ``min_participants``;
 * one coordinator shard over a drawn subset of the machines (down to
-  a lone member) after every stage and every payment, through a
-  mid-settle crash, the restored re-settle, and a post-settle restore
-  whose re-settle pays nobody twice.
+  a lone member) after every stage, at the stop of a mid-settle crash
+  before and after the restore, after the restored re-settle, and
+  after a post-settle restore whose re-settle pays nobody twice.
+  Settle marks its whole run of notices sent at once, so the stop is
+  the only point inside settle a crash can hit; the drawn crash point
+  covers every prefix of the member list.
 
 A shard does not snapshot when settle moves it past ``EXECUTING`` (the
 ledger on top of the execution snapshot is its record), so during and
@@ -149,23 +152,7 @@ class TestSupervisedCrashPoints:
             assert all(count <= 1 for count in result.payment_notices.values())
 
 
-class _Watched(dict):
-    """A payment-notice counter that runs a check after each notice."""
-
-    def __init__(self, counts, on_notice):
-        super().__init__(counts)
-        self.on_notice = on_notice
-
-    def __setitem__(self, name, count):
-        super().__setitem__(name, count)
-        self.on_notice()
-
-
-def _watch(shard: CoordinatorShard, store: CheckpointStore) -> None:
-    shard.payment_notices = _Watched(
-        shard.payment_notices,
-        lambda: assert_stored(store, shard.checkpoint(), phase=False),
-    )
+_EDGE_VALUES = [1.0, 2.0, 5.0]
 
 
 class TestShardCrashPoints:
@@ -176,6 +163,10 @@ class TestShardCrashPoints:
         crash_after=st.none() | st.integers(0, 9),
         deterministic=st.booleans(),
     )
+    # The crash stops at the first member, the last one, and past the end.
+    @example(values=_EDGE_VALUES, dropped=set(), crash_after=0, deterministic=True)
+    @example(values=_EDGE_VALUES, dropped=set(), crash_after=2, deterministic=True)
+    @example(values=_EDGE_VALUES, dropped=set(), crash_after=3, deterministic=True)
     def test_store_matches_shard_after_every_stage_and_payment(
         self, values, dropped, crash_after, deterministic
     ):
@@ -215,14 +206,18 @@ class TestShardCrashPoints:
                 rng=np.random.default_rng(2),
                 checkpoint_store=store,
             )
-            _watch(restored, store)
+            assert_stored(store, restored.checkpoint(), phase=False)
             return restored
 
-        _watch(shard, store)
         try:
             ledger = shard.settle(amounts)
         except ShardCrash:
+            # The stop: exactly the first ``crash_after`` members paid.
+            assert crash_after is not None and crash_after < len(live)
             assert_stored(store, shard.checkpoint())
+            assert list(store.load().payments_sent) == live[:crash_after]
+            notices = [1] * crash_after + [0] * (len(live) - crash_after)
+            assert list(shard.payment_notices.values()) == notices
             paid_before = dict(shard.payments_sent)
             shard = restore()
             assert repr(shard.payments_sent) == repr(paid_before)
@@ -279,6 +274,9 @@ class TestShardSnapshotEncoding:
         deterministic=st.booleans(),
         stages=st.booleans(),
     )
+    @example(values=_EDGE_VALUES, crash_after=0, deterministic=True, stages=True)
+    @example(values=_EDGE_VALUES, crash_after=2, deterministic=True, stages=True)
+    @example(values=_EDGE_VALUES, crash_after=3, deterministic=True, stages=False)
     def test_stage_snapshots_equal_the_dict_encoding(
         self, values, crash_after, deterministic, stages
     ):
@@ -312,13 +310,10 @@ class TestShardSnapshotEncoding:
             # Settle with no stage before it: the base snapshot holds
             # empty sections and the journal the ledger.
             rows = np.arange(3.0 * len(names)).reshape(-1, 3)
-        shard.payment_notices = _Watched(
-            shard.payment_notices, lambda: check(shard)
-        )
         try:
             shard.settle(rows)
         except ShardCrash:
-            check(shard)  # a partial ledger: its names are listed
+            check(shard)  # the stop, a partial ledger: its names are listed
             shard = store.shard = CoordinatorShard.restore(
                 store.load(),
                 shard_id=0,
@@ -327,9 +322,6 @@ class TestShardSnapshotEncoding:
                 checkpoint_store=store,
             )
             check(shard)
-            shard.payment_notices = _Watched(
-                shard.payment_notices, lambda: check(shard)
-            )
             shard.settle(rows)
         check(shard)
         assert store.snapshots >= (3 if stages else 1)

@@ -277,6 +277,30 @@ class TestEventJournal:
             store.mark_sent()
         assert store.appends == 1
 
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_a_run_of_marks_equals_single_marks(self, k):
+        amounts = [(1.5, 1.0, 0.5), (float("nan"), -0.0, 1e-300), (3.0, 2.0, 1.0)]
+        one_call, single = self._bidding(), self._bidding()
+        for store in (one_call, single):
+            store.append_ledger(["C1", 'C"2', "C3"], amounts)
+        one_call.mark_sent(k)
+        for _ in range(k):
+            single.mark_sent()
+        assert one_call.load().to_json() == single.load().to_json()
+        assert len(one_call.load().payments_sent) == k
+
+    def test_overrunning_the_ledger_changes_nothing(self):
+        store = self._bidding()
+        store.append_ledger(["C1", "C2", "C3"], np.arange(9.0).reshape(3, 3))
+        store.mark_sent(2)
+        before = store.load().to_json()
+        for count in (2, 5, -1):
+            with pytest.raises(RuntimeError, match="no unsent ledger entry"):
+                store.mark_sent(count)
+            assert store.load().to_json() == before
+        store.mark_sent(1)
+        assert list(store.load().payments_sent) == ["C1", "C2", "C3"]
+
     def test_ledger_folds_after_earlier_payments(self):
         store = self._bidding()
         store.append_payment("C1", (1.0, 1.0, 0.0))

@@ -290,6 +290,17 @@ class TestCampaign:
         assert counters["campaign.cache.hits"] == 16
         assert counters["campaign.cache.misses"] == 16
 
+    def test_metrics_campaign_title_counts_the_campaign_machines(self, capsys):
+        # The figures campaign runs all 16 Table 1 machines, whatever
+        # --machines says.
+        out = run_cli(
+            capsys, "metrics", "--campaign", "--duration", "20", "--machines", "4",
+        )
+        assert out.splitlines()[0] == (
+            "Span timings: figures campaign x2 (cold then warm cache), "
+            "16 machines, seed 0."
+        )
+
     def test_reproduce_accepts_engine_flags(self, capsys, tmp_path):
         out = run_cli(
             capsys, "reproduce",
