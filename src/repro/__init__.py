@@ -44,7 +44,6 @@ from repro.latency import (
     MG1LatencyModel,
 )
 from repro.latency.affine import AffineLatencyModel
-from repro.latency.kingman import KingmanLatencyModel
 from repro.allocation import (
     pr_allocation,
     pr_loads,
@@ -92,7 +91,7 @@ from repro.experiments import (
     figure6_truthful_structure,
 )
 
-__version__ = "1.24.0"
+__version__ = "1.25.0"
 
 __all__ = [
     "AllocationResult",
@@ -103,7 +102,6 @@ __all__ = [
     "MM1LatencyModel",
     "MG1LatencyModel",
     "AffineLatencyModel",
-    "KingmanLatencyModel",
     "pr_allocation",
     "pr_loads",
     "optimal_total_latency",

@@ -5,8 +5,8 @@ slope) and an *execution value* (the slope they actually run at,
 ``t̃ >= t``).  This subpackage provides:
 
 * :mod:`repro.agents.behaviors` — fixed strategy profiles (truthful,
-  over/under bidders, slow executors, random liars) used by the
-  experiments and the protocol simulation;
+  over/under bidders, slow executors) used by the experiments and the
+  protocol simulation;
 * :mod:`repro.agents.best_response` — numeric best response of a single
   agent to the others' bids under a given mechanism;
 * :mod:`repro.agents.kernels` — closed-form utility kernels that
@@ -22,7 +22,6 @@ from repro.agents.behaviors import (
     TruthfulAgent,
     ScaledBidder,
     SlowExecutor,
-    RandomLiar,
     ManipulativeAgent,
     profile_bids,
     profile_execution_values,
@@ -46,7 +45,6 @@ __all__ = [
     "TruthfulAgent",
     "ScaledBidder",
     "SlowExecutor",
-    "RandomLiar",
     "ManipulativeAgent",
     "profile_bids",
     "profile_execution_values",

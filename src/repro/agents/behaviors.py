@@ -19,7 +19,6 @@ __all__ = [
     "TruthfulAgent",
     "ScaledBidder",
     "SlowExecutor",
-    "RandomLiar",
     "ManipulativeAgent",
     "profile_bids",
     "profile_execution_values",
@@ -81,39 +80,6 @@ class SlowExecutor(ManipulativeAgent):
 
     def __init__(self, true_value: float, execution_factor: float) -> None:
         super().__init__(true_value, bid_factor=1.0, execution_factor=execution_factor)
-
-
-class RandomLiar(Agent):
-    """Draws a random bid factor and a random (>= 1) execution factor.
-
-    Used by the property tests to sample the deviation space.  All
-    randomness comes from the injected generator, keeping runs
-    reproducible.
-    """
-
-    def __init__(
-        self,
-        true_value: float,
-        rng: np.random.Generator,
-        bid_factor_range: tuple[float, float] = (0.2, 5.0),
-        execution_factor_range: tuple[float, float] = (1.0, 3.0),
-    ) -> None:
-        super().__init__(true_value)
-        lo, hi = bid_factor_range
-        if not 0 < lo <= hi:
-            raise ValueError("bid_factor_range must satisfy 0 < lo <= hi")
-        elo, ehi = execution_factor_range
-        if not 1.0 <= elo <= ehi:
-            raise ValueError("execution_factor_range must satisfy 1 <= lo <= hi")
-        # Draw once at construction: an agent's strategy is fixed for a run.
-        self._bid = float(rng.uniform(lo, hi)) * true_value
-        self._execution = float(rng.uniform(elo, ehi)) * true_value
-
-    def bid(self) -> float:
-        return self._bid
-
-    def execution_value(self) -> float:
-        return self._check_execution(self._execution)
 
 
 def profile_bids(agents: Sequence[Agent]) -> np.ndarray:

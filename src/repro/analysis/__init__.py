@@ -6,27 +6,23 @@
   value");
 * :mod:`repro.analysis.frugality` — payment-structure analysis across
   mechanisms and configurations;
-* :mod:`repro.analysis.sensitivity` — sweeps over system size, arrival
-  rate, and heterogeneity;
-* :mod:`repro.analysis.equilibrium` — dominant-strategy verification on
-  dense deviation grids and epsilon-truthfulness under noisy
+* :mod:`repro.analysis.sensitivity` — sweeps over system size and
+  heterogeneity;
+* :mod:`repro.analysis.equilibrium` — epsilon-truthfulness under noisy
   verification.
 """
 
 from repro.analysis.degradation import (
     degradation_percent,
-    scenario_degradations,
     multi_liar_degradation,
 )
 from repro.analysis.frugality import (
     FrugalityRecord,
-    frugality_by_scenario,
     frugality_across_mechanisms,
 )
 from repro.analysis.sensitivity import (
     SweepResult,
     sweep_system_size,
-    sweep_arrival_rate,
     sweep_heterogeneity,
 )
 from repro.analysis.wardrop import (
@@ -43,20 +39,16 @@ from repro.analysis.collusion import (
     pairwise_collusion_scan,
 )
 from repro.analysis.equilibrium import (
-    dominant_strategy_grid,
     epsilon_truthfulness_under_noise,
 )
 
 __all__ = [
     "degradation_percent",
-    "scenario_degradations",
     "multi_liar_degradation",
     "FrugalityRecord",
-    "frugality_by_scenario",
     "frugality_across_mechanisms",
     "SweepResult",
     "sweep_system_size",
-    "sweep_arrival_rate",
     "sweep_heterogeneity",
     "WardropResult",
     "WardropSweep",
@@ -68,6 +60,5 @@ __all__ = [
     "CoalitionDeviation",
     "best_pair_deviation",
     "pairwise_collusion_scan",
-    "dominant_strategy_grid",
     "epsilon_truthfulness_under_noise",
 ]

@@ -13,11 +13,9 @@ import numpy as np
 
 from repro._validation import as_float_array, check_positive, check_positive_scalar
 from repro.allocation.pr import optimal_total_latency, pr_loads
-from repro.experiments.table2 import PAPER_SCENARIOS, Scenario
 
 __all__ = [
     "degradation_percent",
-    "scenario_degradations",
     "multi_liar_degradation",
 ]
 
@@ -38,27 +36,6 @@ def realised_latency(
     loads = pr_loads(bids, arrival_rate)
     execution_values = np.asarray(execution_values, dtype=np.float64)
     return float(np.dot(execution_values, loads**2))
-
-
-def scenario_degradations(
-    true_values: np.ndarray,
-    arrival_rate: float,
-    scenarios: tuple[Scenario, ...] = PAPER_SCENARIOS,
-    manipulator: int = 0,
-) -> dict[str, float]:
-    """Degradation percentage for each scenario (Figure 1, relative view)."""
-    true_values = as_float_array(true_values, "true_values")
-    check_positive(true_values, "true_values")
-    optimum = optimal_total_latency(true_values, arrival_rate)
-    out: dict[str, float] = {}
-    for scenario in scenarios:
-        bids = true_values.copy()
-        executions = true_values.copy()
-        bids[manipulator] *= scenario.bid_factor
-        executions[manipulator] *= scenario.execution_factor
-        realised = realised_latency(true_values, bids, executions, arrival_rate)
-        out[scenario.name] = degradation_percent(realised, optimum)
-    return out
 
 
 def multi_liar_degradation(

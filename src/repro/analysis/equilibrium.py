@@ -1,19 +1,15 @@
-"""Equilibrium analyses: dominant strategies and noisy verification.
+"""Equilibrium analysis under noisy verification.
 
-* :func:`dominant_strategy_grid` checks truthfulness not just against
-  truthful opponents (Theorem 3.1's audit in
-  :mod:`repro.mechanism.properties`) but against *arbitrary* opponent
-  bid profiles — the full dominant-strategy property.
-* :func:`epsilon_truthfulness_under_noise` quantifies how much of the
-  incentive guarantee survives when the verification step estimates
-  execution values with sampling noise (the realistic protocol setting
-  from :mod:`repro.protocol`): with noisy ``t̂`` the mechanism is only
-  epsilon-truthful, and epsilon shrinks as observations accumulate.
+:func:`epsilon_truthfulness_under_noise` quantifies how much of the
+incentive guarantee survives when the verification step estimates
+execution values with sampling noise (the realistic protocol setting
+from :mod:`repro.protocol`): with noisy ``t̂`` the mechanism is only
+epsilon-truthful, and epsilon shrinks as observations accumulate.
+Truthfulness against truthful opponents is audited by
+:func:`repro.mechanism.truthfulness_audit`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,85 +22,8 @@ from repro._validation import (
 from repro.mechanism.base import Mechanism
 
 __all__ = [
-    "GridCheckResult",
-    "dominant_strategy_grid",
     "epsilon_truthfulness_under_noise",
 ]
-
-
-@dataclass(frozen=True)
-class GridCheckResult:
-    """Outcome of a dominant-strategy grid check."""
-
-    max_gain: float
-    profiles_checked: int
-    deviations_checked: int
-
-    @property
-    def holds(self) -> bool:
-        """Whether truth-telling dominated on every checked profile."""
-        return self.max_gain <= 1e-9
-
-
-def dominant_strategy_grid(
-    mechanism: Mechanism,
-    true_values: np.ndarray,
-    arrival_rate: float,
-    agent: int,
-    rng: np.random.Generator,
-    *,
-    n_opponent_profiles: int = 20,
-    bid_factors: tuple[float, ...] = (0.25, 0.5, 0.9, 1.1, 2.0, 4.0),
-    exec_factors: tuple[float, ...] = (1.0, 1.5, 2.0, 3.0),
-    opponent_factor_range: tuple[float, float] = (0.25, 4.0),
-) -> GridCheckResult:
-    """Check dominance of truth-telling against random opponent profiles.
-
-    For each sampled opponent bid profile (opponents execute as they
-    bid), compare the agent's truthful utility against every deviation
-    on the (bid, execution) grid.  A truthful mechanism must never show
-    a positive gain — this is stronger than the truthful-opponents
-    audit because dominance quantifies over *all* opponent behaviour.
-    """
-    true_values = as_float_array(true_values, "true_values")
-    check_positive(true_values, "true_values")
-    arrival_rate = check_positive_scalar(arrival_rate, "arrival_rate")
-    agent = check_index(agent, true_values.size, "agent")
-    if any(f < 1.0 for f in exec_factors):
-        raise ValueError("execution factors must be >= 1")
-
-    t_i = true_values[agent]
-    n = true_values.size
-    lo, hi = opponent_factor_range
-
-    max_gain = -np.inf
-    deviations = 0
-    for _ in range(n_opponent_profiles):
-        factors = np.exp(rng.uniform(np.log(lo), np.log(hi), size=n))
-        opponent_bids = true_values * factors
-        opponent_bids[agent] = t_i  # placeholder; overwritten below
-
-        def utility(bid: float, execution: float) -> float:
-            bids = opponent_bids.copy()
-            bids[agent] = bid
-            execs = opponent_bids.copy()
-            execs[agent] = execution
-            outcome = mechanism.run(bids, arrival_rate, execs)
-            return float(outcome.payments.utility[agent])
-
-        truthful = utility(t_i, t_i)
-        for bf in bid_factors:
-            for ef in exec_factors:
-                gain = utility(bf * t_i, ef * t_i) - truthful
-                deviations += 1
-                if gain > max_gain:
-                    max_gain = gain
-
-    return GridCheckResult(
-        max_gain=float(max_gain),
-        profiles_checked=n_opponent_profiles,
-        deviations_checked=deviations,
-    )
 
 
 def epsilon_truthfulness_under_noise(

@@ -3,9 +3,8 @@
 The paper's Figure 6 observes that the verification mechanism's total
 payment stays within a factor ~2.5 of the total valuation, with the
 voluntary participation property forcing the factor above 1.  This
-module computes that ratio per scenario and compares mechanisms
-(verification vs VCG vs Archer–Tardos) on truthful inputs — the A5
-ablation.
+module compares that ratio across mechanisms (verification vs VCG vs
+Archer–Tardos) on truthful inputs — the A5 ablation.
 """
 
 from __future__ import annotations
@@ -15,13 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro._validation import as_float_array, check_positive, check_positive_scalar
-from repro.experiments.figures import run_all_scenarios
-from repro.experiments.table1 import Table1Configuration
 from repro.mechanism.base import Mechanism
 
 __all__ = [
     "FrugalityRecord",
-    "frugality_by_scenario",
     "frugality_across_mechanisms",
 ]
 
@@ -40,24 +36,6 @@ class FrugalityRecord:
         if self.total_valuation == 0.0:
             return float("nan")
         return self.total_payment / self.total_valuation
-
-
-def frugality_by_scenario(
-    config: Table1Configuration | None = None,
-) -> list[FrugalityRecord]:
-    """Figure 6 series: payment structure for every Table 2 scenario."""
-    records = run_all_scenarios(config)
-    out = []
-    for record in records:
-        payments = record.outcome.payments
-        out.append(
-            FrugalityRecord(
-                label=record.scenario.name,
-                total_payment=payments.total_payment,
-                total_valuation=payments.total_valuation_magnitude,
-            )
-        )
-    return out
 
 
 def frugality_across_mechanisms(

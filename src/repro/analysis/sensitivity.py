@@ -1,12 +1,11 @@
 """Sensitivity sweeps: how the paper's observations scale.
 
 The paper evaluates one fixed configuration (16 machines, R = 20).
-These sweeps extend the evaluation along the three axes a deployer
-would care about: system size, offered load, and heterogeneity.  Each
-sweep reports the truthful optimum, the frugality ratio, and the
-degradation caused by a canonical single-machine manipulation, so the
-benches can show which paper observations are configuration artefacts
-and which are structural.
+These sweeps extend the evaluation along two axes a deployer would care
+about: system size and heterogeneity.  Each sweep reports the truthful
+optimum, the frugality ratio, and the degradation caused by a canonical
+single-machine manipulation, so the benches can show which paper
+observations are configuration artefacts and which are structural.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from repro.system.cluster import Cluster, random_cluster
 __all__ = [
     "SweepResult",
     "sweep_system_size",
-    "sweep_arrival_rate",
     "sweep_heterogeneity",
 ]
 
@@ -97,24 +95,6 @@ def sweep_system_size(
         cluster = random_cluster(n, rng, t_range=t_range)
         result = _evaluate(cluster, arrival_rate_per_machine * n)
         out.append(_with_parameter(result, float(n)))
-    return out
-
-
-def sweep_arrival_rate(
-    cluster: Cluster,
-    rates: list[float],
-) -> list[SweepResult]:
-    """Sweep the offered load on a fixed cluster.
-
-    For linear latencies everything scales as ``R^2``, so the
-    degradation percentages and frugality ratio are *invariant* in
-    ``R`` — a structural fact (verified by tests) that the sweep makes
-    visible.
-    """
-    out = []
-    for rate in rates:
-        result = _evaluate(cluster, check_positive_scalar(rate, "rate"))
-        out.append(_with_parameter(result, float(rate)))
     return out
 
 

@@ -22,7 +22,6 @@ from repro.latency.linear import LinearLatencyModel
 from repro.latency.mm1 import MM1LatencyModel
 from repro.latency.mg1 import MG1LatencyModel
 from repro.latency.affine import AffineLatencyModel
-from repro.latency.kingman import KingmanLatencyModel
 
 __all__ = [
     "LatencyModel",
@@ -30,5 +29,4 @@ __all__ = [
     "MM1LatencyModel",
     "MG1LatencyModel",
     "AffineLatencyModel",
-    "KingmanLatencyModel",
 ]

@@ -90,15 +90,6 @@ class AffineLatencyModel(LatencyModel):
         """The paper's linear model with the same slopes."""
         return LinearLatencyModel(self._t)
 
-    def restricted_to(self, mask: np.ndarray) -> "AffineLatencyModel":
-        """A model over the machine subset selected by boolean ``mask``."""
-        mask = np.asarray(mask, dtype=bool)
-        if mask.size != self.n_machines:
-            raise ValueError("mask length does not match the number of machines")
-        if not np.any(mask):
-            raise ValueError("the restricted model must keep at least one machine")
-        return AffineLatencyModel(self._a[mask], self._t[mask])
-
     def __repr__(self) -> str:
         return (
             f"AffineLatencyModel(intercept={np.array2string(self._a, threshold=8)}, "

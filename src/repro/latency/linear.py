@@ -80,15 +80,6 @@ class LinearLatencyModel(LatencyModel):
         level = np.asarray(level, dtype=np.float64)
         return np.maximum(level / self._t, 0.0)
 
-    def restricted_to(self, mask: np.ndarray) -> "LinearLatencyModel":
-        """A model over the machine subset selected by boolean ``mask``."""
-        mask = np.asarray(mask, dtype=bool)
-        if mask.size != self.n_machines:
-            raise ValueError("mask length does not match the number of machines")
-        if not np.any(mask):
-            raise ValueError("the restricted model must keep at least one machine")
-        return LinearLatencyModel(self._t[mask])
-
     def with_values(self, t: np.ndarray) -> "LinearLatencyModel":
         """A new model of the same class with different slopes."""
         return LinearLatencyModel(t)

@@ -82,30 +82,23 @@ class MG1LatencyModel(LatencyModel):
         return self._es2 * loads * (2.0 - loads * self._es) / (2.0 * one_minus**2)
 
     def marginal_inverse(self, slope: float | np.ndarray) -> np.ndarray:
-        """Invert the marginal numerically with a vectorised bisection.
+        """Invert the marginal in closed form.
 
         The marginal is strictly increasing from 0 (at zero load) to
         infinity (as the load approaches capacity), so the inverse is
         well defined for every non-negative slope.
         """
+        # With u = x E[S] and k = 2 g E[S] / E[S^2] the equation
+        # marginal = g reads u (2 - u) = k (1 - u)^2, so (1 - u)^2 =
+        # 1 / (1 + k).  Written as x = 2 g / (E[S^2] r (r + 1)) with
+        # r = sqrt(1 + k), the root loses no digits to cancellation.
         slope = np.broadcast_to(
             np.asarray(slope, dtype=np.float64), (self.n_machines,)
-        ).copy()
+        )
         if np.any(slope < 0.0):
             raise ValueError("slope must be non-negative")
-
-        lo = np.zeros(self.n_machines)
-        hi = (1.0 / self._es) * (1.0 - 1e-12)
-        # Bisection on the (monotone) marginal; 80 iterations gives
-        # ~1e-24 relative bracketing error, far below float64 noise.
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            one_minus = 1.0 - mid * self._es
-            g = self._es2 * mid * (2.0 - mid * self._es) / (2.0 * one_minus**2)
-            too_low = g < slope
-            lo = np.where(too_low, mid, lo)
-            hi = np.where(too_low, hi, mid)
-        return 0.5 * (lo + hi)
+        r = np.sqrt(1.0 + 2.0 * slope * self._es / self._es2)
+        return 2.0 * slope / (self._es2 * r * (r + 1.0))
 
     def load_capacity(self) -> np.ndarray:
         return 1.0 / self._es
@@ -136,15 +129,6 @@ class MG1LatencyModel(LatencyModel):
         s = as_float_array(service_time, "service_time")
         check_positive(s, "service_time")
         return cls(s, s**2)
-
-    def restricted_to(self, mask: np.ndarray) -> "MG1LatencyModel":
-        """A model over the machine subset selected by boolean ``mask``."""
-        mask = np.asarray(mask, dtype=bool)
-        if mask.size != self.n_machines:
-            raise ValueError("mask length does not match the number of machines")
-        if not np.any(mask):
-            raise ValueError("the restricted model must keep at least one machine")
-        return MG1LatencyModel(self._es[mask], self._es2[mask])
 
     def __repr__(self) -> str:
         return (

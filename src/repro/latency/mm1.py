@@ -75,15 +75,6 @@ class MM1LatencyModel(LatencyModel):
         loads = self._check_loads(loads)
         return loads / self._mu
 
-    def restricted_to(self, mask: np.ndarray) -> "MM1LatencyModel":
-        """A model over the machine subset selected by boolean ``mask``."""
-        mask = np.asarray(mask, dtype=bool)
-        if mask.size != self.n_machines:
-            raise ValueError("mask length does not match the number of machines")
-        if not np.any(mask):
-            raise ValueError("the restricted model must keep at least one machine")
-        return MM1LatencyModel(self._mu[mask])
-
     def with_values(self, mu: np.ndarray) -> "MM1LatencyModel":
         """A new model of the same class with different service rates."""
         return MM1LatencyModel(mu)

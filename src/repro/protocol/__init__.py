@@ -24,11 +24,7 @@ from repro.protocol.messages import (
     PaymentNotice,
 )
 from repro.protocol.network import SimulatedNetwork, NetworkStats
-from repro.protocol.estimator import (
-    ExecutionEstimate,
-    estimate_execution_value,
-    verified_estimates,
-)
+from repro.protocol.estimator import verified_estimates
 from repro.protocol.coordinator import MechanismCoordinator, ProtocolPhase
 from repro.protocol.faults import (
     ReliableNetwork,
@@ -53,8 +49,6 @@ __all__ = [
     "PaymentNotice",
     "SimulatedNetwork",
     "NetworkStats",
-    "ExecutionEstimate",
-    "estimate_execution_value",
     "verified_estimates",
     "MechanismCoordinator",
     "ProtocolPhase",

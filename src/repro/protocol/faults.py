@@ -185,9 +185,7 @@ class CrashingNode:
         self.inner.handle(message, sim)
 
     def report_completion(self) -> None:
-        if self.crash_after in ("immediately", "after_bid"):
-            return  # dead before reporting
-        self.inner.report_completion()  # pragma: no cover - no such point yet
+        """A crashed node never reports: every crash point precedes it."""
 
 
 @dataclass

@@ -20,9 +20,7 @@ A clean harness run is the headline acceptance check of the layer:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 
@@ -33,29 +31,14 @@ from repro.resilience.invariants import (
     check_round_invariants,
 )
 from repro.resilience.supervisor import RoundResult, RoundSupervisor
-from repro.types import AllocationResult, MechanismOutcome, PaymentResult
 
 __all__ = [
-    "CHAOS_SCHEMA_VERSION",
     "MachineFault",
     "RoundFaults",
     "FaultPlan",
     "ChaosReport",
     "ChaosHarness",
 ]
-
-#: Serialisation format of FaultPlan/ChaosReport JSON; bump on
-#: incompatible change so stale persisted scenarios fail loudly.
-CHAOS_SCHEMA_VERSION = 1
-
-
-def _check_schema_version(raw: Mapping[str, object], what: str) -> None:
-    version = raw.get("schema_version")
-    if version != CHAOS_SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported {what} schema version {version!r} "
-            f"(this build reads {CHAOS_SCHEMA_VERSION})"
-        )
 
 _FAULT_KINDS = ("crash", "withhold_bid", "withhold_report", "slow_execution")
 _CRASH_POINTS = ("immediately", "after_bid")
@@ -87,25 +70,6 @@ class MachineFault:
             raise ValueError("count must be at least 1")
         if self.slowdown < 1.0:
             raise ValueError("slowdown must be >= 1 (capacity constraint)")
-
-    def to_dict(self) -> dict[str, object]:
-        """Plain-dict form for persistence."""
-        return {
-            "kind": self.kind,
-            "point": self.point,
-            "count": self.count,
-            "slowdown": self.slowdown,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, object]) -> "MachineFault":
-        """Inverse of :meth:`to_dict` (re-validates every field)."""
-        return cls(
-            kind=str(payload["kind"]),
-            point=str(payload.get("point", "immediately")),
-            count=int(payload.get("count", 1)),
-            slowdown=float(payload.get("slowdown", 2.0)),
-        )
 
 
 @dataclass(frozen=True)
@@ -139,36 +103,6 @@ class RoundFaults:
             and self.coordinator_crash is None
         )
 
-    def to_dict(self) -> dict[str, object]:
-        """Plain-dict form for persistence."""
-        return {
-            "drop_probability": self.drop_probability,
-            "machine_faults": {
-                name: fault.to_dict()
-                for name, fault in self.machine_faults.items()
-            },
-            "coordinator_crash": self.coordinator_crash,
-            "crash_after_payments": self.crash_after_payments,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, object]) -> "RoundFaults":
-        """Inverse of :meth:`to_dict` (re-validates every field)."""
-        faults = payload.get("machine_faults", {})
-        return cls(
-            drop_probability=float(payload.get("drop_probability", 0.0)),
-            machine_faults={
-                str(name): MachineFault.from_dict(fault)
-                for name, fault in faults.items()  # type: ignore[union-attr]
-            },
-            coordinator_crash=(
-                None
-                if payload.get("coordinator_crash") is None
-                else str(payload["coordinator_crash"])
-            ),
-            crash_after_payments=int(payload.get("crash_after_payments", 1)),
-        )
-
 
 class FaultPlan:
     """A deterministic, replayable sequence of per-round fault schedules."""
@@ -194,22 +128,6 @@ class FaultPlan:
     def n_coordinator_crashes(self) -> int:
         """Rounds with a scheduled coordinator crash."""
         return sum(1 for r in self.rounds if r.coordinator_crash is not None)
-
-    def to_json(self) -> str:
-        """Serialise the plan so a chaos scenario can be replayed later."""
-        return json.dumps(
-            {
-                "schema_version": CHAOS_SCHEMA_VERSION,
-                "rounds": [r.to_dict() for r in self.rounds],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, payload: str) -> "FaultPlan":
-        """Rebuild a plan persisted by :meth:`to_json`."""
-        raw = json.loads(payload)
-        _check_schema_version(raw, "FaultPlan")
-        return cls([RoundFaults.from_dict(r) for r in raw["rounds"]])
 
     @classmethod
     def generate(
@@ -291,107 +209,6 @@ class FaultPlan:
         return cls(rounds)
 
 
-def _outcome_to_dict(outcome: MechanismOutcome) -> dict[str, object]:
-    """Serialisable form of a mechanism outcome (metadata is dropped)."""
-    return {
-        "allocation": {
-            "loads": [float(x) for x in outcome.allocation.loads],
-            "arrival_rate": float(outcome.allocation.arrival_rate),
-            "bids": [float(b) for b in outcome.allocation.bids],
-            "total_latency": float(outcome.allocation.total_latency),
-        },
-        "payments": {
-            "compensation": [float(x) for x in outcome.payments.compensation],
-            "bonus": [float(x) for x in outcome.payments.bonus],
-            "valuation": [float(x) for x in outcome.payments.valuation],
-        },
-        "execution_values": [float(x) for x in outcome.execution_values],
-        "true_values": (
-            None
-            if outcome.true_values is None
-            else [float(x) for x in outcome.true_values]
-        ),
-    }
-
-
-def _outcome_from_dict(raw: Mapping[str, object]) -> MechanismOutcome:
-    allocation = raw["allocation"]
-    payments = raw["payments"]
-    return MechanismOutcome(
-        allocation=AllocationResult(
-            loads=np.array(allocation["loads"]),
-            arrival_rate=float(allocation["arrival_rate"]),
-            bids=np.array(allocation["bids"]),
-            total_latency=float(allocation["total_latency"]),
-        ),
-        payments=PaymentResult(
-            compensation=np.array(payments["compensation"]),
-            bonus=np.array(payments["bonus"]),
-            valuation=np.array(payments["valuation"]),
-        ),
-        execution_values=np.array(raw["execution_values"]),
-        true_values=(
-            None
-            if raw.get("true_values") is None
-            else np.array(raw["true_values"])
-        ),
-    )
-
-
-def _round_result_to_dict(result: RoundResult) -> dict[str, object]:
-    return {
-        "index": result.index,
-        "participants": list(result.participants),
-        "probes": list(result.probes),
-        "quarantined": list(result.quarantined),
-        "excluded": list(result.excluded),
-        "withheld": list(result.withheld),
-        "alerts": list(result.alerts),
-        "faulted": list(result.faulted),
-        "fault_kinds": dict(result.fault_kinds),
-        "voided": result.voided,
-        "outcome": (
-            None if result.outcome is None else _outcome_to_dict(result.outcome)
-        ),
-        "loads": dict(result.loads),
-        "payments": dict(result.payments),
-        "utilities": dict(result.utilities),
-        "payment_notices": dict(result.payment_notices),
-        "bid_retries": result.bid_retries,
-        "report_retries": result.report_retries,
-        "coordinator_restarts": result.coordinator_restarts,
-        "arrival_rate": result.arrival_rate,
-        "jobs_routed": result.jobs_routed,
-    }
-
-
-def _round_result_from_dict(raw: Mapping[str, object]) -> RoundResult:
-    return RoundResult(
-        index=int(raw["index"]),
-        participants=list(raw["participants"]),
-        probes=list(raw["probes"]),
-        quarantined=list(raw["quarantined"]),
-        excluded=list(raw["excluded"]),
-        withheld=list(raw["withheld"]),
-        alerts=list(raw["alerts"]),
-        faulted=list(raw["faulted"]),
-        fault_kinds=dict(raw["fault_kinds"]),
-        voided=bool(raw["voided"]),
-        outcome=(
-            None if raw["outcome"] is None else _outcome_from_dict(raw["outcome"])
-        ),
-        loads={n: float(x) for n, x in raw["loads"].items()},
-        payments={n: float(x) for n, x in raw["payments"].items()},
-        utilities={n: float(x) for n, x in raw["utilities"].items()},
-        payment_notices={n: int(x) for n, x in raw["payment_notices"].items()},
-        bid_retries=int(raw["bid_retries"]),
-        report_retries=int(raw["report_retries"]),
-        coordinator_restarts=int(raw["coordinator_restarts"]),
-        arrival_rate=float(raw["arrival_rate"]),
-        jobs_routed=int(raw["jobs_routed"]),
-    )
-
-
 @dataclass
 class ChaosReport:
     """Outcome of one chaos run: per-round results plus violations."""
@@ -428,47 +245,6 @@ class ChaosReport:
     def n_quarantine_events(self) -> int:
         """Rounds in which at least one machine sat out quarantined."""
         return sum(1 for r in self.rounds if r.quarantined)
-
-    def to_json(self) -> str:
-        """Serialise the full run record for offline replay/analysis.
-
-        Outcome ``metadata`` mappings are dropped (they may hold live
-        objects); everything a post-mortem or the remediation journal
-        needs — loads, bids, payments, execution estimates, violations
-        — round-trips losslessly.
-        """
-        return json.dumps(
-            {
-                "schema_version": CHAOS_SCHEMA_VERSION,
-                "rounds": [_round_result_to_dict(r) for r in self.rounds],
-                "violations": [
-                    {
-                        "round_index": v.round_index,
-                        "invariant": v.invariant,
-                        "detail": v.detail,
-                    }
-                    for v in self.violations
-                ],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, payload: str) -> "ChaosReport":
-        """Rebuild a report persisted by :meth:`to_json`."""
-        raw = json.loads(payload)
-        _check_schema_version(raw, "ChaosReport")
-        return cls(
-            rounds=[_round_result_from_dict(r) for r in raw["rounds"]],
-            violations=[
-                InvariantViolation(
-                    round_index=int(v["round_index"]),
-                    invariant=str(v["invariant"]),
-                    detail=str(v["detail"]),
-                )
-                for v in raw["violations"]
-            ],
-        )
-
 
 class ChaosHarness:
     """Run a supervisor under a fault plan, checking invariants per round.

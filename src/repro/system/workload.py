@@ -3,9 +3,8 @@
 The paper assumes "a large number of jobs ... arrive at the system with
 an arrival rate R".  We model a job stream explicitly so the protocol
 simulation can route individual jobs, observe completions, and estimate
-execution rates.  Two generators are provided: Poisson arrivals (the
-queueing-theoretic reading of "arrival rate") and a deterministic
-equally-spaced stream (useful for noise-free protocol tests).
+execution rates.  :class:`PoissonWorkload` generates Poisson arrivals,
+the queueing-theoretic reading of "arrival rate".
 
 Beyond the paper's fixed ``R``, this module also models *nonstationary*
 arrivals (ROADMAP item 1): an :class:`ArrivalSchedule` describes a
@@ -30,7 +29,6 @@ from repro._validation import check_positive_scalar
 __all__ = [
     "Job",
     "PoissonWorkload",
-    "DeterministicWorkload",
     "ArrivalSchedule",
     "ConstantSchedule",
     "PiecewiseConstantSchedule",
@@ -83,24 +81,6 @@ class PoissonWorkload:
     def arrival_iter(self, duration: float) -> Iterator[Job]:
         """Iterator form of :meth:`generate` (jobs in arrival order)."""
         return iter(self.generate(duration))
-
-
-class DeterministicWorkload:
-    """Equally spaced arrivals at a fixed rate (no randomness)."""
-
-    def __init__(self, rate: float) -> None:
-        self.rate = check_positive_scalar(rate, "rate")
-
-    def generate_times(self, duration: float) -> np.ndarray:
-        """Arrival times at ``k / rate`` for every ``k / rate < duration``."""
-        duration = check_positive_scalar(duration, "duration")
-        count = int(np.floor(self.rate * duration))
-        return np.arange(count, dtype=np.float64) / self.rate
-
-    def generate(self, duration: float) -> list[Job]:
-        """Jobs at ``k / rate`` for every ``k`` with ``k / rate < duration``."""
-        times = self.generate_times(duration)
-        return [Job(job_id=i, arrival_time=float(t)) for i, t in enumerate(times)]
 
 
 class ArrivalSchedule:

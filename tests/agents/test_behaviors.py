@@ -7,7 +7,6 @@ import pytest
 
 from repro.agents import (
     ManipulativeAgent,
-    RandomLiar,
     ScaledBidder,
     SlowExecutor,
     TruthfulAgent,
@@ -56,34 +55,6 @@ class TestConvenienceSubclasses:
         agent = SlowExecutor(4.0, execution_factor=2.0)
         assert agent.bid() == 4.0
         assert agent.execution_value() == 8.0
-
-
-class TestRandomLiar:
-    def test_strategy_is_fixed_after_construction(self, rng):
-        agent = RandomLiar(2.0, rng)
-        assert agent.bid() == agent.bid()
-        assert agent.execution_value() == agent.execution_value()
-
-    def test_execution_respects_capacity(self, rng):
-        for _ in range(50):
-            agent = RandomLiar(2.0, rng)
-            assert agent.execution_value() >= 2.0
-
-    def test_bid_within_range(self, rng):
-        for _ in range(50):
-            agent = RandomLiar(2.0, rng, bid_factor_range=(0.5, 2.0))
-            assert 1.0 <= agent.bid() <= 4.0
-
-    def test_invalid_ranges_rejected(self, rng):
-        with pytest.raises(ValueError):
-            RandomLiar(2.0, rng, bid_factor_range=(2.0, 1.0))
-        with pytest.raises(ValueError):
-            RandomLiar(2.0, rng, execution_factor_range=(0.5, 2.0))
-
-    def test_reproducible_with_same_seed(self):
-        a = RandomLiar(2.0, np.random.default_rng(7))
-        b = RandomLiar(2.0, np.random.default_rng(7))
-        assert a.bid() == b.bid()
 
 
 class TestProfiles:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis import multi_liar_degradation, scenario_degradations
+from repro.analysis import multi_liar_degradation
 from repro.analysis.degradation import degradation_percent, realised_latency
 from repro.system.cluster import paper_cluster
 
@@ -31,23 +31,6 @@ class TestRealisedLatency:
         t = np.array([1.0, 1.0])
         # loads (5, 5); machine 0 runs at 2: L = 2*25 + 1*25 = 75.
         assert realised_latency(t, t, np.array([2.0, 1.0]), 10.0) == pytest.approx(75.0)
-
-
-class TestScenarioDegradations:
-    def test_matches_figure1(self):
-        t = paper_cluster().true_values
-        degr = scenario_degradations(t, 20.0)
-        assert degr["True1"] == pytest.approx(0.0)
-        assert degr["Low1"] == pytest.approx(11.02, abs=0.05)
-        assert degr["Low2"] == pytest.approx(65.84, abs=0.05)
-
-    def test_rate_invariance(self):
-        # For linear latencies, percentages are invariant in R.
-        t = paper_cluster().true_values
-        a = scenario_degradations(t, 20.0)
-        b = scenario_degradations(t, 7.0)
-        for name in a:
-            assert a[name] == pytest.approx(b[name])
 
 
 class TestMultiLiar:

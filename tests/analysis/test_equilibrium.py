@@ -2,48 +2,9 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.analysis import (
-    dominant_strategy_grid,
-    epsilon_truthfulness_under_noise,
-)
-from repro.mechanism import VerificationMechanism
-
-
-class TestDominantStrategyGrid:
-    def test_verification_mechanism_dominant(self, mechanism, small_true_values, rng):
-        result = dominant_strategy_grid(
-            mechanism, small_true_values, 10.0, 0, rng, n_opponent_profiles=10
-        )
-        assert result.holds
-        assert result.profiles_checked == 10
-        assert result.deviations_checked == 10 * 6 * 4
-
-    def test_declared_variant_fails_dominance(
-        self, declared_mechanism, small_true_values, rng
-    ):
-        result = dominant_strategy_grid(
-            declared_mechanism, small_true_values, 10.0, 0, rng,
-            n_opponent_profiles=5,
-        )
-        assert not result.holds
-        assert result.max_gain > 0.0
-
-    def test_every_agent_position_checked(self, mechanism, small_true_values, rng):
-        for agent in range(small_true_values.size):
-            result = dominant_strategy_grid(
-                mechanism, small_true_values, 10.0, agent, rng,
-                n_opponent_profiles=3,
-            )
-            assert result.holds
-
-    def test_execution_factor_validation(self, mechanism, small_true_values, rng):
-        with pytest.raises(ValueError):
-            dominant_strategy_grid(
-                mechanism, small_true_values, 10.0, 0, rng, exec_factors=(0.5,)
-            )
+from repro.analysis import epsilon_truthfulness_under_noise
 
 
 class TestEpsilonUnderNoise:

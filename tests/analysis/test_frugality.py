@@ -4,31 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import frugality_across_mechanisms, frugality_by_scenario
+from repro.analysis import frugality_across_mechanisms
 from repro.mechanism import (
     ArcherTardosMechanism,
     VCGMechanism,
     VerificationMechanism,
 )
 from repro.system.cluster import paper_cluster
-
-
-class TestFrugalityByScenario:
-    def test_all_scenarios_reported(self):
-        records = frugality_by_scenario()
-        assert [r.label for r in records] == [
-            "True1", "True2", "High1", "High2", "High3", "High4", "Low1", "Low2",
-        ]
-
-    def test_true1_within_paper_band(self):
-        true1 = frugality_by_scenario()[0]
-        assert 1.0 <= true1.ratio <= 2.5
-
-    def test_ratio_property(self):
-        record = frugality_by_scenario()[0]
-        assert record.ratio == pytest.approx(
-            record.total_payment / record.total_valuation
-        )
 
 
 class TestFrugalityAcrossMechanisms:

@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 
 from repro.analysis import (
-    sweep_arrival_rate,
     sweep_heterogeneity,
     sweep_system_size,
 )
-from repro.system.cluster import paper_cluster
 
 
 class TestSweepSystemSize:
@@ -33,23 +31,6 @@ class TestSweepSystemSize:
     def test_small_systems_rejected(self, rng):
         with pytest.raises(ValueError):
             sweep_system_size([1], rng)
-
-
-class TestSweepArrivalRate:
-    def test_percent_metrics_rate_invariant(self):
-        cluster = paper_cluster()
-        results = sweep_arrival_rate(cluster, [5.0, 20.0, 80.0])
-        degradations = [r.canonical_degradation_percent for r in results]
-        ratios = [r.frugality_ratio for r in results]
-        assert max(degradations) - min(degradations) < 1e-9
-        assert max(ratios) - min(ratios) < 1e-9
-
-    def test_latency_scales_quadratically(self):
-        cluster = paper_cluster()
-        results = sweep_arrival_rate(cluster, [10.0, 20.0])
-        assert results[1].optimal_latency == pytest.approx(
-            4.0 * results[0].optimal_latency
-        )
 
 
 class TestSweepHeterogeneity:

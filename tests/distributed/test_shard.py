@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from repro.agents import (
+    Agent,
     ManipulativeAgent,
-    RandomLiar,
     ScaledBidder,
     SlowExecutor,
     TruthfulAgent,
@@ -113,13 +113,28 @@ class _Drifting(TruthfulAgent):
         return self.true_value * (1.0 + 0.25 * self.calls)
 
 
+class _Alternating(Agent):
+    """A stateful bidder of no fixed-bid type: over- and underbids in turn."""
+
+    def __init__(self, true_value):
+        super().__init__(true_value)
+        self.calls = 0
+
+    def bid(self):
+        self.calls += 1
+        return self.true_value * (2.0 if self.calls % 2 else 0.5)
+
+    def execution_value(self):
+        return self.true_value
+
+
 def _mixed_agents():
     return [
         TruthfulAgent(1.0),
         _Drifting(2.0),
         ManipulativeAgent(3.0, 1.5, 2.0),
         ScaledBidder(4.0, 0.5),
-        RandomLiar(5.0, np.random.default_rng(9)),
+        _Alternating(5.0),
         SlowExecutor(6.0, 3.0),
         _Drifting(7.0),
     ]
@@ -140,9 +155,10 @@ class TestBidColumn:
             shard.collect_bids()
             expected = np.array([a.bid() for a in oracle], dtype=np.float64)
             assert shard.bids_vector().tobytes() == expected.tobytes()
-            # One call per round, though it subclasses a fixed bidder.
-            assert [a.calls for a in agents if isinstance(a, _Drifting)] == [
-                round_, round_
+            # One call per round from each stateful bidder, _Drifting
+            # though it subclasses a fixed bidder.
+            assert [a.calls for a in agents if hasattr(a, "calls")] == [
+                round_, round_, round_
             ]
 
 

@@ -76,8 +76,3 @@ class TestReductions:
     def test_without_intercepts(self, model):
         linear = model.without_intercepts()
         np.testing.assert_allclose(linear.t, model.slope)
-
-    def test_restriction(self, model):
-        sub = model.restricted_to(np.array([False, True]))
-        assert sub.intercept[0] == 2.0
-        assert sub.slope[0] == 0.5

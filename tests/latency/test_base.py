@@ -7,7 +7,6 @@ import pytest
 
 from repro.latency import (
     AffineLatencyModel,
-    KingmanLatencyModel,
     LinearLatencyModel,
     MG1LatencyModel,
     MM1LatencyModel,
@@ -18,7 +17,6 @@ ALL_MODELS = [
     AffineLatencyModel([0.5, 1.0], [1.0, 2.0]),
     MM1LatencyModel([4.0, 8.0]),
     MG1LatencyModel.exponential([4.0, 8.0]),
-    KingmanLatencyModel([0.25, 0.125]),
 ]
 
 

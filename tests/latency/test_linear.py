@@ -85,18 +85,6 @@ class TestLoadValidation:
 
 
 class TestUtilities:
-    def test_restricted_to_subset(self, model):
-        sub = model.restricted_to(np.array([True, False, True]))
-        np.testing.assert_allclose(sub.t, [1.0, 5.0])
-
-    def test_restricted_requires_nonempty(self, model):
-        with pytest.raises(ValueError):
-            model.restricted_to(np.zeros(3, dtype=bool))
-
-    def test_restricted_mask_length_checked(self, model):
-        with pytest.raises(ValueError):
-            model.restricted_to(np.array([True, False]))
-
     def test_with_values(self, model):
         other = model.with_values([3.0, 4.0])
         np.testing.assert_allclose(other.t, [3.0, 4.0])

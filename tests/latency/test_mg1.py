@@ -93,10 +93,3 @@ class TestLightLoadLinearisation:
         linear = model.light_load_linearization()
         x = np.array([1.8, 3.6])  # 90% utilisation
         assert np.all(linear.per_job(x) < model.per_job(x))
-
-
-class TestRestriction:
-    def test_restricted_to(self, model):
-        sub = model.restricted_to(np.array([True, False]))
-        assert sub.n_machines == 1
-        assert sub.mean_service[0] == model.mean_service[0]

@@ -75,9 +75,5 @@ class TestUtilities:
     def test_utilisation(self, model):
         np.testing.assert_allclose(model.utilisation([1.0, 1.0]), [0.5, 0.25])
 
-    def test_restriction(self, model):
-        sub = model.restricted_to(np.array([False, True]))
-        np.testing.assert_allclose(sub.mu, [4.0])
-
     def test_with_values(self, model):
         np.testing.assert_allclose(model.with_values([8.0]).mu, [8.0])

@@ -5,71 +5,23 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.protocol import estimate_execution_value
+from repro.protocol import verified_estimates
+
+
+def _estimate(sojourns, load):
+    """``verified_estimates`` for one machine that ran ``sojourns``."""
+    sojourns = np.asarray(sojourns, dtype=np.float64)
+    return float(
+        verified_estimates([1.0], [load], [sojourns.size], [sojourns.mean()])[0]
+    )
 
 
 class TestPointEstimate:
     def test_exact_on_noise_free_observations(self):
         # Sojourn = t̃ x exactly -> estimate = t̃.
-        estimate = estimate_execution_value(np.full(100, 6.0), allocated_load=3.0)
-        assert estimate.value == pytest.approx(2.0)
+        assert _estimate(np.full(100, 6.0), load=3.0) == pytest.approx(2.0)
 
     def test_unbiased_under_exponential_noise(self, rng):
         t, x = 2.0, 3.0
         sojourns = rng.exponential(t * x, size=200_000)
-        estimate = estimate_execution_value(sojourns, x)
-        assert estimate.value == pytest.approx(t, rel=0.02)
-
-    def test_stderr_shrinks_with_observations(self, rng):
-        t, x = 2.0, 3.0
-        small = estimate_execution_value(rng.exponential(t * x, 100), x)
-        large = estimate_execution_value(rng.exponential(t * x, 10_000), x)
-        assert large.stderr < small.stderr
-
-    def test_stderr_scaling_rate(self, rng):
-        # stderr ~ cv / sqrt(m): quadrupling m halves the error.
-        t, x = 1.0, 1.0
-        m = 40_000
-        small = estimate_execution_value(rng.exponential(t * x, m), x)
-        large = estimate_execution_value(rng.exponential(t * x, 4 * m), x)
-        assert large.stderr == pytest.approx(small.stderr / 2.0, rel=0.1)
-
-    def test_ci_contains_truth_typically(self, rng):
-        t, x = 2.0, 3.0
-        hits = 0
-        for _ in range(100):
-            estimate = estimate_execution_value(rng.exponential(t * x, 2000), x)
-            lo, hi = estimate.ci95
-            hits += lo <= t <= hi
-        assert hits >= 85  # ~95 expected
-
-    def test_single_observation_has_infinite_stderr(self):
-        estimate = estimate_execution_value(np.array([5.0]), 1.0)
-        assert np.isinf(estimate.stderr)
-        assert estimate.n_observations == 1
-
-
-class TestClamping:
-    def test_clamp_raises_low_estimates(self):
-        estimate = estimate_execution_value(np.full(10, 1.0), allocated_load=1.0)
-        clamped = estimate.clamped(2.0)
-        assert clamped.value == 2.0
-        assert clamped.n_observations == estimate.n_observations
-
-    def test_clamp_keeps_high_estimates(self):
-        estimate = estimate_execution_value(np.full(10, 5.0), allocated_load=1.0)
-        assert estimate.clamped(2.0) is estimate
-
-
-class TestValidation:
-    def test_empty_observations_rejected(self):
-        with pytest.raises(ValueError):
-            estimate_execution_value(np.array([]), 1.0)
-
-    def test_zero_load_rejected(self):
-        with pytest.raises(ValueError):
-            estimate_execution_value(np.array([1.0]), 0.0)
-
-    def test_negative_sojourn_rejected(self):
-        with pytest.raises(ValueError):
-            estimate_execution_value(np.array([1.0, -1.0]), 1.0)
+        assert _estimate(sojourns, x) == pytest.approx(t, rel=0.02)

@@ -4,102 +4,47 @@ from __future__ import annotations
 
 import pytest
 
-from repro.system import EventQueue, Simulator
+from repro.system import Simulator
 
 
 class TestEventQueue:
+    """The calendar's firing order: by time, then by scheduling order."""
+
     def test_time_ordering(self):
-        q = EventQueue()
+        sim = Simulator()
         order = []
-        q.push(2.0, lambda s: order.append("b"))
-        q.push(1.0, lambda s: order.append("a"))
-        q.push(3.0, lambda s: order.append("c"))
-        while (e := q.pop()) is not None:
-            e.handler(None)
+        sim.schedule(2.0, lambda s: order.append("b"))
+        sim.schedule(1.0, lambda s: order.append("a"))
+        sim.schedule_at(3.0, lambda s: order.append("c"))
+        sim.run()
         assert order == ["a", "b", "c"]
 
     def test_fifo_tiebreak_for_simultaneous_events(self):
-        q = EventQueue()
+        sim = Simulator()
         order = []
         for k in range(5):
-            q.push(1.0, lambda s, k=k: order.append(k))
-        while (e := q.pop()) is not None:
-            e.handler(None)
+            sim.schedule(1.0, lambda s, k=k: order.append(k))
+        sim.run()
         assert order == [0, 1, 2, 3, 4]
 
-    def test_cancellation(self):
-        q = EventQueue()
-        fired = []
-        event = q.push(1.0, lambda s: fired.append(1))
-        event.cancel()
-        assert q.pop() is None
-        assert fired == []
+    def test_event_scheduled_now_fires_after_pending_simultaneous_ones(self):
+        # A handler scheduling at the current time queues behind the
+        # events already due at that time, never ahead of them.
+        sim = Simulator()
+        order = []
 
-    def test_len_excludes_cancelled(self):
-        q = EventQueue()
-        e1 = q.push(1.0, lambda s: None)
-        q.push(2.0, lambda s: None)
-        e1.cancel()
-        assert len(q) == 1
+        def first(s: Simulator) -> None:
+            order.append("first")
+            s.schedule(0.0, lambda s2: order.append("scheduled-now"))
+            s.schedule_at(s.now, lambda s2: order.append("scheduled-at-now"))
 
-    def test_peek_skips_cancelled(self):
-        q = EventQueue()
-        e1 = q.push(1.0, lambda s: None)
-        q.push(2.0, lambda s: None)
-        e1.cancel()
-        assert q.peek_time() == 2.0
-
-    def test_bool(self):
-        q = EventQueue()
-        assert not q
-        q.push(1.0, lambda s: None)
-        assert q
-
-
-class TestLiveCounter:
-    """The O(1) size counter stays exact through every lifecycle path."""
-
-    def test_consistent_through_push_cancel_pop(self):
-        q = EventQueue()
-        events = [q.push(float(k), lambda s: None) for k in range(10)]
-        assert len(q) == 10
-        for event in events[::2]:
-            event.cancel()
-        assert len(q) == 5
-        popped = 0
-        while q.pop() is not None:
-            popped += 1
-            assert len(q) == 5 - popped
-        assert popped == 5
-        assert len(q) == 0 and not q
-
-    def test_double_cancel_decrements_once(self):
-        q = EventQueue()
-        event = q.push(1.0, lambda s: None)
-        q.push(2.0, lambda s: None)
-        event.cancel()
-        event.cancel()
-        assert len(q) == 1
-
-    def test_cancel_after_pop_is_harmless(self):
-        # A stale handle to an already-delivered event must not push
-        # the live count negative.
-        q = EventQueue()
-        event = q.push(1.0, lambda s: None)
-        q.push(2.0, lambda s: None)
-        assert q.pop() is event
-        event.cancel()
-        assert len(q) == 1
-        assert q.pop() is not None
-        assert len(q) == 0
-
-    def test_peek_pruning_keeps_count_consistent(self):
-        q = EventQueue()
-        head = q.push(1.0, lambda s: None)
-        q.push(2.0, lambda s: None)
-        head.cancel()
-        assert q.peek_time() == 2.0  # prunes the cancelled head
-        assert len(q) == 1
+        sim.schedule(1.0, first)
+        sim.schedule(1.0, lambda s: order.append("second"))
+        sim.schedule(2.0, lambda s: order.append("later"))
+        sim.run()
+        assert order == [
+            "first", "second", "scheduled-now", "scheduled-at-now", "later"
+        ]
 
 
 class TestSimulator:
@@ -124,17 +69,6 @@ class TestSimulator:
         sim.run()
         assert fired == [("first", 1.0), ("second", 3.0)]
 
-    def test_run_until_horizon(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(1.0, lambda s: fired.append(1))
-        sim.schedule(5.0, lambda s: fired.append(5))
-        sim.run(until=2.0)
-        assert fired == [1]
-        assert sim.now == 2.0  # clock advanced to the horizon
-        sim.run()
-        assert fired == [1, 5]
-
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
             Simulator().schedule(-1.0, lambda s: None)
@@ -145,30 +79,19 @@ class TestSimulator:
         sim.run()
         with pytest.raises(ValueError):
             sim.schedule_at(1.0, lambda s: None)
-
-    def test_events_processed_counter(self):
-        sim = Simulator()
-        for k in range(7):
-            sim.schedule(float(k), lambda s: None)
-        sim.run()
-        assert sim.events_processed == 7
+        assert sim.pending() == 0
 
     def test_pending_count(self):
         sim = Simulator()
+        assert sim.pending() == 0
         sim.schedule(1.0, lambda s: None)
         sim.schedule(2.0, lambda s: None)
         assert sim.pending() == 2
-        sim.run(until=1.5)
-        assert sim.pending() == 1
-
-    def test_cancelled_event_not_processed(self):
-        sim = Simulator()
-        fired = []
-        event = sim.schedule(1.0, lambda s: fired.append(1))
-        event.cancel()
+        seen = []
+        sim.schedule(1.5, lambda s: seen.append(s.pending()))
         sim.run()
-        assert fired == []
-        assert sim.events_processed == 0
+        assert seen == [1]  # the 2.0 event is still due
+        assert sim.pending() == 0
 
     def test_deterministic_large_run(self):
         # A chain of self-scheduling events: stable order and timing.

@@ -1,4 +1,4 @@
-"""Unit tests for the machine process models."""
+"""Unit tests for the machine process model."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from repro.protocol.execution import dispatch_batched, serve_batch
 from repro.system import (
     LinearLatencyMachine,
     PoissonWorkload,
-    QueueingMachine,
     Simulator,
 )
 
@@ -128,40 +127,3 @@ class TestSubmitBatch:
             machine.configure(1.0)
         with pytest.raises(ValueError, match="one generator"):
             dispatch_batched(Simulator(), machines, [np.array([0.0])] * 2)
-
-
-class TestQueueingMachine:
-    def test_mm1_sojourn_matches_theory(self, rng):
-        # M/M/1 at rho = 0.5: sojourn = 1/(mu - x) = 1.
-        machine = QueueingMachine("Q1", service_rate=2.0, rng=rng)
-        jobs = PoissonWorkload(1.0, rng).generate(20000.0)
-        _drive(machine, jobs)
-        assert machine.stats().mean_sojourn == pytest.approx(1.0, rel=0.07)
-
-    def test_fifo_backlog(self, rng):
-        # Deterministic service of 1s with two arrivals 0.5s apart:
-        # second job waits for the first.
-        machine = QueueingMachine(
-            "Q1", service_rate=1.0, rng=rng, service_sampler=lambda mean, r: 1.0
-        )
-        from repro.system.workload import Job
-
-        sim = Simulator()
-        _drive(machine, [Job(0, 0.0), Job(1, 0.5)], sim)
-        assert machine.sojourn_times[0] == pytest.approx(1.0)
-        assert machine.sojourn_times[1] == pytest.approx(1.5)
-
-    def test_light_load_sojourn_is_service_time(self, rng):
-        machine = QueueingMachine("Q1", service_rate=10.0, rng=rng)
-        jobs = PoissonWorkload(0.01, rng).generate(100000.0)
-        _drive(machine, jobs)
-        assert machine.stats().mean_sojourn == pytest.approx(0.1, rel=0.08)
-
-    def test_busy_time_accumulates(self, rng):
-        machine = QueueingMachine(
-            "Q1", service_rate=1.0, rng=rng, service_sampler=lambda mean, r: 0.25
-        )
-        from repro.system.workload import Job
-
-        _drive(machine, [Job(0, 0.0), Job(1, 10.0)])
-        assert machine.stats().total_busy_time == pytest.approx(0.5)

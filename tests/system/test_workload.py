@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.protocol.execution import per_machine, sort_by_machine
-from repro.system import DeterministicWorkload, PoissonWorkload
+from repro.system import PoissonWorkload
 from repro.system.workload import split_assignments
 from repro.system.workload import Job
 
@@ -51,17 +51,6 @@ class TestPoissonWorkload:
     def test_arrival_iter(self, rng):
         jobs = list(PoissonWorkload(10.0, rng).arrival_iter(2.0))
         assert all(isinstance(j, Job) for j in jobs)
-
-
-class TestDeterministicWorkload:
-    def test_exact_count(self):
-        jobs = DeterministicWorkload(4.0).generate(2.5)
-        assert len(jobs) == 10
-
-    def test_equally_spaced(self):
-        jobs = DeterministicWorkload(4.0).generate(1.0)
-        gaps = np.diff([j.arrival_time for j in jobs])
-        np.testing.assert_allclose(gaps, 0.25)
 
 
 def split_workload(count, fractions, rng):
@@ -119,14 +108,6 @@ class TestGenerateTimes:
         times = PoissonWorkload(30.0, rng).generate_times(5.0)
         assert np.all(np.diff(times) >= 0.0)
         assert np.all((times >= 0.0) & (times < 5.0))
-
-    def test_deterministic_times_match_generate(self):
-        workload = DeterministicWorkload(4.0)
-        times = workload.generate_times(2.5)
-        assert np.array_equal(
-            times, np.array([j.arrival_time for j in workload.generate(2.5)])
-        )
-        assert np.array_equal(times, np.arange(10) / 4.0)
 
 
 class TestSplitAssignments:

@@ -98,35 +98,3 @@ class TestProtocolFeedsDistributedMechanism:
             result.outcome.payments.payment,
             rtol=1e-9,
         )
-
-
-class TestTraceReplayThroughProtocolMachinery:
-    """A recorded workload replays to identical machine statistics."""
-
-    def test_replayed_trace_gives_identical_sojourns(self, tmp_path):
-        from repro.system import (
-            LinearLatencyMachine,
-            PoissonWorkload,
-            Simulator,
-            load_trace,
-            save_trace,
-        )
-
-        jobs = PoissonWorkload(4.0, np.random.default_rng(2)).generate(50.0)
-        save_trace(jobs, tmp_path / "trace.json")
-        replayed = load_trace(tmp_path / "trace.json")
-
-        def run(stream):
-            sim = Simulator()
-            machine = LinearLatencyMachine(
-                "C1", 2.0, np.random.default_rng(0), deterministic_service=True
-            )
-            machine.configure(4.0)
-            for job in stream:
-                sim.schedule_at(
-                    job.arrival_time, lambda s, j=job: machine.submit(s, j)
-                )
-            sim.run()
-            return machine.sojourn_times
-
-        assert run(jobs) == run(replayed)
