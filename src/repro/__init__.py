@@ -91,7 +91,7 @@ from repro.experiments import (
     figure6_truthful_structure,
 )
 
-__version__ = "1.25.0"
+__version__ = "1.26.0"
 
 __all__ = [
     "AllocationResult",

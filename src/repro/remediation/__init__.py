@@ -1,22 +1,25 @@
 """Closed-loop auto-remediation: detect → propose → verify → apply.
 
 The resilience layer (:mod:`repro.resilience`) lets the mechanism
-*survive* faults; this package makes it *repair* them.  Every completed
-supervised round flows through a four-stage pipeline:
+*survive* faults; this package makes it *repair* them.  After every
+completed supervised round, :class:`RemediationPipeline` runs one loop:
 
 1. :class:`IncidentDetector` adapts existing signals — CUSUM slowdown
    alerts, withheld reports, circuit trips, invariant violations,
    message-loss spikes — into typed :class:`Incident` records;
-2. :class:`ActionProposer` maps incidents to candidate
+2. :func:`propose_actions` maps incidents to candidate
    :class:`RemediationAction`\\ s (requarantine, early readmit, circuit
-   reset, bid reweight, detector sharpening, round void);
+   reset, bid reweight, detector sharpening, round void), at most four
+   per round;
 3. :class:`ShadowVerifier` dry-runs each candidate against a forked,
    batched shadow simulation and rejects anything that breaks an
    invariant or worsens the predicted verification gap;
-4. :class:`RemediationScheduler` drains the survivors in ascending
-   risk order through a write-ahead :class:`ActionJournal` with
-   at-most-once application, crash-safe resume, and rollback on
-   post-apply check failure.
+4. the accepted actions are applied in ascending risk order, each
+   followed by a post-apply check that rolls it back if it fails.
+
+Each round's incidents, proposals, verdicts and applied, rejected and
+rolled-back actions are appended to ``RemediationPipeline.history`` as
+one :class:`RoundRemediation`.
 
 Wire it up with ``RoundSupervisor(..., remediation=RemediationPipeline())``;
 measure what it buys with :func:`measure_mttr` (benchmark A23).
@@ -24,20 +27,14 @@ measure what it buys with :func:`measure_mttr` (benchmark A23).
 
 from repro.remediation.actions import (
     ACTION_KINDS,
-    ActionApplier,
-    ActionProposer,
     ActionUndo,
     RemediationAction,
+    apply_action,
+    post_apply_check,
+    propose_actions,
+    rollback_action,
 )
 from repro.remediation.incidents import INCIDENT_KINDS, Incident, IncidentDetector
-from repro.remediation.journal import (
-    SCHEMA_VERSION,
-    ActionJournal,
-    JournalRecord,
-    RemediationScheduler,
-    RiskScorer,
-    SchedulerCrash,
-)
 from repro.remediation.mttr import (
     DegradationScenario,
     MTTRComparison,
@@ -47,38 +44,29 @@ from repro.remediation.mttr import (
     run_scenario,
     scenario_fault_plan,
 )
-from repro.remediation.pipeline import (
-    RemediationConfig,
-    RemediationPipeline,
-    RoundRemediation,
-)
+from repro.remediation.pipeline import RemediationPipeline, RoundRemediation
 from repro.remediation.shadow import ShadowVerdict, ShadowVerifier
 
 __all__ = [
     "ACTION_KINDS",
     "INCIDENT_KINDS",
-    "SCHEMA_VERSION",
-    "ActionApplier",
-    "ActionJournal",
-    "ActionProposer",
     "ActionUndo",
     "DegradationScenario",
     "Incident",
     "IncidentDetector",
-    "JournalRecord",
     "MTTRComparison",
     "RemediationAction",
-    "RemediationConfig",
     "RemediationPipeline",
-    "RemediationScheduler",
-    "RiskScorer",
     "RoundRemediation",
     "ScenarioRun",
-    "SchedulerCrash",
     "ShadowVerdict",
     "ShadowVerifier",
+    "apply_action",
     "default_scenarios",
     "measure_mttr",
+    "post_apply_check",
+    "propose_actions",
+    "rollback_action",
     "run_scenario",
     "scenario_fault_plan",
 ]

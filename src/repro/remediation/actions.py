@@ -1,11 +1,12 @@
-"""Stages 2 and 4b of the remediation pipeline: propose and apply.
+"""Remediation actions: propose candidates, apply them, roll them back.
 
-The :class:`ActionProposer` maps each :class:`~repro.remediation.Incident`
+:func:`propose_actions` maps each :class:`~repro.remediation.Incident`
 to candidate :class:`RemediationAction`\\ s — *candidates* because
 nothing here touches live state: every proposal must first survive the
-shadow verifier (:mod:`repro.remediation.shadow`) and the risk-ranked,
-journaled scheduler (:mod:`repro.remediation.journal`) before the
-:class:`ActionApplier` finally mutates the supervisor.
+shadow verifier (:mod:`repro.remediation.shadow`) before the pipeline
+applies it with :func:`apply_action`, checks the result with
+:func:`post_apply_check` and, if that fails, undoes it with
+:func:`rollback_action`.
 
 The action vocabulary is deliberately small and incentive-safe: each
 action adjusts *supervision* state (circuit breakers, effective
@@ -17,7 +18,7 @@ truthfulness structure is untouched by any remediation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.observability.instrumentation import annotate, record_counter
 from repro.remediation.incidents import Incident
@@ -29,9 +30,11 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "ACTION_KINDS",
     "RemediationAction",
-    "ActionProposer",
     "ActionUndo",
-    "ActionApplier",
+    "propose_actions",
+    "apply_action",
+    "rollback_action",
+    "post_apply_check",
 ]
 
 #: Everything the pipeline knows how to do, least to most disruptive.
@@ -52,6 +55,10 @@ _REWEIGHT_MIN_FACTOR = 1.25
 #: CUSUM detector (the machine blew far past its declaration, so the
 #: current threshold is too lenient).
 _SEVERE_SLOWDOWN = 2.0
+
+#: Cooldown rounds a quarantined machine must still have left for an
+#: early readmit to be worth proposing (below it, it probes anyway).
+_READMIT_MIN_COOLDOWN = 2
 
 #: Multiplier applied to ``detector_threshold`` by sharpen_detector,
 #: and the floor it will never cross.
@@ -75,13 +82,13 @@ class RemediationAction:
         for ``reweight``, the threshold multiplier for
         ``sharpen_detector``; unused (1.0) otherwise.
     reason:
-        Human-readable justification, journaled verbatim.
+        Human-readable justification.
     incident_kind:
         The incident kind that motivated this action.
     round_index:
         The round whose evidence motivated this action; part of the
         identity, so re-detecting the same problem in a later round
-        proposes a *new* action rather than colliding in the journal.
+        proposes a *new* action rather than repeating an old one.
     """
 
     kind: str
@@ -99,40 +106,17 @@ class RemediationAction:
 
     @property
     def action_id(self) -> str:
-        """Stable identity used by the journal's at-most-once ledger."""
+        """Stable identity: round, kind and machine."""
         return f"{self.round_index}:{self.kind}:{self.machine or '*'}"
-
-    def to_dict(self) -> dict[str, object]:
-        """Plain-dict form for journaling."""
-        return {
-            "kind": self.kind,
-            "machine": self.machine,
-            "factor": self.factor,
-            "reason": self.reason,
-            "incident_kind": self.incident_kind,
-            "round_index": self.round_index,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, object]) -> "RemediationAction":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            kind=str(payload["kind"]),
-            machine=(
-                None if payload.get("machine") is None else str(payload["machine"])
-            ),
-            factor=float(payload.get("factor", 1.0)),
-            reason=str(payload.get("reason", "")),
-            incident_kind=str(payload.get("incident_kind", "")),
-            round_index=int(payload.get("round_index", 0)),
-        )
 
     def __str__(self) -> str:
         return f"{self.kind}({self.machine or '*'}) [{self.reason}]"
 
 
-class ActionProposer:
-    """Map incidents to candidate actions (policy, no side effects).
+def propose_actions(
+    incidents: Sequence[Incident], supervisor: "RoundSupervisor"
+) -> list[RemediationAction]:
+    """Candidate actions for one round's incidents, deduplicated.
 
     The mapping encodes the repair playbook:
 
@@ -146,166 +130,119 @@ class ActionProposer:
       paper's mechanism cannot price.
     * **circuit_trip** whose reason is a missed deadline, co-occurring
       with a message-loss spike — forgive it (``reset_circuit``): the
-      network, not the machine, likely ate the messages.
+      network, not the machine, likely ate the messages.  A
+      message-loss incident acts only through this forgiveness.
     * **invariant** — the emergency brake: void the next round while
       state is suspect.
     * Opportunistic **readmit** — a quarantined machine whose
       reputation already clears the readmission bar is offered an early
       probe instead of idling out its cooldown.
     """
-
-    def __init__(
-        self,
-        *,
-        reweight_min_factor: float = _REWEIGHT_MIN_FACTOR,
-        severe_slowdown: float = _SEVERE_SLOWDOWN,
-        readmit_min_cooldown: int = 2,
-    ) -> None:
-        if reweight_min_factor <= 1.0:
-            raise ValueError("reweight_min_factor must exceed 1")
-        if severe_slowdown <= 1.0:
-            raise ValueError("severe_slowdown must exceed 1")
-        if readmit_min_cooldown < 1:
-            raise ValueError("readmit_min_cooldown must be at least 1")
-        self.reweight_min_factor = float(reweight_min_factor)
-        self.severe_slowdown = float(severe_slowdown)
-        self.readmit_min_cooldown = int(readmit_min_cooldown)
-
-    def propose(
-        self,
-        incidents: Sequence[Incident],
-        supervisor: "RoundSupervisor",
-    ) -> list[RemediationAction]:
-        """Candidate actions for one round's incidents, deduplicated."""
-        actions: list[RemediationAction] = []
-        loss_round = any(i.kind == "message_loss" for i in incidents)
-        for incident in incidents:
-            if incident.kind == "slowdown":
-                actions.extend(self._for_slowdown(incident))
-            elif incident.kind == "unverified":
-                actions.append(
-                    RemediationAction(
-                        kind="requarantine",
-                        machine=incident.machine,
-                        reason="withheld completion report: work unverifiable",
-                        incident_kind="unverified",
-                        round_index=incident.round_index,
-                    )
+    actions: list[RemediationAction] = []
+    loss_round = any(i.kind == "message_loss" for i in incidents)
+    for incident in incidents:
+        if incident.kind == "slowdown":
+            actions.extend(_for_slowdown(incident))
+        elif incident.kind == "unverified":
+            actions.append(
+                RemediationAction(
+                    kind="requarantine",
+                    machine=incident.machine,
+                    reason="withheld completion report: work unverifiable",
+                    incident_kind="unverified",
+                    round_index=incident.round_index,
                 )
-            elif incident.kind == "circuit_trip":
-                actions.extend(self._for_trip(incident, loss_round))
-            elif incident.kind == "invariant":
-                actions.append(
-                    RemediationAction(
-                        kind="void_round",
-                        reason=f"invariant broken: {incident.evidence.get('invariant')}",
-                        incident_kind="invariant",
-                        round_index=incident.round_index,
-                    )
-                )
-            elif incident.kind == "message_loss":
-                actions.extend(self._for_loss(incident))
-        if incidents:
-            actions.extend(
-                self._opportunistic_readmits(incidents[0].round_index, supervisor)
             )
-        return self._dedupe(actions)
+        elif incident.kind == "circuit_trip":
+            reason = str(incident.evidence.get("reason", ""))
+            # Organic trips are already handled by the circuit itself.
+            if loss_round and reason in ("missed_bid", "missed_report"):
+                actions.append(
+                    RemediationAction(
+                        kind="reset_circuit",
+                        machine=incident.machine,
+                        reason=f"trip ({reason}) during a message-loss spike",
+                        incident_kind="circuit_trip",
+                        round_index=incident.round_index,
+                    )
+                )
+        elif incident.kind == "invariant":
+            actions.append(
+                RemediationAction(
+                    kind="void_round",
+                    reason=f"invariant broken: {incident.evidence.get('invariant')}",
+                    incident_kind="invariant",
+                    round_index=incident.round_index,
+                )
+            )
+    if incidents:
+        actions.extend(_readmits(incidents[0].round_index, supervisor))
+    unique: dict[str, RemediationAction] = {}
+    for action in actions:
+        unique.setdefault(action.action_id, action)
+    return list(unique.values())
 
-    # -------------------------------------------------------- per incident
 
-    def _for_slowdown(self, incident: Incident) -> list[RemediationAction]:
-        machine = incident.machine
-        factor = float(incident.evidence.get("slowdown_factor", 1.0))
-        actions = [
+def _for_slowdown(incident: Incident) -> list[RemediationAction]:
+    machine = incident.machine
+    factor = float(incident.evidence.get("slowdown_factor", 1.0))
+    actions = [
+        RemediationAction(
+            kind="requarantine",
+            machine=machine,
+            reason=f"CUSUM alert, verified {factor:.2f}x declared",
+            incident_kind="slowdown",
+            round_index=incident.round_index,
+        )
+    ]
+    if factor >= _REWEIGHT_MIN_FACTOR:
+        actions.append(
             RemediationAction(
-                kind="requarantine",
+                kind="reweight",
                 machine=machine,
-                reason=f"CUSUM alert, verified {factor:.2f}x declared",
+                factor=factor,
+                reason=f"re-estimate declared value at {factor:.2f}x bid",
                 incident_kind="slowdown",
                 round_index=incident.round_index,
             )
-        ]
-        if factor >= self.reweight_min_factor:
-            actions.append(
-                RemediationAction(
-                    kind="reweight",
-                    machine=machine,
-                    factor=factor,
-                    reason=f"re-estimate declared value at {factor:.2f}x bid",
-                    incident_kind="slowdown",
-                    round_index=incident.round_index,
-                )
+        )
+    if factor >= _SEVERE_SLOWDOWN:
+        actions.append(
+            RemediationAction(
+                kind="sharpen_detector",
+                factor=_SHARPEN_RATIO,
+                reason=f"severe slowdown ({factor:.2f}x) evaded early detection",
+                incident_kind="slowdown",
+                round_index=incident.round_index,
             )
-        if factor >= self.severe_slowdown:
-            actions.append(
-                RemediationAction(
-                    kind="sharpen_detector",
-                    factor=_SHARPEN_RATIO,
-                    reason=f"severe slowdown ({factor:.2f}x) evaded early detection",
-                    incident_kind="slowdown",
-                    round_index=incident.round_index,
-                )
+        )
+    return actions
+
+
+def _readmits(
+    round_index: int, supervisor: "RoundSupervisor"
+) -> list[RemediationAction]:
+    quarantine = supervisor.quarantine
+    actions = []
+    for name in quarantine.quarantined():
+        health = quarantine.health_of(name)
+        if health.cooldown_remaining < _READMIT_MIN_COOLDOWN:
+            continue  # about to probe organically anyway
+        if health.reputation < quarantine.readmission_reputation:
+            continue
+        actions.append(
+            RemediationAction(
+                kind="readmit",
+                machine=name,
+                reason=(
+                    f"reputation {health.reputation:.2f} clears the bar with "
+                    f"{health.cooldown_remaining} cooldown rounds left"
+                ),
+                incident_kind="circuit_trip",
+                round_index=round_index,
             )
-        return actions
-
-    def _for_trip(
-        self, incident: Incident, loss_round: bool
-    ) -> list[RemediationAction]:
-        reason = str(incident.evidence.get("reason", ""))
-        if loss_round and reason in ("missed_bid", "missed_report"):
-            return [
-                RemediationAction(
-                    kind="reset_circuit",
-                    machine=incident.machine,
-                    reason=f"trip ({reason}) during a message-loss spike",
-                    incident_kind="circuit_trip",
-                    round_index=incident.round_index,
-                )
-            ]
-        return []  # organic trips are already handled by the circuit itself
-
-    def _for_loss(self, incident: Incident) -> list[RemediationAction]:
-        # Machines excluded/withheld during the spike were punished for
-        # the network's sins; requarantine is wrong, but so is letting
-        # their failure streak stand — the trip-forgiveness path above
-        # covers the tripped ones, nothing to do for the rest.
-        return []
-
-    def _opportunistic_readmits(
-        self, round_index: int, supervisor: "RoundSupervisor"
-    ) -> list[RemediationAction]:
-        quarantine = supervisor.quarantine
-        actions = []
-        for name in quarantine.quarantined():
-            health = quarantine.health_of(name)
-            if health.cooldown_remaining < self.readmit_min_cooldown:
-                continue  # about to probe organically anyway
-            if health.reputation < quarantine.readmission_reputation:
-                continue
-            actions.append(
-                RemediationAction(
-                    kind="readmit",
-                    machine=name,
-                    reason=(
-                        f"reputation {health.reputation:.2f} clears the bar with "
-                        f"{health.cooldown_remaining} cooldown rounds left"
-                    ),
-                    incident_kind="circuit_trip",
-                    round_index=round_index,
-                )
-            )
-        return actions
-
-    @staticmethod
-    def _dedupe(actions: list[RemediationAction]) -> list[RemediationAction]:
-        seen: set[str] = set()
-        unique = []
-        for action in actions:
-            if action.action_id in seen:
-                continue
-            seen.add(action.action_id)
-            unique.append(action)
-        return unique
+        )
+    return actions
 
 
 @dataclass
@@ -319,101 +256,81 @@ class ActionUndo:
     skip_rounds: int | None = None
 
 
-class ActionApplier:
-    """Stage 4b: mutate the supervisor — with undo and a sanity check.
+def apply_action(
+    supervisor: "RoundSupervisor", action: RemediationAction
+) -> ActionUndo:
+    """Apply one verified action to the supervisor; return its undo."""
+    record_counter("remediation.actions_applied", kind=action.kind)
+    annotate(
+        "remediation.apply",
+        kind=action.kind,
+        machine=action.machine or "<round>",
+        reason=action.reason,
+    )
+    undo = ActionUndo(action_id=action.action_id)
+    quarantine = supervisor.quarantine
+    machine = action.machine
+    if machine is not None:
+        undo.health[machine] = quarantine.snapshot_health(machine)
 
-    ``apply`` returns an :class:`ActionUndo` capturing the prior state;
-    ``post_apply_check`` validates the *resulting* supervisor state and
-    the scheduler rolls back via ``rollback`` if it fails.  Application
-    counts per ``action_id`` are tracked so tests (and the journal
-    resume path) can assert at-most-once semantics.
-    """
-
-    def __init__(self) -> None:
-        self.apply_counts: dict[str, int] = {}
-
-    # ------------------------------------------------------------- apply
-
-    def apply(
-        self, supervisor: "RoundSupervisor", action: RemediationAction
-    ) -> ActionUndo:
-        """Apply one verified action to the live supervisor."""
-        self.apply_counts[action.action_id] = (
-            self.apply_counts.get(action.action_id, 0) + 1
+    if action.kind == "requarantine":
+        assert machine is not None
+        quarantine.force_open(machine, reason=f"remediation: {action.reason}")
+    elif action.kind == "readmit":
+        assert machine is not None
+        quarantine.force_probe(machine)
+    elif action.kind == "reset_circuit":
+        assert machine is not None
+        quarantine.reset(machine)
+    elif action.kind == "reweight":
+        assert machine is not None
+        undo.bid_overrides[machine] = supervisor.bid_overrides.get(machine)
+        declared = supervisor.agents[machine].bid()
+        supervisor.bid_overrides[machine] = action.factor * declared
+    elif action.kind == "sharpen_detector":
+        undo.detector_threshold = supervisor.detector_threshold
+        supervisor.detector_threshold = max(
+            _THRESHOLD_FLOOR, action.factor * supervisor.detector_threshold
         )
-        record_counter("remediation.actions_applied", kind=action.kind)
-        annotate(
-            "remediation.apply",
-            kind=action.kind,
-            machine=action.machine or "<round>",
-            reason=action.reason,
-        )
-        undo = ActionUndo(action_id=action.action_id)
-        quarantine = supervisor.quarantine
-        machine = action.machine
-        if machine is not None:
-            undo.health[machine] = quarantine.snapshot_health(machine)
+    elif action.kind == "void_round":
+        undo.skip_rounds = supervisor.skip_rounds
+        supervisor.skip_rounds += 1
+    return undo
 
-        if action.kind == "requarantine":
-            assert machine is not None
-            quarantine.force_open(machine, reason=f"remediation: {action.reason}")
-        elif action.kind == "readmit":
-            assert machine is not None
-            quarantine.force_probe(machine)
-        elif action.kind == "reset_circuit":
-            assert machine is not None
-            quarantine.reset(machine)
-        elif action.kind == "reweight":
-            assert machine is not None
-            undo.bid_overrides[machine] = supervisor.bid_overrides.get(machine)
-            declared = supervisor.agents[machine].bid()
-            supervisor.bid_overrides[machine] = action.factor * declared
-        elif action.kind == "sharpen_detector":
-            undo.detector_threshold = supervisor.detector_threshold
-            supervisor.detector_threshold = max(
-                _THRESHOLD_FLOOR, action.factor * supervisor.detector_threshold
-            )
-        elif action.kind == "void_round":
-            undo.skip_rounds = supervisor.skip_rounds
-            supervisor.skip_rounds += 1
-        return undo
 
-    def rollback(self, supervisor: "RoundSupervisor", undo: ActionUndo) -> None:
-        """Restore the state captured by :meth:`apply`."""
-        record_counter("remediation.actions_rolled_back")
-        for name, saved in undo.health.items():
-            supervisor.quarantine.restore_health(name, saved)
-        for name, prior in undo.bid_overrides.items():
-            if prior is None:
-                supervisor.bid_overrides.pop(name, None)
-            else:
-                supervisor.bid_overrides[name] = prior
-        if undo.detector_threshold is not None:
-            supervisor.detector_threshold = undo.detector_threshold
-        if undo.skip_rounds is not None:
-            supervisor.skip_rounds = undo.skip_rounds
+def rollback_action(supervisor: "RoundSupervisor", undo: ActionUndo) -> None:
+    """Restore the state captured by :func:`apply_action`."""
+    record_counter("remediation.actions_rolled_back")
+    for name, saved in undo.health.items():
+        supervisor.quarantine.restore_health(name, saved)
+    for name, prior in undo.bid_overrides.items():
+        if prior is None:
+            supervisor.bid_overrides.pop(name, None)
+        else:
+            supervisor.bid_overrides[name] = prior
+    if undo.detector_threshold is not None:
+        supervisor.detector_threshold = undo.detector_threshold
+    if undo.skip_rounds is not None:
+        supervisor.skip_rounds = undo.skip_rounds
 
-    # ------------------------------------------------------------- checks
 
-    def post_apply_check(self, supervisor: "RoundSupervisor") -> list[str]:
-        """Problems with the supervisor's state after an apply (or [])."""
-        problems: list[str] = []
-        if supervisor.detector_threshold <= 0.0:
-            problems.append("detector threshold is non-positive")
-        for name, override in supervisor.bid_overrides.items():
-            declared = supervisor.agents[name].bid()
-            if override < declared:
-                problems.append(
-                    f"override for {name} ({override:g}) is below its "
-                    f"declared bid ({declared:g})"
-                )
-        live = [
-            n
-            for n in supervisor.machine_names
-            if supervisor.quarantine.state_of(n) is not CircuitState.OPEN
-        ]
-        if len(live) < 2:
+def post_apply_check(supervisor: "RoundSupervisor") -> list[str]:
+    """Problems with the supervisor's state after an apply (or [])."""
+    problems: list[str] = []
+    if supervisor.detector_threshold <= 0.0:
+        problems.append("detector threshold is non-positive")
+    for name, override in supervisor.bid_overrides.items():
+        declared = supervisor.agents[name].bid()
+        if override < declared:
             problems.append(
-                f"only {len(live)} machine(s) would remain admissible"
+                f"override for {name} ({override:g}) is below its "
+                f"declared bid ({declared:g})"
             )
-        return problems
+    live = [
+        n
+        for n in supervisor.machine_names
+        if supervisor.quarantine.state_of(n) is not CircuitState.OPEN
+    ]
+    if len(live) < 2:
+        problems.append(f"only {len(live)} machine(s) would remain admissible")
+    return problems

@@ -1,4 +1,4 @@
-"""Stage 1 of the remediation pipeline: signals → typed incidents.
+"""Detection, the first stage of remediation: signals → typed incidents.
 
 The resilience layer already *produces* every signal a self-healing
 loop needs — CUSUM slowdown alerts (``protocol/monitoring.py``),
@@ -40,6 +40,15 @@ INCIDENT_KINDS = (
     "invariant",
 )
 
+#: A round's retry count must exceed this multiple of the EMA baseline
+#: to count as a message-loss spike ...
+_LOSS_SPIKE_FACTOR = 3.0
+#: ... and reach this absolute floor, so the first mildly lossy round
+#: of a quiet campaign does not alarm.
+_LOSS_SPIKE_MIN = 4
+#: EMA weight of the newest round in the retry baseline.
+_EMA_ALPHA = 0.3
+
 
 @dataclass(frozen=True)
 class Incident:
@@ -54,9 +63,6 @@ class Incident:
     machine:
         The implicated machine, or ``None`` for round-level incidents
         (message-loss spikes, invariant violations).
-    severity:
-        A [0, 1] urgency score used by the risk scheduler as a
-        tie-break; invariant violations are always 1.0.
     evidence:
         Kind-specific facts frozen at detection time (declared bid,
         verified estimate, trip reason, retry counts, ...).
@@ -65,14 +71,11 @@ class Incident:
     kind: str
     round_index: int
     machine: str | None = None
-    severity: float = 0.5
     evidence: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.kind not in INCIDENT_KINDS:
             raise ValueError(f"kind must be one of {INCIDENT_KINDS}")
-        if not 0.0 <= self.severity <= 1.0:
-            raise ValueError("severity must be in [0, 1]")
 
     def __str__(self) -> str:
         where = self.machine if self.machine is not None else "<round>"
@@ -82,37 +85,14 @@ class Incident:
 class IncidentDetector:
     """Adapt per-round resilience signals into typed incidents.
 
-    Parameters
-    ----------
-    loss_spike_factor:
-        A round's retry count must exceed this multiple of the EMA
-        baseline to count as a message-loss spike.
-    loss_spike_min:
-        ... and also exceed this absolute floor, so the first mildly
-        lossy round of a quiet campaign does not alarm.
-    ema_alpha:
-        EMA weight of the newest round in the retry baseline.
+    Stateful only for the message-loss baseline: an EMA of per-round
+    retry counts (weight ``_EMA_ALPHA`` on the newest round).  A round
+    whose retries exceed ``_LOSS_SPIKE_FACTOR`` times that baseline, and
+    at least ``_LOSS_SPIKE_MIN``, is a message-loss spike.
     """
 
-    def __init__(
-        self,
-        *,
-        loss_spike_factor: float = 3.0,
-        loss_spike_min: int = 4,
-        ema_alpha: float = 0.3,
-    ) -> None:
-        if loss_spike_factor <= 1.0:
-            raise ValueError("loss_spike_factor must exceed 1")
-        if loss_spike_min < 1:
-            raise ValueError("loss_spike_min must be at least 1")
-        if not 0.0 < ema_alpha <= 1.0:
-            raise ValueError("ema_alpha must be in (0, 1]")
-        self.loss_spike_factor = float(loss_spike_factor)
-        self.loss_spike_min = int(loss_spike_min)
-        self.ema_alpha = float(ema_alpha)
+    def __init__(self) -> None:
         self._retry_baseline = 0.0
-
-    # ------------------------------------------------------------ scan
 
     def scan(
         self,
@@ -121,11 +101,15 @@ class IncidentDetector:
         violations: Sequence[InvariantViolation] = (),
     ) -> list[Incident]:
         """All incidents evidenced by one completed round."""
-        incidents: list[Incident] = []
-        incidents.extend(self._slowdowns(result))
-        incidents.extend(self._unverified(result))
-        incidents.extend(self._circuit_trips(result, quarantine))
-        incidents.extend(self._invariants(result, violations))
+        incidents = _verified(result) + _circuit_trips(result, quarantine)
+        incidents.extend(
+            Incident(
+                kind="invariant",
+                round_index=result.index,
+                evidence={"invariant": v.invariant, "detail": v.detail},
+            )
+            for v in violations
+        )
         loss = self._message_loss(result)
         if loss is not None:
             incidents.append(loss)
@@ -138,126 +122,18 @@ class IncidentDetector:
             )
         return incidents
 
-    # ------------------------------------------------------- per signal
-
-    def _slowdowns(self, result: RoundResult) -> list[Incident]:
-        """CUSUM alerts, enriched with the round's verified estimates."""
-        if not result.alerts or result.outcome is None:
-            return []
-        order = list(result.loads)
-        declared = dict(zip(order, result.outcome.allocation.bids))
-        estimated = dict(zip(order, result.outcome.execution_values))
-        incidents = []
-        for name in result.alerts:
-            bid = float(declared.get(name, 0.0))
-            estimate = float(estimated.get(name, bid))
-            factor = estimate / bid if bid > 0.0 else 1.0
-            incidents.append(
-                Incident(
-                    kind="slowdown",
-                    round_index=result.index,
-                    machine=name,
-                    severity=min(1.0, 0.5 + 0.25 * max(0.0, factor - 1.0)),
-                    evidence={
-                        "declared": bid,
-                        "estimated": estimate,
-                        "slowdown_factor": factor,
-                    },
-                )
-            )
-        return incidents
-
-    def _unverified(self, result: RoundResult) -> list[Incident]:
-        """Machines that executed but withheld their completion report.
-
-        The mechanism imputes their execution value
-        (``missing_report_factor`` times the bid) and pays them
-        nothing, but their *work* this round is unverifiable — the one
-        condition the paper's mechanism cannot price.  One withheld
-        round is a strong signal on its own, stronger than the generic
-        missed-deadline failure streak the circuit breaker counts.
-        """
-        if not result.withheld or result.outcome is None:
-            return []
-        order = list(result.loads)
-        declared = dict(zip(order, result.outcome.allocation.bids))
-        imputed = dict(zip(order, result.outcome.execution_values))
-        return [
-            Incident(
-                kind="unverified",
-                round_index=result.index,
-                machine=name,
-                severity=0.7,
-                evidence={
-                    "declared": float(declared.get(name, 0.0)),
-                    "imputed": float(imputed.get(name, 0.0)),
-                },
-            )
-            for name in result.withheld
-        ]
-
-    def _circuit_trips(
-        self, result: RoundResult, quarantine: QuarantinePolicy
-    ) -> list[Incident]:
-        """Participants whose circuit is open *after* this round.
-
-        A machine that entered the round admitted and ends it OPEN
-        tripped on this round's outcome — exactly the moment a
-        remediation decision (back it with a reweight, or forgive a
-        network-caused trip) is due.
-        """
-        incidents = []
-        for name in result.participants:
-            if quarantine.state_of(name) is not CircuitState.OPEN:
-                continue
-            health = quarantine.health_of(name)
-            incidents.append(
-                Incident(
-                    kind="circuit_trip",
-                    round_index=result.index,
-                    machine=name,
-                    severity=min(1.0, 0.4 + 0.15 * health.times_opened),
-                    evidence={
-                        "reason": health.last_failure_reason or "unknown",
-                        "reputation": health.reputation,
-                        "times_opened": health.times_opened,
-                        "cooldown": health.current_cooldown,
-                    },
-                )
-            )
-        return incidents
-
-    def _invariants(
-        self, result: RoundResult, violations: Sequence[InvariantViolation]
-    ) -> list[Incident]:
-        return [
-            Incident(
-                kind="invariant",
-                round_index=result.index,
-                machine=None,
-                severity=1.0,
-                evidence={
-                    "invariant": violation.invariant,
-                    "detail": violation.detail,
-                },
-            )
-            for violation in violations
-        ]
-
     def _message_loss(self, result: RoundResult) -> Incident | None:
         """Retry spike vs the EMA baseline of recent rounds."""
         retries = result.bid_retries + result.report_retries
         baseline = self._retry_baseline
-        self._retry_baseline += self.ema_alpha * (retries - self._retry_baseline)
-        if retries < self.loss_spike_min:
+        self._retry_baseline += _EMA_ALPHA * (retries - self._retry_baseline)
+        if retries < _LOSS_SPIKE_MIN:
             return None
-        if retries <= self.loss_spike_factor * max(baseline, 1.0):
+        if retries <= _LOSS_SPIKE_FACTOR * max(baseline, 1.0):
             return None
         return Incident(
             kind="message_loss",
             round_index=result.index,
-            machine=None,
-            severity=0.4,
             evidence={
                 "retries": retries,
                 "baseline": baseline,
@@ -265,3 +141,81 @@ class IncidentDetector:
                 "excluded": tuple(result.excluded),
             },
         )
+
+
+def _verified(result: RoundResult) -> list[Incident]:
+    """Slowdowns and unverified reports, with the round's verified values.
+
+    A CUSUM alert becomes a *slowdown* carrying the machine's verified
+    execution estimate.  A machine that executed but withheld its
+    completion report becomes *unverified*: the mechanism imputes its
+    execution value (``missing_report_factor`` times the bid) and pays
+    it nothing, but its *work* this round is unverifiable — the one
+    condition the paper's mechanism cannot price.  One withheld round
+    is a strong signal on its own, stronger than the generic
+    missed-deadline failure streak the circuit breaker counts.
+    """
+    if result.outcome is None:
+        return []
+    order = list(result.loads)
+    declared = dict(zip(order, result.outcome.allocation.bids))
+    estimated = dict(zip(order, result.outcome.execution_values))
+    incidents = []
+    for name in result.alerts:
+        bid = float(declared.get(name, 0.0))
+        estimate = float(estimated.get(name, bid))
+        incidents.append(
+            Incident(
+                kind="slowdown",
+                round_index=result.index,
+                machine=name,
+                evidence={
+                    "declared": bid,
+                    "estimated": estimate,
+                    "slowdown_factor": estimate / bid if bid > 0.0 else 1.0,
+                },
+            )
+        )
+    for name in result.withheld:
+        incidents.append(
+            Incident(
+                kind="unverified",
+                round_index=result.index,
+                machine=name,
+                evidence={
+                    "declared": float(declared.get(name, 0.0)),
+                    "imputed": float(estimated.get(name, 0.0)),
+                },
+            )
+        )
+    return incidents
+
+
+def _circuit_trips(
+    result: RoundResult, quarantine: QuarantinePolicy
+) -> list[Incident]:
+    """Participants whose circuit is open *after* this round.
+
+    A machine that entered the round admitted and ends it OPEN tripped
+    on this round's outcome — exactly the moment a remediation decision
+    (back it with a reweight, or forgive a network-caused trip) is due.
+    """
+    incidents = []
+    for name in result.participants:
+        if quarantine.state_of(name) is not CircuitState.OPEN:
+            continue
+        health = quarantine.health_of(name)
+        incidents.append(
+            Incident(
+                kind="circuit_trip",
+                round_index=result.index,
+                machine=name,
+                evidence={
+                    "reason": health.last_failure_reason or "unknown",
+                    "reputation": health.reputation,
+                    "times_opened": health.times_opened,
+                    "cooldown": health.current_cooldown,
+                },
+            )
+        )
+    return incidents

@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.agents.behaviors import TruthfulAgent
-from repro.remediation.pipeline import RemediationConfig, RemediationPipeline
+from repro.remediation.pipeline import RemediationPipeline
 from repro.resilience.chaos import (
     ChaosHarness,
     ChaosReport,
@@ -197,11 +197,7 @@ def _build_supervisor(
     agents = [
         TruthfulAgent(1.0 + 0.25 * k) for k in range(scenario.n_machines)
     ]
-    pipeline = (
-        RemediationPipeline(RemediationConfig(shadow_seed=seed))
-        if remediation
-        else None
-    )
+    pipeline = RemediationPipeline(seed=seed) if remediation else None
     return RoundSupervisor(
         agents,
         scenario.arrival_rate,

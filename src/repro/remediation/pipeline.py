@@ -1,4 +1,4 @@
-"""The closed loop: detect → propose → shadow-verify → schedule → apply.
+"""The closed loop: detect → propose → shadow-verify → apply.
 
 :class:`RemediationPipeline` is the object a
 :class:`~repro.resilience.RoundSupervisor` is constructed with
@@ -12,9 +12,9 @@ circuit trips caused by a lossy network, and voiding rounds outright
 when an invariant breaks.
 
 Every stage is instrumented (``remediation.{detect,propose,verify,
-schedule}`` spans and per-stage counters) and every decision is
-journaled, so a post-incident review can replay exactly what the loop
-saw, proposed, predicted, and did.
+schedule}`` spans and per-stage counters) and every round's decisions
+are kept in :attr:`RemediationPipeline.history`, so a post-incident
+review can read exactly what the loop saw, proposed, predicted, and did.
 """
 
 from __future__ import annotations
@@ -22,58 +22,52 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.observability.instrumentation import record_counter, trace_span
+from repro.observability.instrumentation import annotate, record_counter, trace_span
 from repro.remediation.actions import (
-    ActionApplier,
-    ActionProposer,
     RemediationAction,
+    apply_action,
+    post_apply_check,
+    propose_actions,
+    rollback_action,
 )
 from repro.remediation.incidents import Incident, IncidentDetector
-from repro.remediation.journal import (
-    ActionJournal,
-    RemediationScheduler,
-    RiskScorer,
-)
 from repro.remediation.shadow import ShadowVerdict, ShadowVerifier
 from repro.resilience.invariants import check_round_invariants
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.resilience.supervisor import RoundResult, RoundSupervisor
 
-__all__ = ["RemediationConfig", "RoundRemediation", "RemediationPipeline"]
+__all__ = ["RoundRemediation", "RemediationPipeline"]
+
+#: Cap on actions *verified* per round; the excess (latest proposals
+#: first) waits for re-detection.  Keeps a noisy round from flooding
+#: the supervisor.
+_MAX_ACTIONS_PER_ROUND = 4
+
+#: Base risk per action kind: how invasive the mutation is.
+_BASE_RISK = {
+    "readmit": 0.2,
+    "reset_circuit": 0.3,
+    "sharpen_detector": 0.4,
+    "reweight": 0.5,
+    "requarantine": 0.6,
+    "void_round": 1.0,
+}
 
 
-@dataclass(frozen=True)
-class RemediationConfig:
-    """Tuning knobs for the whole pipeline.
+def _risk(action: RemediationAction, verdict: ShadowVerdict) -> float:
+    """Risk of one accepted action; the pipeline applies lowest first.
 
-    Attributes
-    ----------
-    shadow_rounds:
-        Rounds each dry run simulates (see
-        :class:`~repro.remediation.ShadowVerifier`).
-    latency_tolerance:
-        Relative predicted-latency slack before the verifier rejects.
-    max_actions_per_round:
-        Cap on actions *verified* per round; the excess (highest
-        proposal index first dropped) waits for re-detection.  Keeps a
-        noisy round from flooding the queue.
-    shadow_seed:
-        Base seed of the shadow verifier's forked RNG streams.
+    The base weight of the action's kind plus the shadow-predicted
+    change in the verification gap: an action whose dry run *shrank*
+    the gap scores below its base weight.
     """
-
-    shadow_rounds: int = 2
-    latency_tolerance: float = 0.05
-    max_actions_per_round: int = 4
-    shadow_seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.shadow_rounds < 1:
-            raise ValueError("shadow_rounds must be at least 1")
-        if self.latency_tolerance < 0.0:
-            raise ValueError("latency_tolerance must be non-negative")
-        if self.max_actions_per_round < 1:
-            raise ValueError("max_actions_per_round must be at least 1")
+    risk = _BASE_RISK.get(action.kind, 1.0)
+    baseline = verdict.baseline_excess
+    predicted = verdict.predicted_excess
+    if predicted < float("inf") and baseline < float("inf"):
+        risk += predicted - baseline
+    return risk
 
 
 @dataclass
@@ -97,53 +91,23 @@ class RoundRemediation:
 class RemediationPipeline:
     """Closed-loop auto-remediation for a :class:`RoundSupervisor`.
 
-    Stateless between rounds except for the detector's retry baseline,
-    the journal, and accumulated history — all of which are exactly the
-    state a post-mortem wants.
+    ``seed`` is the base seed of the shadow verifier's forked RNG
+    streams.  Stateless between rounds except for the detector's retry
+    baseline and :attr:`history`, one :class:`RoundRemediation` per
+    processed round.
     """
 
-    def __init__(
-        self,
-        config: RemediationConfig | None = None,
-        *,
-        detector: IncidentDetector | None = None,
-        proposer: ActionProposer | None = None,
-        verifier: ShadowVerifier | None = None,
-        scheduler: RemediationScheduler | None = None,
-    ) -> None:
-        self.config = config if config is not None else RemediationConfig()
-        self.detector = detector if detector is not None else IncidentDetector()
-        self.proposer = proposer if proposer is not None else ActionProposer()
-        self.verifier = (
-            verifier
-            if verifier is not None
-            else ShadowVerifier(
-                rounds=self.config.shadow_rounds,
-                latency_tolerance=self.config.latency_tolerance,
-                seed=self.config.shadow_seed,
-            )
-        )
-        self.scheduler = (
-            scheduler
-            if scheduler is not None
-            else RemediationScheduler(
-                ActionJournal(), scorer=RiskScorer(), applier=ActionApplier()
-            )
-        )
+    def __init__(self, *, seed: int = 0) -> None:
+        self.detector = IncidentDetector()
+        self.verifier = ShadowVerifier(seed=seed)
         self.history: list[RoundRemediation] = []
-
-    @property
-    def journal(self) -> ActionJournal:
-        """The scheduler's write-ahead journal (for inspection/replay)."""
-        return self.scheduler.journal
-
-    # ----------------------------------------------------------- the loop
 
     def process_round(
         self, supervisor: "RoundSupervisor", result: "RoundResult"
     ) -> RoundRemediation:
         """Run the full pipeline on one completed round."""
         report = RoundRemediation(round_index=result.index)
+        self.history.append(report)
 
         with trace_span("remediation.detect", index=result.index):
             violations = check_round_invariants(
@@ -153,17 +117,14 @@ class RemediationPipeline:
                 result, supervisor.quarantine, violations
             )
         if not report.incidents:
-            self.history.append(report)
             return report
 
         with trace_span("remediation.propose", index=result.index):
-            report.proposed = self.proposer.propose(report.incidents, supervisor)
-            dropped = len(report.proposed) - self.config.max_actions_per_round
+            proposed = propose_actions(report.incidents, supervisor)
+            dropped = len(proposed) - _MAX_ACTIONS_PER_ROUND
             if dropped > 0:
                 record_counter("remediation.actions_deferred", dropped)
-                report.proposed = report.proposed[
-                    : self.config.max_actions_per_round
-                ]
+            report.proposed = proposed[:_MAX_ACTIONS_PER_ROUND]
         record_counter("remediation.actions_proposed", len(report.proposed))
 
         with trace_span("remediation.verify", index=result.index):
@@ -172,20 +133,27 @@ class RemediationPipeline:
             )
 
         with trace_span("remediation.schedule", index=result.index):
+            accepted = []
             for action, verdict in zip(report.proposed, report.verdicts):
                 if verdict.accepted:
-                    self.scheduler.submit(action, verdict)
+                    accepted.append((_risk(action, verdict), action))
                 else:
-                    self.scheduler.reject(action, verdict)
+                    record_counter("remediation.actions_rejected", kind=action.kind)
                     report.rejected.append(action)
-            report.applied = self.scheduler.drain(supervisor)
-            drained = {a.action_id for a in report.applied}
-            rejected = {a.action_id for a in report.rejected}
+            # Safest first; ``sorted`` is stable, so ties keep proposal order.
+            for _, action in sorted(accepted, key=lambda pair: pair[0]):
+                undo = apply_action(supervisor, action)
+                problems = post_apply_check(supervisor)
+                if problems:
+                    rollback_action(supervisor, undo)
+                    annotate(
+                        "remediation.rolled_back",
+                        action=action.action_id,
+                        problems="; ".join(problems),
+                    )
+                else:
+                    report.applied.append(action)
             report.rolled_back = [
-                a
-                for a, v in zip(report.proposed, report.verdicts)
-                if v.accepted and a.action_id not in drained | rejected
+                a for _, a in accepted if a not in report.applied
             ]
-
-        self.history.append(report)
         return report

@@ -1,4 +1,4 @@
-"""Stage 3 of the remediation pipeline: dry-run verification.
+"""Shadow verification, the third stage of remediation: dry runs.
 
 Before any proposed action touches live state, it is replayed against a
 **shadow world**: a throwaway :class:`~repro.resilience.RoundSupervisor`
@@ -14,7 +14,7 @@ An action is **rejected** when its shadow world either
 * breaks a mechanism invariant (feasibility, at-most-once payment,
   ledger consistency, voluntary participation), or
 * predicts a worse **verification gap** than the *no-action* shadow
-  baseline, beyond ``latency_tolerance``.
+  baseline, by more than 5%.
 
 The verification gap is the realised total latency divided by the
 latency the allocation *promised* given the declared bids
@@ -24,28 +24,35 @@ the gap rather than on raw latency is deliberate — quarantining a
 degraded machine concentrates load and *raises* short-term latency,
 yet it restores the property the paper's mechanism actually needs:
 that the mechanism's world model matches reality.  This is the
-"first, do no harm" contract the scheduler relies on: every action it
-drains has already demonstrated, in simulation, that it does not make
+"first, do no harm" contract of the apply step: every action the
+pipeline applies has already demonstrated, in simulation, that it does not make
 the system less truthful or less sound.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.agents.base import Agent
 from repro.observability import instrumentation
-from repro.remediation.actions import ActionApplier, RemediationAction
+from repro.remediation.actions import RemediationAction, apply_action
 from repro.resilience.invariants import InvariantViolation, check_round_invariants
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.resilience.supervisor import RoundResult, RoundSupervisor
 
 __all__ = ["ShadowVerdict", "ShadowVerifier"]
+
+#: Shadow rounds simulated per dry run.
+_SHADOW_ROUNDS = 2
+
+#: Relative slack on the predicted verification gap vs the no-action
+#: baseline before an action is rejected.
+_LATENCY_TOLERANCE = 0.05
 
 
 class _FixedAgent(Agent):
@@ -96,34 +103,15 @@ class ShadowVerdict:
 class ShadowVerifier:
     """Replay proposed actions against a shadow batched simulation.
 
-    Parameters
-    ----------
-    rounds:
-        Shadow rounds simulated per dry run; the first round reflects
-        the action's immediate effect (e.g. a requarantined machine
-        sitting out), later rounds its knock-on effects (probes,
-        reweighted pricing).
-    latency_tolerance:
-        Relative slack on the predicted verification gap vs the
-        no-action baseline before an action is rejected.
-    seed:
-        Base seed; each evidence round forks its own child stream, so
-        verification is reproducible but decorrelated across rounds.
+    Each dry run simulates ``_SHADOW_ROUNDS`` rounds: the first reflects
+    the action's immediate effect (e.g. a requarantined machine sitting
+    out), the second its knock-on effects (probes, reweighted pricing).
+    ``seed`` is the base seed; each evidence round forks its own child
+    stream, so verification is reproducible but decorrelated across
+    rounds.
     """
 
-    def __init__(
-        self,
-        *,
-        rounds: int = 2,
-        latency_tolerance: float = 0.05,
-        seed: int = 0,
-    ) -> None:
-        if rounds < 1:
-            raise ValueError("rounds must be at least 1")
-        if latency_tolerance < 0.0:
-            raise ValueError("latency_tolerance must be non-negative")
-        self.rounds = int(rounds)
-        self.latency_tolerance = float(latency_tolerance)
+    def __init__(self, *, seed: int = 0) -> None:
         self.seed = int(seed)
 
     # ------------------------------------------------------------ verify
@@ -137,68 +125,42 @@ class ShadowVerifier:
         """One verdict per proposed action, in proposal order."""
         if not actions:
             return []
-        baseline_excess, baseline_violations = self._dry_run(
-            supervisor, result, action=None
-        )
+        baseline, baseline_violations = self._dry_run(supervisor, result, None)
+        known = {b.invariant for b in baseline_violations}
         verdicts = []
         for action in actions:
+            predicted, violations = self._dry_run(supervisor, result, action)
+            fresh = tuple(v for v in violations if v.invariant not in known)
+            if fresh:
+                accepted, reason = False, f"shadow run broke invariants: {fresh[0]}"
+            elif action.kind == "void_round":
+                # Voiding trades a round of throughput for safety; it is
+                # judged on invariants alone, never on latency.
+                accepted = True
+                reason = "emergency void keeps the shadow world invariant-clean"
+            elif np.isfinite(baseline) and predicted > baseline * (
+                1.0 + _LATENCY_TOLERANCE
+            ):
+                accepted = False
+                reason = (
+                    f"predicted verification gap {predicted:.4g} exceeds "
+                    f"baseline {baseline:.4g} by more than "
+                    f"{_LATENCY_TOLERANCE:.0%}"
+                )
+            else:
+                accepted = True
+                reason = f"predicted verification gap {predicted:.4g} within budget"
             verdicts.append(
-                self._judge(
-                    supervisor, result, action, baseline_excess, baseline_violations
+                ShadowVerdict(
+                    action_id=action.action_id,
+                    accepted=accepted,
+                    reason=reason,
+                    predicted_excess=predicted,
+                    baseline_excess=baseline,
+                    violations=fresh,
                 )
             )
         return verdicts
-
-    def _judge(
-        self,
-        supervisor: "RoundSupervisor",
-        result: "RoundResult",
-        action: RemediationAction,
-        baseline_excess: float,
-        baseline_violations: tuple[InvariantViolation, ...],
-    ) -> ShadowVerdict:
-        predicted, violations = self._dry_run(supervisor, result, action=action)
-        fresh = [v for v in violations if v.invariant not in
-                 {b.invariant for b in baseline_violations}]
-        if fresh:
-            return ShadowVerdict(
-                action_id=action.action_id,
-                accepted=False,
-                reason=f"shadow run broke invariants: {fresh[0]}",
-                predicted_excess=predicted,
-                baseline_excess=baseline_excess,
-                violations=tuple(fresh),
-            )
-        if action.kind == "void_round":
-            # Voiding trades a round of throughput for safety; it is
-            # judged on invariants alone, never on latency.
-            return ShadowVerdict(
-                action_id=action.action_id,
-                accepted=True,
-                reason="emergency void keeps the shadow world invariant-clean",
-                predicted_excess=predicted,
-                baseline_excess=baseline_excess,
-            )
-        budget = baseline_excess * (1.0 + self.latency_tolerance)
-        if np.isfinite(baseline_excess) and predicted > budget:
-            return ShadowVerdict(
-                action_id=action.action_id,
-                accepted=False,
-                reason=(
-                    f"predicted verification gap {predicted:.4g} exceeds "
-                    f"baseline {baseline_excess:.4g} by more than "
-                    f"{self.latency_tolerance:.0%}"
-                ),
-                predicted_excess=predicted,
-                baseline_excess=baseline_excess,
-            )
-        return ShadowVerdict(
-            action_id=action.action_id,
-            accepted=True,
-            reason=f"predicted verification gap {predicted:.4g} within budget",
-            predicted_excess=predicted,
-            baseline_excess=baseline_excess,
-        )
 
     # ----------------------------------------------------------- dry run
 
@@ -206,7 +168,6 @@ class ShadowVerifier:
         self,
         supervisor: "RoundSupervisor",
         result: "RoundResult",
-        *,
         action: RemediationAction | None,
     ) -> tuple[float, tuple[InvariantViolation, ...]]:
         """(mean verification gap, invariant violations) of one shadow.
@@ -218,12 +179,11 @@ class ShadowVerifier:
         shadow = self._fork(supervisor, result)
         previous = instrumentation.disable()
         try:
-            applier = ActionApplier()
             if action is not None:
-                applier.apply(shadow, action)
+                apply_action(shadow, action)
             gaps: list[float] = []
             violations: list[InvariantViolation] = []
-            for _ in range(self.rounds):
+            for _ in range(_SHADOW_ROUNDS):
                 shadow_result = shadow.run_round()
                 violations.extend(
                     check_round_invariants(

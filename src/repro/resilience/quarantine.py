@@ -126,10 +126,6 @@ class QuarantinePolicy:
         """Current circuit state of one machine."""
         return self._machines[name].state
 
-    def reputation_of(self, name: str) -> float:
-        """Current reputation score of one machine."""
-        return self._machines[name].reputation
-
     @property
     def machine_names(self) -> list[str]:
         """All tracked machines, in admission order."""

@@ -352,26 +352,6 @@ class SupervisorReport:
         """Rounds abandoned before allocation."""
         return sum(1 for r in self.rounds if r.voided)
 
-    @property
-    def total_bid_retries(self) -> int:
-        """Bid re-requests issued across all rounds."""
-        return sum(r.bid_retries for r in self.rounds)
-
-    @property
-    def total_report_retries(self) -> int:
-        """Report re-requests issued across all rounds."""
-        return sum(r.report_retries for r in self.rounds)
-
-    @property
-    def total_coordinator_restarts(self) -> int:
-        """Coordinator crash/restore cycles across all rounds."""
-        return sum(r.coordinator_restarts for r in self.rounds)
-
-    @property
-    def total_alerts(self) -> int:
-        """CUSUM slowdown alerts raised across all rounds."""
-        return sum(len(r.alerts) for r in self.rounds)
-
 
 class _IncrementalAllocator:
     """PR allocation served from cross-round incremental state.

@@ -58,7 +58,7 @@ def _replay(policy: QuarantinePolicy, history: list[bool]) -> int | None:
             policy.record_failure("m", "fault")
         if policy.state_of("m") is CircuitState.CLOSED:
             # Re-admission must have cleared the reputation gate.
-            assert policy.reputation_of("m") >= policy.readmission_reputation
+            assert policy.health_of("m").reputation >= policy.readmission_reputation
             return index
     return None
 

@@ -1,4 +1,4 @@
-"""Unit tests for stage 3: dry-run verification in a shadow world."""
+"""Unit tests for shadow verification: dry runs in a shadow world."""
 
 from __future__ import annotations
 
@@ -35,12 +35,13 @@ class TestVerdicts:
         # machine return as a still-slow probe in shadow round 2.)
         assert verdict.predicted_excess < verdict.baseline_excess
 
-    def test_one_round_horizon_sees_the_gap_fully_close(self, alert_round):
+    def test_one_round_horizon_sees_the_gap_fully_close(
+        self, alert_round, monkeypatch
+    ):
+        monkeypatch.setattr("repro.remediation.shadow._SHADOW_ROUNDS", 1)
         supervisor, result = alert_round
         action = _requarantine(supervisor, round_index=result.index)
-        (verdict,) = ShadowVerifier(rounds=1).verify(
-            supervisor, result, [action]
-        )
+        (verdict,) = ShadowVerifier().verify(supervisor, result, [action])
         assert verdict.accepted
         assert verdict.predicted_excess == pytest.approx(1.0, abs=0.01)
 
@@ -50,18 +51,17 @@ class TestVerdicts:
         (verdict,) = ShadowVerifier().verify(supervisor, result, [action])
         assert verdict.baseline_excess == pytest.approx(1.0, abs=0.05)
 
-    def test_action_that_starves_the_fleet_is_rejected(self):
+    def test_action_that_starves_the_fleet_is_rejected(self, monkeypatch):
         # Requarantining one of two machines voids the next shadow
         # round outright; a 1-round horizon therefore predicts an
         # infinite gap and rejects.  (The longer default horizon sees
         # the probe return and accepts — live application would still
         # be stopped by the post-apply check.)
+        monkeypatch.setattr("repro.remediation.shadow._SHADOW_ROUNDS", 1)
         supervisor = build_supervisor(n_machines=2)
         result = supervisor.run_round()
         action = _requarantine(supervisor, round_index=result.index)
-        (verdict,) = ShadowVerifier(rounds=1).verify(
-            supervisor, result, [action]
-        )
+        (verdict,) = ShadowVerifier().verify(supervisor, result, [action])
         assert not verdict.accepted
         assert verdict.predicted_excess == float("inf")
         # The rejection never reached the live supervisor.
@@ -146,12 +146,3 @@ class TestIsolation:
         first = ShadowVerifier(seed=42).verify(supervisor, result, [action])
         second = ShadowVerifier(seed=42).verify(supervisor, result, [action])
         assert first == second
-
-
-class TestParameters:
-    @pytest.mark.parametrize(
-        "kwargs", [{"rounds": 0}, {"latency_tolerance": -0.1}]
-    )
-    def test_rejects_bad_parameters(self, kwargs):
-        with pytest.raises(ValueError):
-            ShadowVerifier(**kwargs)

@@ -111,11 +111,11 @@ class TestHalfOpenProbes:
 class TestReputation:
     def test_reputation_tracks_outcomes(self):
         policy = _policy(reputation_alpha=0.5)
-        assert policy.reputation_of("A") == 1.0
+        assert policy.health_of("A").reputation == 1.0
         policy.record_failure("A", "x")
-        assert policy.reputation_of("A") == pytest.approx(0.5)
+        assert policy.health_of("A").reputation == pytest.approx(0.5)
         policy.record_success("A")
-        assert policy.reputation_of("A") == pytest.approx(0.75)
+        assert policy.health_of("A").reputation == pytest.approx(0.75)
 
     def test_low_reputation_blocks_readmission(self):
         policy = _policy(readmission_reputation=0.9, reputation_alpha=0.1)
@@ -127,7 +127,7 @@ class TestReputation:
         policy.record_success("A")
         # Probes passed but the long-run record is still poor.
         assert policy.state_of("A") is CircuitState.HALF_OPEN
-        while policy.reputation_of("A") < 0.9:
+        while policy.health_of("A").reputation < 0.9:
             policy.record_success("A")
         assert policy.state_of("A") is CircuitState.CLOSED
 

@@ -54,7 +54,7 @@ class TestCleanRounds:
         report = sup.run(3)
         assert report.n_rounds == 3
         assert report.n_voided == 0
-        assert report.total_coordinator_restarts == 0
+        assert sum(r.coordinator_restarts for r in report.rounds) == 0
 
     def test_run_validates_round_count(self):
         with pytest.raises(ValueError):
