@@ -52,6 +52,21 @@ def _system(n: int, seed: int) -> tuple[np.ndarray, float]:
     return true_values, 0.5 * n
 
 
+def _verification(compensation: str, *, brute: bool = False):
+    """The verification mechanism; ``brute`` gives it under a subclass.
+
+    Best responses choose their evaluator by the mechanism's exact type,
+    so the subclass — the same payment rule — is scored by one
+    ``Mechanism.run`` per candidate: the brute-force arm.
+    """
+    from repro.mechanism import VerificationMechanism
+
+    cls = VerificationMechanism
+    if brute:
+        cls = type("BruteForceVerificationMechanism", (cls,), {})
+    return cls(compensation)
+
+
 def measure_best_response(
     *,
     ns: tuple[int, ...] = SCALING_NS,
@@ -62,11 +77,10 @@ def measure_best_response(
     """Agreement sweep at n = 64 plus the fast-path scaling curve.
 
     Both timing arms run with ``refine=False`` so they execute the
-    exact same grid search (the refinement stage is method-independent
+    exact same grid search (the refinement stage is evaluator-independent
     polish) and their selections can be compared bit-for-bit.
     """
     from repro.agents import best_response
-    from repro.mechanism import VerificationMechanism
 
     # ---- exactness: brute vs kernel over seeds x variants x agents
     cases = 0
@@ -77,15 +91,15 @@ def measure_best_response(
     for seed in agreement_seeds:
         true_values, arrival_rate = _system(n_agree, seed)
         for compensation in ("observed", "declared"):
-            mechanism = VerificationMechanism(compensation)
+            mechanism = _verification(compensation)
+            brute_mechanism = _verification(compensation, brute=True)
             for agent in (0, n_agree // 2, n_agree - 1):
                 brute = best_response(
-                    mechanism, true_values, arrival_rate, agent,
-                    method="bruteforce", refine=False,
+                    brute_mechanism, true_values, arrival_rate, agent,
+                    refine=False,
                 )
                 fast = best_response(
-                    mechanism, true_values, arrival_rate, agent,
-                    method="vectorized", refine=False,
+                    mechanism, true_values, arrival_rate, agent, refine=False,
                 )
                 cases += 1
                 if (brute.bid, brute.execution_value) != (
@@ -104,13 +118,13 @@ def measure_best_response(
     speedup_at_64 = None
     for n in ns:
         true_values, arrival_rate = _system(n, 0)
-        mechanism = VerificationMechanism("observed")
+        mechanism = _verification("observed")
+        brute_mechanism = _verification("observed", brute=True)
         agent = n // 2
 
         def fast_call():
             best_response(
-                mechanism, true_values, arrival_rate, agent,
-                method="vectorized", refine=False,
+                mechanism, true_values, arrival_rate, agent, refine=False,
             )
 
         fast_seconds = best_seconds(fast_call, repeats)
@@ -120,8 +134,8 @@ def measure_best_response(
 
             def brute_call():
                 best_response(
-                    mechanism, true_values, arrival_rate, agent,
-                    method="bruteforce", refine=False,
+                    brute_mechanism, true_values, arrival_rate, agent,
+                    refine=False,
                 )
 
             brute_seconds = best_seconds(brute_call, repeats)
@@ -238,21 +252,19 @@ def test_refined_paths_agree_on_the_paper_system():
     # (different floating-point op order), but the achieved utilities
     # and the truthfulness verdicts must still coincide.
     from repro.agents import best_response
-    from repro.mechanism import VerificationMechanism
     from repro.system import paper_cluster
     from repro.system.cluster import PAPER_ARRIVAL_RATE
 
     cluster = paper_cluster()
     for compensation in ("observed", "declared"):
-        mechanism = VerificationMechanism(compensation)
         for agent in (0, 7, 15):
             brute = best_response(
-                mechanism, cluster.true_values,
-                PAPER_ARRIVAL_RATE, agent, method="bruteforce",
+                _verification(compensation, brute=True), cluster.true_values,
+                PAPER_ARRIVAL_RATE, agent,
             )
             fast = best_response(
-                mechanism, cluster.true_values,
-                PAPER_ARRIVAL_RATE, agent, method="vectorized",
+                _verification(compensation), cluster.true_values,
+                PAPER_ARRIVAL_RATE, agent,
             )
             scale = max(1.0, abs(brute.utility))
             assert abs(brute.utility - fast.utility) / scale < 1e-7

@@ -117,17 +117,23 @@ def test_mttr_improvement_gate(benchmark, record_result, record_json):
 
 
 def test_every_applied_action_was_shadow_verified():
-    # Structural guarantee behind the zero-violation gate: nothing is
-    # applied without a prior accepting shadow verdict.
-    from repro.remediation import default_scenarios, run_scenario
+    # Structural guarantee behind the zero-violation gate: over the
+    # pipeline history of the first scenario, every action applied in a
+    # round had an accepting shadow verdict in that same round.
+    from repro.remediation import default_scenarios, scenario_fault_plan
+    from repro.remediation.mttr import _build_supervisor
+    from repro.resilience.chaos import ChaosHarness
 
-    run = run_scenario(default_scenarios()[0], remediation=True, seed=0)
-    assert run.report is not None
-    # Re-run the pipeline-attached history via the supervisor is not
-    # possible post-hoc, so assert via the recorded run: applied > 0,
-    # and zero rejected actions ever reached application.
-    assert run.actions_applied > 0
-    assert run.violations == 0
+    scenario = default_scenarios()[0]
+    supervisor = _build_supervisor(scenario, remediation=True, seed=0)
+    plan = scenario_fault_plan(scenario, supervisor.machine_names)
+    report = ChaosHarness(supervisor, plan, stop_on_violation=False).run()
+    history = supervisor.remediation.history
+    assert any(entry.applied for entry in history)
+    for entry in history:
+        accepted = {v.action_id for v in entry.verdicts if v.accepted}
+        assert {a.action_id for a in entry.applied} <= accepted
+    assert report.violations == []
 
 
 # ------------------------------------------------------------ standalone

@@ -66,10 +66,19 @@ def _system(n: int, seed: int) -> tuple[np.ndarray, float]:
     return true_values, 0.5 * n
 
 
-def _mechanism(variant: str):
+def _mechanism(variant: str, *, brute: bool = False):
+    """The variant's mechanism; ``brute`` gives it under a subclass.
+
+    Best responses choose their evaluator by the mechanism's exact type,
+    so the subclass — the same payment rule — is scored by one
+    ``Mechanism.run`` per candidate: the brute-force arm.
+    """
     from repro.mechanism import ArcherTardosMechanism, VCGMechanism
 
-    return VCGMechanism() if variant == "vcg" else ArcherTardosMechanism()
+    cls = VCGMechanism if variant == "vcg" else ArcherTardosMechanism
+    if brute:
+        cls = type(f"BruteForce{cls.__name__}", (cls,), {})
+    return cls()
 
 
 def measure_kernels(
@@ -88,6 +97,7 @@ def measure_kernels(
     out = []
     for variant in NEW_KERNELS:
         mechanism = _mechanism(variant)
+        brute_mechanism = _mechanism(variant, brute=True)
         cases = 0
         selections_identical = True
         max_utility_error = 0.0
@@ -96,12 +106,11 @@ def measure_kernels(
             true_values, arrival_rate = _system(n, seed)
             for agent in (0, n // 2, n - 1):
                 brute = best_response(
-                    mechanism, true_values, arrival_rate, agent,
-                    method="bruteforce", refine=False,
+                    brute_mechanism, true_values, arrival_rate, agent,
+                    refine=False,
                 )
                 fast = best_response(
-                    mechanism, true_values, arrival_rate, agent,
-                    method="vectorized", refine=False,
+                    mechanism, true_values, arrival_rate, agent, refine=False,
                 )
                 cases += 1
                 if (brute.bid, brute.execution_value) != (
@@ -120,14 +129,13 @@ def measure_kernels(
 
         def fast_call():
             best_response(
-                mechanism, true_values, arrival_rate, agent,
-                method="vectorized", refine=False,
+                mechanism, true_values, arrival_rate, agent, refine=False,
             )
 
         def brute_call():
             best_response(
-                mechanism, true_values, arrival_rate, agent,
-                method="bruteforce", refine=False,
+                brute_mechanism, true_values, arrival_rate, agent,
+                refine=False,
             )
 
         fast_seconds = best_seconds(fast_call, repeats)

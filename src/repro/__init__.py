@@ -66,7 +66,6 @@ from repro.agents import (
     ScaledBidder,
     SlowExecutor,
     best_response,
-    best_response_fast,
     BestResponseDynamics,
 )
 from repro.system import Cluster, paper_cluster, random_cluster, grouped_cluster
@@ -91,7 +90,7 @@ from repro.experiments import (
     figure6_truthful_structure,
 )
 
-__version__ = "1.26.0"
+__version__ = "1.27.0"
 
 __all__ = [
     "AllocationResult",
@@ -119,7 +118,6 @@ __all__ = [
     "ScaledBidder",
     "SlowExecutor",
     "best_response",
-    "best_response_fast",
     "BestResponseDynamics",
     "Cluster",
     "paper_cluster",

@@ -29,7 +29,6 @@ from repro.agents.behaviors import (
 from repro.agents.best_response import best_response, BestResponse
 from repro.agents.game import BestResponseDynamics, GameTrace
 from repro.agents.kernels import (
-    best_response_fast,
     sufficient_statistics,
     utility_kernel,
     utility_grid,
@@ -49,7 +48,6 @@ __all__ = [
     "profile_bids",
     "profile_execution_values",
     "best_response",
-    "best_response_fast",
     "BestResponse",
     "BestResponseDynamics",
     "GameTrace",

@@ -7,25 +7,26 @@ bid)`` candidate grid — log-spaced bids across ``bid_bounds_factor``,
 linear execution values over ``[t, exec_cap * t]`` — then polishes the
 grid argmax with bounded golden-section refinement.
 
-Two interchangeable evaluation methods fill the grid:
+The search itself is :func:`repro.agents.kernels.search`; only the
+evaluator depends on the mechanism, chosen by its exact type
+(:func:`repro.agents.kernels.kernel_mode_of`):
 
-* ``"bruteforce"`` — one full :meth:`Mechanism.run` per candidate,
-  O(grid * n); works for every mechanism.
-* ``"vectorized"`` — the closed-form sufficient-statistic kernel of
-  :mod:`repro.agents.kernels`, O(n + grid); available for
+* a mechanism with a kernel mode —
   :class:`~repro.mechanism.VerificationMechanism` (both compensation
-  modes), :class:`~repro.mechanism.VCGMechanism`, and
-  :class:`~repro.mechanism.ArcherTardosMechanism`.  ``"auto"`` (the
-  default) picks it whenever it applies.
+  modes), :class:`~repro.mechanism.VCGMechanism` and
+  :class:`~repro.mechanism.ArcherTardosMechanism` — is scored by the
+  closed-form sufficient-statistic kernel, O(n + grid);
+* any other mechanism, subclasses of those three included, by one
+  :meth:`Mechanism.run` per candidate
+  (:func:`repro.mechanism.properties.deviation_utility`), O(grid * n).
 
-**Tie-break contract** (shared by both methods, pinned by the property
-tests and ``benchmarks/bench_best_response.py``): the grid argmax is
-the first maximal entry of the ``(execution x bid)`` surface in
-C (row-major) order — ties resolve to the lowest execution index,
-then the lowest bid index — and the truth is kept whenever the search
-does not *strictly* beat the truthful utility.  With ``refine=False``
-the two methods therefore select bit-identical ``(bid, execution)``
-grid pairs.
+**Tie-break contract** (pinned by the property tests and
+``benchmarks/bench_best_response.py``): the grid argmax is the first
+maximal entry of the ``(execution x bid)`` surface in C (row-major)
+order — ties resolve to the lowest execution index, then the lowest bid
+index — and the truth is kept whenever the search does not *strictly*
+beat the truthful utility.  With ``refine=False`` the two evaluators
+therefore select bit-identical ``(bid, execution)`` grid pairs.
 """
 
 from __future__ import annotations
@@ -42,10 +43,9 @@ from repro._validation import (
 )
 from repro.agents import kernels
 from repro.mechanism.base import Mechanism
+from repro.mechanism.properties import deviation_utility
 
 __all__ = ["BestResponse", "best_response"]
-
-_METHODS = ("auto", "bruteforce", "vectorized")
 
 
 @dataclass(frozen=True)
@@ -73,18 +73,6 @@ class BestResponse:
         return self.gain <= 1e-7 * max(1.0, abs(self.truthful_utility))
 
 
-def _grid_utilities(utility, bid_grid: np.ndarray, exec_grid: np.ndarray) -> np.ndarray:
-    """Brute-force fill of the full candidate surface.
-
-    One mechanism run per cell, hoisted out of the per-execution
-    comprehension so both methods produce the same ``(execution x
-    bid)``-shaped array and share one argmax/tie-break call.
-    """
-    return np.array(
-        [[utility(float(b), float(e)) for b in bid_grid] for e in exec_grid]
-    )
-
-
 def best_response(
     mechanism: Mechanism,
     true_values: np.ndarray,
@@ -96,7 +84,6 @@ def best_response(
     execution_cap_factor: float = 4.0,
     scan_points: int = 48,
     exec_points: int = 8,
-    method: str = "auto",
     refine: bool = True,
 ) -> BestResponse:
     """Best (bid, execution) pair for ``agent`` given the others' bids.
@@ -123,37 +110,17 @@ def best_response(
     exec_points:
         Size of the linear execution grid (collapsed to one honest
         point when the cap is 1).
-    method:
-        ``"bruteforce"``, ``"vectorized"``, or ``"auto"`` (vectorized
-        whenever the mechanism has the closed-form kernel).
     refine:
         Polish the grid argmax with bounded scalar refinement.
         ``refine=False`` returns the raw grid selection, which is
-        bit-identical across methods.
+        bit-identical across evaluators.
     """
-    if method not in _METHODS:
-        raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
-    if method == "auto":
-        method = "vectorized" if kernels.supports(mechanism) else "bruteforce"
-
-    if method == "vectorized":
-        return kernels.best_response_fast(
-            mechanism,
-            true_values,
-            arrival_rate,
-            agent,
-            other_bids=other_bids,
-            bid_bounds_factor=bid_bounds_factor,
-            execution_cap_factor=execution_cap_factor,
-            scan_points=scan_points,
-            exec_points=exec_points,
-            refine=refine,
-        )
-
     true_values = as_float_array(true_values, "true_values")
     check_positive(true_values, "true_values")
     arrival_rate = check_positive_scalar(arrival_rate, "arrival_rate")
     agent = check_index(agent, true_values.size, "agent")
+    if true_values.size < 2:
+        raise ValueError("a best response needs at least two machines")
 
     base = true_values.copy()
     if other_bids is not None:
@@ -165,42 +132,31 @@ def best_response(
         base[agent] = true_values[agent]
 
     t_i = float(true_values[agent])
+    grid = dict(
+        bid_bounds_factor=bid_bounds_factor,
+        execution_cap_factor=execution_cap_factor,
+        scan_points=scan_points,
+        exec_points=exec_points,
+        refine=refine,
+    )
+    mode = kernels.kernel_mode_of(mechanism)
+    if mode is not None:
+        s_minus, q_minus = kernels.sufficient_statistics(base)
+        return BestResponse(agent, *kernels.best_response_given_stats(
+            float(s_minus[agent]), float(q_minus[agent]), t_i, arrival_rate,
+            mode=mode, **grid,
+        ))
 
     def utility(bid: float, execution: float) -> float:
         bids = base.copy()
         bids[agent] = bid
         execs = base.copy()
         execs[agent] = execution
-        outcome = mechanism.run(bids, arrival_rate, execs, true_values=None)
-        return float(outcome.payments.utility[agent])
+        return deviation_utility(mechanism, bids, execs, arrival_rate, agent)
 
-    truthful = utility(t_i, t_i)
-
-    bid_grid, exec_grid = kernels.strategy_grids(
-        t_i,
-        bid_bounds_factor=bid_bounds_factor,
-        execution_cap_factor=execution_cap_factor,
-        scan_points=scan_points,
-        exec_points=exec_points,
-    )
-    surface = _grid_utilities(utility, bid_grid, exec_grid)
-    row, col = kernels.grid_argmax(surface)
-    best = (float(surface[row, col]), float(bid_grid[col]), float(exec_grid[row]))
-    if refine:
-        best = kernels.refine_from_grid(
-            utility,
-            bid_grid,
-            exec_grid,
-            row,
-            col,
-            best[0],
-            t_i,
-            execution_cap_factor,
+    def surface(bid_grid: np.ndarray, exec_grid: np.ndarray) -> np.ndarray:
+        return np.array(
+            [[utility(float(b), float(e)) for b in bid_grid] for e in exec_grid]
         )
-    u_star, b_star, e_star = best
 
-    # Keep truth if the search did not strictly beat it (flat optimum).
-    if truthful >= u_star:
-        return BestResponse(agent, t_i, t_i, truthful, truthful)
-    return BestResponse(agent, b_star, e_star, u_star, truthful)
-
+    return BestResponse(agent, *kernels.search(utility, surface, t_i, **grid))

@@ -10,13 +10,14 @@ keeps the system at the efficient allocation.
 :class:`BestResponseDynamics` plays that loop for every mechanism; only
 its agent step depends on the payment rule:
 
-* for every mechanism with a closed-form kernel
-  (:func:`repro.agents.kernels.supports`: the verification mechanism,
-  VCG, and Archer–Tardos) the sufficient statistics ``S = sum 1/b_j``
-  and ``Q = sum t~_j/b_j**2`` live in an
+* for every mechanism with a kernel mode
+  (:func:`repro.agents.kernels.kernel_mode_of`: the verification
+  mechanism, VCG, and Archer–Tardos) the sufficient statistics
+  ``S = sum 1/b_j`` and ``Q = sum t~_j/b_j**2`` live in an
   :class:`~repro.allocation.IncrementalStrategicState` and each step
-  goes through the kernel, so a round costs O(n * grid) arithmetic;
-* any other mechanism steps through the brute-force
+  goes through :func:`repro.agents.kernels.best_response_given_stats`,
+  so a round costs O(n * grid) arithmetic;
+* any other mechanism steps through
   :func:`~repro.agents.best_response.best_response`, one
   :meth:`Mechanism.run` per grid candidate.
 """
@@ -91,11 +92,7 @@ class BestResponseDynamics:
         if self.true_values.size < 2:
             raise ValueError("best-response dynamics require at least two agents")
         self.arrival_rate = check_positive_scalar(self.arrival_rate, "arrival_rate")
-        self._mode = (
-            kernels.kernel_mode_of(self.mechanism)
-            if kernels.supports(self.mechanism)
-            else None
-        )
+        self._mode = kernels.kernel_mode_of(self.mechanism)
 
     @property
     def _execution_cap(self) -> float:
@@ -117,7 +114,6 @@ class BestResponseDynamics:
                 agent,
                 other_bids=bids,
                 execution_cap_factor=self._execution_cap,
-                method="bruteforce",
             )
         s_minus, q_minus = state.statistics_excluding(agent)
         bid, execution, utility, truthful = kernels.best_response_given_stats(

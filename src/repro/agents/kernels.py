@@ -34,30 +34,42 @@ broadcast** — ``O(grid)`` instead of ``O(grid * n)`` — and the
 aggregates themselves admit O(1) rank-1 updates across best-response
 rounds (:class:`repro.allocation.IncrementalStrategicState`).
 
-Tie-break contract (shared with the brute-force grid search in
-:mod:`repro.agents.best_response`, asserted by the property tests and
+Every search for one agent's best reply — the kernel path here and the
+brute-force path of :func:`repro.agents.best_response` alike — is
+:func:`search`: the truthful utility, the shared candidate grids
+(:func:`strategy_grids`), the first-maximum argmax, the optional
+golden-section polish (:func:`refine_from_grid`), then the truth kept
+unless strictly beaten.  Only the evaluator differs, and which one runs
+is decided by the mechanism's exact type (:func:`kernel_mode_of`).
+
+Tie-break contract (asserted by the property tests and
 ``benchmarks/bench_best_response.py``): the utility grid is laid out
 with **executions as rows and bids as columns**, and the argmax is the
 first maximal entry in C (row-major) order — ties resolve to the
 lowest execution index first, then the lowest bid index.
+
+Shapes: :func:`sufficient_statistics` works along the last axis of any
+``(..., n)`` input and :func:`grid_argmax` over the last two axes, so a
+stack of profiles or grids (one row per agent, per round or per unit) is
+the same code as a single one, bit for bit per row.
 
 Examples
 --------
 >>> import numpy as np
 >>> from repro.agents.kernels import sufficient_statistics, utility_kernel
 >>> t = np.array([1.0, 2.0])
->>> s_minus, q_minus = sufficient_statistics(t, t, agent=0)
->>> (s_minus, q_minus)
+>>> s_minus, q_minus = sufficient_statistics(t, t)
+>>> (float(s_minus[0]), float(q_minus[0]))
 (0.5, 0.5)
->>> float(utility_kernel(1.0, 1.0, s_minus, q_minus, 3.0))   # truthful
+>>> float(utility_kernel(1.0, 1.0, s_minus[0], q_minus[0], 3.0))   # truthful
 12.0
 
 When everyone executes exactly as declared, the three truthful payment
 rules coincide at the truthful profile (see ``docs/mechanisms.md``):
 
->>> float(utility_kernel(1.0, 1.0, s_minus, q_minus, 3.0, mode="vcg"))
+>>> float(utility_kernel(1.0, 1.0, s_minus[0], q_minus[0], 3.0, mode="vcg"))
 12.0
->>> float(utility_kernel(1.0, 1.0, s_minus, q_minus, 3.0, mode="archer_tardos"))
+>>> float(utility_kernel(1.0, 1.0, s_minus[0], q_minus[0], 3.0, mode="archer_tardos"))
 12.0
 """
 
@@ -67,62 +79,33 @@ from typing import Callable
 
 import numpy as np
 
-from repro._validation import (
-    as_float_array,
-    check_index,
-    check_positive,
-    check_positive_scalar,
-)
+from repro._validation import check_positive
 from repro.mechanism import pricing
 
 __all__ = [
-    "best_response_fast",
     "best_response_given_stats",
     "grid_argmax",
-    "grid_argmax_units",
     "kernel_mode_of",
     "refine_from_grid",
+    "search",
     "strategy_grids",
     "sufficient_statistics",
-    "sufficient_statistics_all",
-    "sufficient_statistics_units",
-    "supports",
     "utility_grid",
     "utility_kernel",
 ]
 
 
-def supports(mechanism) -> bool:
-    """Whether ``mechanism``'s utilities admit the closed-form kernel.
-
-    True exactly for :class:`~repro.mechanism.VerificationMechanism`
-    (both compensation modes), :class:`~repro.mechanism.VCGMechanism`,
-    and :class:`~repro.mechanism.ArcherTardosMechanism` — the three
-    mechanisms whose payments reduce to the ``(S_{-i}, Q_{-i})``
-    sufficient statistics (module docstring).  Subclasses are *not*
-    assumed to keep the payment rule, so the check is on the exact
-    type; anything else stays on the brute-force path.
-    """
-    from repro.mechanism import (
-        ArcherTardosMechanism,
-        VCGMechanism,
-        VerificationMechanism,
-    )
-
-    return type(mechanism) in (
-        VerificationMechanism,
-        VCGMechanism,
-        ArcherTardosMechanism,
-    )
-
-
-def kernel_mode_of(mechanism) -> str:
-    """The kernel mode for a supported mechanism (see :func:`supports`).
+def kernel_mode_of(mechanism) -> str | None:
+    """The :data:`~repro.mechanism.pricing.RULES` name of ``mechanism``.
 
     ``"observed"`` / ``"declared"`` for the verification mechanism
     (whichever compensation it was built with), ``"vcg"`` for the
     Clarke-pivot baseline, ``"archer_tardos"`` for the one-parameter
-    baseline; ``TypeError`` for anything without a closed form.
+    baseline — the three mechanisms whose payments reduce to the
+    ``(S_{-i}, Q_{-i})`` sufficient statistics (module docstring).
+    ``None`` for anything else: subclasses are *not* assumed to keep
+    the payment rule, so the check is on the exact type, and a ``None``
+    mechanism is evaluated by one :meth:`Mechanism.run` per candidate.
     """
     from repro.mechanism import (
         ArcherTardosMechanism,
@@ -136,10 +119,7 @@ def kernel_mode_of(mechanism) -> str:
         return "vcg"
     if type(mechanism) is ArcherTardosMechanism:
         return "archer_tardos"
-    raise TypeError(
-        f"{type(mechanism).__name__} has no closed-form utility kernel; "
-        "use the brute-force path"
-    )
+    return None
 
 
 def _check_mode(mode: str) -> str:
@@ -153,104 +133,31 @@ def _check_mode(mode: str) -> str:
 def sufficient_statistics(
     bids: np.ndarray,
     executions: np.ndarray | None = None,
-    *,
-    agent: int,
-) -> tuple[float, float]:
-    """The two aggregates ``(S_{-i}, Q_{-i})`` that summarise the others.
-
-    Parameters
-    ----------
-    bids:
-        Full bid vector (agent ``agent``'s own entry is excluded by
-        subtraction, matching the rank-1 update arithmetic of
-        :class:`~repro.allocation.IncrementalStrategicState`).
-    executions:
-        Full execution-value vector ``t~``; defaults to the bids
-        (machines execute as declared).
-    agent:
-        Index whose entry is left out of both sums.
-
-    Examples
-    --------
-    >>> sufficient_statistics([1.0, 2.0, 4.0], agent=0)
-    (0.75, 0.75)
-    """
-    bids = as_float_array(bids, "bids")
-    check_positive(bids, "bids")
-    agent = check_index(agent, bids.size, "agent")
-    if executions is None:
-        executions = bids
-    else:
-        executions = as_float_array(executions, "executions")
-        check_positive(executions, "executions")
-        if executions.size != bids.size:
-            raise ValueError("executions must have one entry per agent")
-    inv = 1.0 / bids
-    weighted = executions * inv * inv
-    s_minus = float(inv.sum() - inv[agent])
-    q_minus = float(weighted.sum() - weighted[agent])
-    return s_minus, q_minus
-
-
-def sufficient_statistics_all(
-    bids: np.ndarray,
-    executions: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``(S_{-i}, Q_{-i})`` for *every* agent at once, as two vectors.
+    """``(S_{-i}, Q_{-i})`` for every agent, along the last axis.
 
-    The vectorised form of :func:`sufficient_statistics`: each entry is
-    computed as ``total - own`` from the same shared totals the scalar
-    version uses, so ``sufficient_statistics_all(b, e)[0][i]`` is
-    bit-identical to ``sufficient_statistics(b, e, agent=i)[0]``.  This
-    is what lets a learning round score all ``n`` counterfactual grids
-    in one ``(n, K)`` broadcast.
-
-    Examples
-    --------
-    >>> s_all, q_all = sufficient_statistics_all([1.0, 2.0, 4.0])
-    >>> (float(s_all[0]), float(q_all[0]))
-    (0.75, 0.75)
-    """
-    bids = as_float_array(bids, "bids")
-    check_positive(bids, "bids")
-    if executions is None:
-        executions = bids
-    else:
-        executions = as_float_array(executions, "executions")
-        check_positive(executions, "executions")
-        if executions.size != bids.size:
-            raise ValueError("executions must have one entry per agent")
-    inv = 1.0 / bids
-    weighted = executions * inv * inv
-    return inv.sum() - inv, weighted.sum() - weighted
-
-
-def sufficient_statistics_units(
-    bids: np.ndarray,
-    executions: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(S_{-i}, Q_{-i})`` for every agent of every unit at once.
-
-    The batched-unit axis of :func:`sufficient_statistics_all`:
-    ``bids`` (and ``executions``, defaulting to the bids) are ``(U, n)``
-    blocks with one *unit* — one independent scenario — per row, and
-    both returned arrays are ``(U, n)``.  Row ``k`` is bit-identical to
-    ``sufficient_statistics_all(bids[k], executions[k])``: reducing a
+    ``bids`` (and ``executions``, the execution values ``t~``,
+    defaulting to the bids) are ``(..., n)`` arrays — one profile, or a
+    stack of profiles with one per row — and both results have their
+    shape.  Each entry is ``total - own`` from the shared row totals
+    (the rank-1 arithmetic of
+    :class:`~repro.allocation.IncrementalStrategicState`); reducing a
     C-contiguous block along its last axis applies the same pairwise
-    summation per row that a lone vector's ``.sum()`` does, so stacking
-    units never changes a float.  This is the aggregate layer of the
-    fused campaign backend (:mod:`repro.parallel.fusion`) and of the
-    cohort-stacked generalization study.
+    summation per row that a lone vector's sum does, so a row of a stack
+    is bit-identical to the same profile passed alone.
 
     Examples
     --------
-    >>> s, q = sufficient_statistics_units([[1.0, 2.0, 4.0]] * 2)
-    >>> (float(s[0, 0]), float(q[1, 0]))
+    >>> s, q = sufficient_statistics([1.0, 2.0, 4.0])
+    >>> (float(s[0]), float(q[0]))
+    (0.75, 0.75)
+    >>> s, q = sufficient_statistics([[1.0, 2.0, 4.0]] * 2)
+    >>> (float(s[1, 0]), float(q[1, 0]))
     (0.75, 0.75)
     """
     bids = np.asarray(bids, dtype=np.float64)
-    if bids.ndim != 2:
-        raise ValueError("bids must be a (units, agents) matrix")
+    if bids.ndim == 0 or bids.shape[-1] == 0:
+        raise ValueError("bids must have a non-empty agent axis")
     check_positive(bids, "bids")
     if executions is None:
         executions = bids
@@ -262,8 +169,8 @@ def sufficient_statistics_units(
     inv = 1.0 / bids
     weighted = executions * inv * inv
     return (
-        inv.sum(axis=1, keepdims=True) - inv,
-        weighted.sum(axis=1, keepdims=True) - weighted,
+        inv.sum(axis=-1, keepdims=True) - inv,
+        weighted.sum(axis=-1, keepdims=True) - weighted,
     )
 
 
@@ -280,12 +187,12 @@ def utility_kernel(
 
     ``bids`` and ``executions`` may be scalars or arrays of any
     broadcast-compatible shapes; the result has the broadcast shape.
-    ``s_minus``/``q_minus`` broadcast too (pass per-row columns from
-    :func:`sufficient_statistics_all` to score all agents at once), and
-    so does ``arrival_rate`` — pass a ``(U, 1)`` column alongside
-    ``(U, n)`` statistics from :func:`sufficient_statistics_units` to
-    score a whole cohort of units, each with its own ``R``, in one
-    call.  Cost is O(1) per evaluated candidate, independent of ``n``.
+    ``s_minus``/``q_minus`` broadcast too (pass columns of
+    :func:`sufficient_statistics` to score all agents at once), and so
+    does ``arrival_rate`` — pass a ``(U, 1)`` column alongside ``(U, n)``
+    statistics to score a stack of profiles, each with its own ``R``, in
+    one call.  Cost is O(1) per evaluated candidate, independent of
+    ``n``.
 
     ``mode`` selects the payment rule, by its
     :data:`~repro.mechanism.pricing.RULES` name: ``"observed"``
@@ -341,49 +248,34 @@ def utility_grid(
     )
 
 
-def grid_argmax(utilities: np.ndarray) -> tuple[int, int]:
-    """First-maximum argmax over an (executions x bids) utility grid.
+def grid_argmax(utilities: np.ndarray):
+    """First-maximum argmax over the last two (executions x bids) axes.
 
-    This **is** the tie-break rule: the flat C-order argmax, i.e. ties
-    resolve to the lowest execution index, then the lowest bid index —
-    exactly what nested ``for e: for b:`` loops with a strict ``>``
-    comparison produce.  Both the vectorized and the brute-force search
-    must select through this helper so their picks are bit-identical.
+    This **is** the tie-break rule: the flat C-order argmax of each
+    grid, i.e. ties resolve to the lowest execution index, then the
+    lowest bid index — exactly what nested ``for e: for b:`` loops with
+    a strict ``>`` comparison produce.  One grid gives ``(row, col)`` as
+    two ints; a ``(..., executions, bids)`` stack gives two integer
+    arrays of the leading shape, entry ``k`` equal to the call on grid
+    ``k``.
 
     Examples
     --------
     >>> grid_argmax(np.array([[1.0, 3.0], [3.0, 0.0]]))
     (0, 1)
-    """
-    utilities = np.asarray(utilities)
-    flat = int(np.argmax(utilities))
-    n_bids = utilities.shape[1]
-    return flat // n_bids, flat % n_bids
-
-
-def grid_argmax_units(utilities: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-unit :func:`grid_argmax` over stacked utility grids.
-
-    ``utilities`` is ``(U, executions, bids)`` — one grid per unit —
-    and the result is a pair of integer vectors ``(rows, cols)`` with
-    ``(rows[k], cols[k]) == grid_argmax(utilities[k])`` for every
-    ``k``: the same flat C-order first-maximum rule, applied row-wise,
-    so the batched-unit axis inherits the tie-break contract verbatim.
-
-    Examples
-    --------
-    >>> grids = np.array([[[1.0, 3.0], [3.0, 0.0]],
-    ...                   [[0.0, 1.0], [2.0, 2.0]]])
-    >>> rows, cols = grid_argmax_units(grids)
+    >>> rows, cols = grid_argmax(np.array([[[1.0, 3.0], [3.0, 0.0]],
+    ...                                    [[0.0, 1.0], [2.0, 2.0]]]))
     >>> (rows.tolist(), cols.tolist())
     ([0, 1], [1, 0])
     """
     utilities = np.asarray(utilities)
-    if utilities.ndim != 3:
-        raise ValueError("utilities must be (units, executions, bids)")
-    n_bids = utilities.shape[2]
-    flat = utilities.reshape(utilities.shape[0], -1).argmax(axis=1)
-    return flat // n_bids, flat % n_bids
+    if utilities.ndim < 2:
+        raise ValueError("utilities must end in (executions, bids) axes")
+    flat = utilities.reshape(utilities.shape[:-2] + (-1,)).argmax(axis=-1)
+    rows, cols = np.divmod(flat, utilities.shape[-1])
+    if utilities.ndim == 2:
+        return int(rows), int(cols)
+    return rows, cols
 
 
 def strategy_grids(
@@ -394,7 +286,7 @@ def strategy_grids(
     scan_points: int = 48,
     exec_points: int = 8,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The shared candidate grids both search paths must evaluate.
+    """The candidate grids every best-response search evaluates.
 
     Bids: ``scan_points`` log-spaced multiples of the true value across
     ``bid_bounds_factor``.  Executions: ``exec_points`` linear points in
@@ -429,7 +321,7 @@ def refine_from_grid(
     true_value: float,
     execution_cap_factor: float,
 ) -> tuple[float, float, float]:
-    """Golden-section polish of a grid argmax; shared by both paths.
+    """Golden-section polish of a grid argmax.
 
     Refines the bid inside the bracket around the selected column (at
     the selected execution row), then the execution value at the
@@ -464,6 +356,55 @@ def refine_from_grid(
     return best
 
 
+def search(
+    utility: Callable[[float, float], float],
+    surface: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    true_value: float,
+    *,
+    bid_bounds_factor: tuple[float, float] = (0.05, 20.0),
+    execution_cap_factor: float = 4.0,
+    scan_points: int = 48,
+    exec_points: int = 8,
+    refine: bool = True,
+) -> tuple[float, float, float, float]:
+    """One agent's best ``(bid, execution)``, whatever evaluates it.
+
+    ``utility(bid, execution)`` scores one candidate and
+    ``surface(bid_grid, exec_grid)`` the whole ``(executions x bids)``
+    grid of :func:`strategy_grids`.  The grid argmax
+    (:func:`grid_argmax`) is polished by :func:`refine_from_grid` when
+    ``refine`` is set, and the truth is kept whenever the search does
+    not strictly beat the truthful utility.  Returns ``(bid, execution,
+    utility, truthful_utility)``.
+    """
+    truthful = utility(true_value, true_value)
+    bid_grid, exec_grid = strategy_grids(
+        true_value,
+        bid_bounds_factor=bid_bounds_factor,
+        execution_cap_factor=execution_cap_factor,
+        scan_points=scan_points,
+        exec_points=exec_points,
+    )
+    utilities = surface(bid_grid, exec_grid)
+    row, col = grid_argmax(utilities)
+    best = (float(utilities[row, col]), float(bid_grid[col]), float(exec_grid[row]))
+    if refine:
+        best = refine_from_grid(
+            utility,
+            bid_grid,
+            exec_grid,
+            row,
+            col,
+            best[0],
+            true_value,
+            execution_cap_factor,
+        )
+    u_star, b_star, e_star = best
+    if truthful >= u_star:
+        return float(true_value), float(true_value), truthful, truthful
+    return b_star, e_star, u_star, truthful
+
+
 def best_response_given_stats(
     s_minus: float,
     q_minus: float,
@@ -477,111 +418,27 @@ def best_response_given_stats(
     exec_points: int = 8,
     refine: bool = True,
 ) -> tuple[float, float, float, float]:
-    """Grid + optional polish, entirely through the closed form.
+    """:func:`search` evaluated entirely through the closed form.
 
-    The core of :func:`best_response_fast`, usable directly when the
-    caller already maintains ``(S_{-i}, Q_{-i})`` incrementally (the
-    dynamics loop).  ``mode`` is any kernel mode.  Returns ``(bid,
-    execution, utility, truthful_utility)``; the truth is kept whenever
-    the search does not strictly beat it.
+    O(grid) given the others' aggregates ``(S_{-i}, Q_{-i})``: what
+    :func:`repro.agents.best_response` runs for a mechanism with a
+    kernel mode, and what the dynamics loop calls directly with the
+    statistics of an :class:`~repro.allocation.IncrementalStrategicState`.
+    ``mode`` is any :data:`~repro.mechanism.pricing.RULES` name.
+    Returns ``(bid, execution, utility, truthful_utility)``.
     """
     mode = _check_mode(mode)
-    t_i = true_value
-    truthful = float(
-        utility_kernel(t_i, t_i, s_minus, q_minus, arrival_rate, mode=mode)
-    )
-    bid_grid, exec_grid = strategy_grids(
-        t_i,
-        bid_bounds_factor=bid_bounds_factor,
-        execution_cap_factor=execution_cap_factor,
-        scan_points=scan_points,
-        exec_points=exec_points,
-    )
-    surface = utility_grid(
-        bid_grid, exec_grid, s_minus, q_minus, arrival_rate, mode=mode,
-    )
-    row, col = grid_argmax(surface)
-    best = (float(surface[row, col]), float(bid_grid[col]), float(exec_grid[row]))
-    if refine:
-        best = refine_from_grid(
-            lambda b, e: float(
-                utility_kernel(b, e, s_minus, q_minus, arrival_rate, mode=mode)
-            ),
-            bid_grid,
-            exec_grid,
-            row,
-            col,
-            best[0],
-            t_i,
-            execution_cap_factor,
-        )
-    u_star, b_star, e_star = best
-    if truthful >= u_star:
-        return float(t_i), float(t_i), truthful, truthful
-    return b_star, e_star, u_star, truthful
-
-
-def best_response_fast(
-    mechanism,
-    true_values: np.ndarray,
-    arrival_rate: float,
-    agent: int,
-    *,
-    other_bids: np.ndarray | None = None,
-    other_executions: np.ndarray | None = None,
-    bid_bounds_factor: tuple[float, float] = (0.05, 20.0),
-    execution_cap_factor: float = 4.0,
-    scan_points: int = 48,
-    exec_points: int = 8,
-    refine: bool = True,
-):
-    """Vectorized drop-in for :func:`repro.agents.best_response`.
-
-    Same argmax / tie-break contract as the brute-force grid search
-    (see :func:`grid_argmax`), evaluated in O(n + grid) instead of
-    O(grid * n): one pass to form ``(S_{-i}, Q_{-i})``, one broadcast
-    for the surface.  Only meaningful for mechanisms with the closed
-    form (:func:`supports` — the verification mechanism, VCG, and
-    Archer–Tardos); raises ``TypeError`` otherwise.
-
-    ``other_executions`` generalises the brute-force path's convention
-    (others execute exactly as declared) when the caller knows better.
-    Returns a :class:`~repro.agents.best_response.BestResponse`.
-    """
-    from repro.agents.best_response import BestResponse
-
-    mode = kernel_mode_of(mechanism)
-    true_values = as_float_array(true_values, "true_values")
-    check_positive(true_values, "true_values")
-    arrival_rate = check_positive_scalar(arrival_rate, "arrival_rate")
-    agent = check_index(agent, true_values.size, "agent")
-    if true_values.size < 2:
-        raise ValueError("a best response needs at least two machines")
-
-    base = true_values.copy()
-    if other_bids is not None:
-        other_bids = as_float_array(other_bids, "other_bids")
-        check_positive(other_bids, "other_bids")
-        if other_bids.size != true_values.size:
-            raise ValueError("other_bids must have one entry per agent")
-        base = other_bids.copy()
-        base[agent] = true_values[agent]
-
-    s_minus, q_minus = sufficient_statistics(
-        base, other_executions if other_executions is not None else base,
-        agent=agent,
-    )
-    t_i = float(true_values[agent])
-    bid, execution, utility, truthful = best_response_given_stats(
-        s_minus,
-        q_minus,
-        t_i,
-        arrival_rate,
-        mode=mode,
+    return search(
+        lambda b, e: float(
+            utility_kernel(b, e, s_minus, q_minus, arrival_rate, mode=mode)
+        ),
+        lambda bid_grid, exec_grid: utility_grid(
+            bid_grid, exec_grid, s_minus, q_minus, arrival_rate, mode=mode,
+        ),
+        true_value,
         bid_bounds_factor=bid_bounds_factor,
         execution_cap_factor=execution_cap_factor,
         scan_points=scan_points,
         exec_points=exec_points,
         refine=refine,
     )
-    return BestResponse(agent, bid, execution, utility, truthful)

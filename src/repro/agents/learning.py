@@ -32,6 +32,7 @@ from repro._validation import (
 )
 from repro.agents import kernels
 from repro.mechanism.base import Mechanism
+from repro.mechanism.properties import deviation_utility
 
 __all__ = ["LearningTrace", "MultiplicativeWeightsBidder", "simulate_learning"]
 
@@ -134,7 +135,6 @@ def simulate_learning(
     rounds: int = 200,
     learning_rate: float = 0.2,
     factors: np.ndarray | None = None,
-    method: str = "auto",
     arrival_schedule=None,
     round_duration: float = 40.0,
 ) -> LearningTrace:
@@ -145,13 +145,12 @@ def simulate_learning(
     utility of every factor (holding the others' sampled bids fixed)
     and updates.  Executions stay at capacity throughout.
 
-    ``method`` selects how the counterfactual utilities are evaluated:
-    ``"bruteforce"`` re-runs the mechanism per factor (O(grid * n) per
-    agent per round, works for any mechanism); ``"vectorized"`` uses
-    the closed-form kernel of :mod:`repro.agents.kernels` (O(n + grid)
-    per agent per round); ``"auto"`` (default) picks the kernel
-    whenever the mechanism supports it — the verification mechanism,
-    VCG, and Archer–Tardos all do.
+    The counterfactual utilities of a mechanism with a kernel mode
+    (:func:`repro.agents.kernels.kernel_mode_of`: the verification
+    mechanism, VCG and Archer–Tardos) come from one closed-form
+    broadcast per round, O(n * grid); any other mechanism re-runs once
+    per factor (:func:`~repro.mechanism.properties.deviation_utility`),
+    O(n * grid * n).
 
     ``arrival_schedule`` (any
     :class:`~repro.system.workload.ArrivalSchedule`) makes the repeated
@@ -160,11 +159,7 @@ def simulate_learning(
     the constant ``arrival_rate``, so learners chase a moving target —
     the regime the horizon engine's drift sweeps benchmark.
     """
-    if method not in ("auto", "bruteforce", "vectorized"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "auto":
-        method = "vectorized" if kernels.supports(mechanism) else "bruteforce"
-    mode = kernels.kernel_mode_of(mechanism) if method == "vectorized" else None
+    mode = kernels.kernel_mode_of(mechanism)
     true_values = as_float_array(true_values, "true_values")
     check_positive(true_values, "true_values")
     arrival_rate = check_positive_scalar(arrival_rate, "arrival_rate")
@@ -201,15 +196,23 @@ def simulate_learning(
         outcome = mechanism.run(bids, rate, true_values)
         latencies[round_index] = outcome.realised_latency
 
-        if method == "vectorized":
+        if mode is None:
+            own = np.eye(n, dtype=bool)
+            all_utilities = np.array([
+                [
+                    deviation_utility(
+                        mechanism, np.where(own[i], factor * true_values[i], bids),
+                        true_values, rate, i,
+                    )
+                    for factor in grid
+                ]
+                for i in range(n)
+            ])
+        else:
             # Learners execute at capacity, so the leave-one-out
-            # statistics use the true values as executions.  One
-            # (n, K) broadcast scores every agent's whole
-            # counterfactual grid; each row is bit-identical to the
-            # former per-agent kernel call.
-            s_minus, q_minus = kernels.sufficient_statistics_all(
-                bids, true_values
-            )
+            # statistics use the true values as executions; one (n, K)
+            # broadcast scores every agent's whole counterfactual grid.
+            s_minus, q_minus = kernels.sufficient_statistics(bids, true_values)
             all_utilities = kernels.utility_kernel(
                 grid[None, :] * true_values[:, None],
                 true_values[:, None],
@@ -218,18 +221,6 @@ def simulate_learning(
                 rate,
                 mode=mode,
             )
-        else:
-            all_utilities = np.empty((n, grid.size))
-            for i in range(n):
-                for k, factor in enumerate(grid):
-                    candidate = bids.copy()
-                    candidate[i] = factor * true_values[i]
-                    counterfactual = mechanism.run(
-                        candidate, rate, true_values
-                    )
-                    all_utilities[i, k] = float(
-                        counterfactual.payments.utility[i]
-                    )
         for i, learner in enumerate(learners):
             learner.update(all_utilities[i])
             mass_history[round_index, i] = learner.truthful_mass

@@ -7,8 +7,6 @@ a single-bid change is a rank-1 update:
 
 * ``S' = S - 1/b_old + 1/b_new``                    (O(1))
 * ``L*' = R^2 / S'``                                 (O(1))
-* ``L_{-i}' = R^2 / (S' - 1/b_i)``                   (O(1) per query)
-* any individual load ``x_i = R (1/b_i) / S``        (O(1) per query)
 
 This class maintains that state with add/remove/update operations and
 serves the aggregate queries without touching the other ``n-1``
@@ -79,25 +77,10 @@ class IncrementalPRState:
         """``L* = R^2 / S`` at the current bids (O(1))."""
         return self.arrival_rate**2 / self._total_inverse
 
-    def load_of(self, index: int) -> float:
-        """Machine ``index``'s PR load at the current bids (O(1))."""
-        index = check_index(index, self._bids.size, "index")
-        return (
-            self.arrival_rate * (1.0 / self._bids[index]) / self._total_inverse
-        )
-
     def loads(self) -> np.ndarray:
         """The full PR load vector (O(n), provided for convenience)."""
         inv = 1.0 / self._bids
         return self.arrival_rate * inv / self._total_inverse
-
-    def latency_without(self, index: int) -> float:
-        """``L_{-i} = R^2 / (S - 1/b_i)`` — the bonus term (O(1))."""
-        index = check_index(index, self._bids.size, "index")
-        if self._bids.size < 2:
-            raise ValueError("leave-one-out latency requires at least two machines")
-        remaining = self._total_inverse - 1.0 / self._bids[index]
-        return self.arrival_rate**2 / remaining
 
     # ------------------------------------------------------------ updates
 
@@ -216,11 +199,6 @@ class IncrementalStrategicState:
     def total_inverse(self) -> float:
         """``S = sum 1/b_j`` (maintained incrementally)."""
         return self._total_inverse
-
-    @property
-    def total_weighted(self) -> float:
-        """``Q = sum t~_j / b_j**2`` (maintained incrementally)."""
-        return self._total_weighted
 
     def statistics_excluding(self, index: int) -> tuple[float, float]:
         """``(S_{-i}, Q_{-i})`` for one agent — two O(1) subtractions."""

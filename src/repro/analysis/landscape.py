@@ -57,10 +57,6 @@ class UtilityLandscape:
         j = int(np.argmin(np.abs(self.exec_factors - 1.0)))
         return float(self.utilities[i, j])
 
-    def truth_is_global_max(self, tolerance: float = 1e-9) -> bool:
-        """Whether no grid point beats the truthful corner."""
-        return self.max_utility <= self.utility_at_truth() + tolerance
-
     def render(self, width: int = 8) -> str:
         """ASCII heat map: '#' near the max, '.' near the min."""
         lo, hi = self.utilities.min(), self.utilities.max()

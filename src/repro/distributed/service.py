@@ -319,11 +319,6 @@ class ShardedRoundResult:
         """Cross-shard control messages (aggregation tree, both legs)."""
         return sum(stats.total_messages for stats in self.aggregation)
 
-    @property
-    def payment_totals(self) -> dict[str, float]:
-        """Per-member total payment (compensation + bonus)."""
-        return {name: amounts[0] for name, amounts in self.payments.items()}
-
 
 # --------------------------------------------------------------- rounds
 

@@ -78,10 +78,6 @@ class Overlay:
         """Nodes ordered so every child precedes its parent (root last)."""
         return self._order[::-1]
 
-    def top_down_order(self) -> list[int | str]:
-        """Nodes ordered so every parent precedes its children (root first)."""
-        return list(self._order)
-
 
 def _check_size(n_machines: int) -> None:
     if n_machines < 1:

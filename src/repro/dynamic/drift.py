@@ -3,13 +3,12 @@
 Besides the drift processes themselves, :func:`drift_sweep` measures
 what a drifting horizon *costs*: machines bid once (round 0), their
 true speeds then wander, and every subsequent round is priced on the
-stale profile.  The whole horizon is scored as one stacked broadcast
-over the batched-unit kernel axis
-(:func:`repro.agents.kernels.sufficient_statistics_units` /
-:func:`repro.agents.kernels.grid_argmax_units`) — one row per round —
-so thousand-round sweeps cost a handful of NumPy calls.  This is the
-drift row of the A27 horizon bench and the ``repro campaign
---variant drift`` backend.
+stale profile.  The whole horizon is scored as one stacked broadcast —
+:func:`repro.agents.kernels.sufficient_statistics` and
+:func:`repro.agents.kernels.grid_argmax` over ``(rounds, n)`` stacks,
+one row per round — so thousand-round sweeps cost a handful of NumPy
+calls.  This is the drift row of the A27 horizon bench and the
+``repro campaign --variant drift`` backend.
 """
 
 from __future__ import annotations
@@ -179,8 +178,10 @@ def drift_sweep(
     (b) every agent's best-response gain — how much utility the agent
     could recover by re-bidding, scanned over ``scan_points``
     log-spaced factors of its *current* truth via the closed-form
-    kernel.  The whole ``(rounds, n, K)`` tensor is evaluated with the
-    batched-unit kernels — no per-round mechanism runs.
+    kernel.  The whole ``(rounds, n, K)`` tensor is evaluated by the
+    stacked kernels — no per-round mechanism runs.  ``mechanism`` must
+    have a kernel mode (:func:`repro.agents.kernels.kernel_mode_of`);
+    anything else raises ``TypeError``.
 
     ``arrival_schedule`` (any
     :class:`~repro.system.workload.ArrivalSchedule`) makes the horizon
@@ -200,6 +201,10 @@ def drift_sweep(
     if mechanism is None:
         mechanism = VerificationMechanism()
     mode = kernels.kernel_mode_of(mechanism)
+    if mode is None:
+        raise TypeError(
+            f"{type(mechanism).__name__} has no closed-form utility kernel"
+        )
     stale = as_float_array(true_values, "true_values")
     check_positive(stale, "true_values")
     if stale.size < 2:
@@ -248,12 +253,10 @@ def drift_sweep(
 
     # Best-response scan: non-deviators keep their stale bids but
     # execute at their current (drifted) capacity, so the leave-one-out
-    # statistics pair stale bids with drifted executions, one unit row
-    # per round.
+    # statistics pair stale bids with drifted executions, one row per
+    # round.
     bids_block = np.broadcast_to(declared, (rounds, n))
-    s_minus, q_minus = kernels.sufficient_statistics_units(
-        bids_block, trajectory
-    )
+    s_minus, q_minus = kernels.sufficient_statistics(bids_block, trajectory)
     factors = np.geomspace(0.25, 4.0, scan_points)
     candidates = trajectory[..., None] * factors[None, None, :]
     utilities = kernels.utility_kernel(
@@ -272,13 +275,9 @@ def drift_sweep(
         rates[:, None],
         mode=mode,
     )  # (rounds, n)
-    _, cols = kernels.grid_argmax_units(
-        utilities.reshape(rounds * n, 1, scan_points)
-    )
-    best_factors = factors[cols].reshape(rounds, n)
-    best_utilities = np.take_along_axis(
-        utilities, cols.reshape(rounds, n, 1), axis=2
-    )[:, :, 0]
+    _, cols = kernels.grid_argmax(utilities[:, :, None, :])  # (rounds, n)
+    best_factors = factors[cols]
+    best_utilities = np.take_along_axis(utilities, cols[..., None], axis=2)[..., 0]
     # Keeping the stale bid is always available, so a grid whose best
     # candidate scores below it means "no profitable deviation found".
     gains = np.maximum(best_utilities - stale_utilities, 0.0)

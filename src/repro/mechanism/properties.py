@@ -36,6 +36,7 @@ __all__ = [
     "TruthfulnessReport",
     "best_deviation_gain",
     "deviation_utilities",
+    "deviation_utility",
     "truthfulness_audit",
     "voluntary_participation_margin",
     "frugality_ratio",
@@ -84,20 +85,22 @@ class TruthfulnessReport:
         return max(self.deviations, key=lambda d: d.gain)
 
 
-def _agent_utility(
+def deviation_utility(
     mechanism: Mechanism,
-    true_values: np.ndarray,
+    bids: np.ndarray,
+    executions: np.ndarray,
     arrival_rate: float,
     agent: int,
-    bid: float,
-    execution: float,
 ) -> float:
-    """Utility of ``agent`` deviating to (bid, execution); others truthful."""
-    bids = true_values.copy()
-    bids[agent] = bid
-    execs = true_values.copy()
-    execs[agent] = execution
-    outcome = mechanism.run(bids, arrival_rate, execs, true_values=true_values)
+    """``agent``'s utility at the profile ``(bids, executions)``.
+
+    The brute-force evaluator of the strategic layer: one
+    :meth:`Mechanism.run` per candidate, so it works for every mechanism.
+    Best responses, learning and this module's audits fall back to it for
+    any mechanism without a kernel mode
+    (:func:`repro.agents.kernels.kernel_mode_of`).
+    """
+    outcome = mechanism.run(bids, arrival_rate, executions)
     return float(outcome.payments.utility[agent])
 
 
@@ -112,13 +115,15 @@ def deviation_utilities(
     """Utility of ``agent`` at each ``(bids[k], executions[k])``, others truthful.
 
     For a mechanism with a payment rule in
-    :data:`~repro.mechanism.pricing.RULES` (:func:`repro.agents.kernels.supports`)
-    the deviations form one ``(K, n)`` profile stack priced by one
+    :data:`~repro.mechanism.pricing.RULES`
+    (:func:`repro.agents.kernels.kernel_mode_of`) the deviations form one
+    ``(K, n)`` profile stack priced by one
     :func:`~repro.mechanism.pricing.price` call; each row is byte-identical
     to :meth:`Mechanism.run` on that profile, and the utility is summed as
     ``(compensation + bonus) + valuation``, the order of
     :attr:`~repro.types.PaymentResult.utility`.  Any other mechanism runs
-    once per deviation.  Inputs are checked as a run would check them.
+    once per deviation (:func:`deviation_utility`).  Inputs are checked as
+    a run would check them.
     """
     from repro.agents import kernels  # deferred: kernels imports repro.mechanism
 
@@ -129,19 +134,21 @@ def deviation_utilities(
             raise ValueError(f"deviation {name} must be finite and strictly positive")
     if np.any(executions < true_values[agent] - 1e-12):
         raise ValueError("machines cannot execute faster than their capacity")
-    if not kernels.supports(mechanism):
+    mode = kernels.kernel_mode_of(mechanism)
+    if mode is None:
+        own = np.arange(true_values.size) == agent
         return np.array([
-            _agent_utility(mechanism, true_values, arrival_rate, agent, b, e)
+            deviation_utility(
+                mechanism, np.where(own, b, true_values),
+                np.where(own, e, true_values), arrival_rate, agent,
+            )
             for b, e in zip(bids, executions)
         ])
     stack_bids = np.tile(true_values, (bids.size, 1))
     stack_bids[:, agent] = bids
     stack_executions = np.tile(true_values, (bids.size, 1))
     stack_executions[:, agent] = executions
-    priced = pricing.price(
-        kernels.kernel_mode_of(mechanism), stack_bids, stack_executions,
-        arrival_rate,
-    )
+    priced = pricing.price(mode, stack_bids, stack_executions, arrival_rate)
     return (
         (priced.compensation[:, agent] + priced.bonus[:, agent])
         + priced.valuation[:, agent]

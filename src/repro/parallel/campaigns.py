@@ -174,14 +174,6 @@ class FiguresCampaign:
         """Shorthand for the engine's cost accounting."""
         return self.result.stats
 
-    def protocol_payloads(self) -> dict[tuple[str, int], dict]:
-        """Protocol-unit payloads keyed by (scenario, seed)."""
-        return {
-            (unit.scenario, unit.seed): payload
-            for unit, payload in zip(self.result.units, self.result.payloads)
-            if unit.kind == "protocol"
-        }
-
 
 def run_figures_campaign(
     engine: CampaignEngine | None = None,

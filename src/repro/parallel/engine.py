@@ -195,10 +195,6 @@ class CampaignResult:
     stats: CampaignStats
     worker_spans: tuple[dict, ...]
 
-    def payload_for(self, unit: ExperimentUnit) -> dict:
-        """The payload of one submitted unit (by value, not identity)."""
-        return self.payloads[self.units.index(unit)]
-
     def export_worker_spans(self, destination: str | IO[str]) -> int:
         """Write per-worker ``campaign.unit`` spans as JSON Lines."""
         import json

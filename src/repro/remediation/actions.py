@@ -83,8 +83,6 @@ class RemediationAction:
         ``sharpen_detector``; unused (1.0) otherwise.
     reason:
         Human-readable justification.
-    incident_kind:
-        The incident kind that motivated this action.
     round_index:
         The round whose evidence motivated this action; part of the
         identity, so re-detecting the same problem in a later round
@@ -95,7 +93,6 @@ class RemediationAction:
     machine: str | None = None
     factor: float = 1.0
     reason: str = ""
-    incident_kind: str = ""
     round_index: int = 0
 
     def __post_init__(self) -> None:
@@ -149,7 +146,6 @@ def propose_actions(
                     kind="requarantine",
                     machine=incident.machine,
                     reason="withheld completion report: work unverifiable",
-                    incident_kind="unverified",
                     round_index=incident.round_index,
                 )
             )
@@ -162,7 +158,6 @@ def propose_actions(
                         kind="reset_circuit",
                         machine=incident.machine,
                         reason=f"trip ({reason}) during a message-loss spike",
-                        incident_kind="circuit_trip",
                         round_index=incident.round_index,
                     )
                 )
@@ -171,7 +166,6 @@ def propose_actions(
                 RemediationAction(
                     kind="void_round",
                     reason=f"invariant broken: {incident.evidence.get('invariant')}",
-                    incident_kind="invariant",
                     round_index=incident.round_index,
                 )
             )
@@ -191,7 +185,6 @@ def _for_slowdown(incident: Incident) -> list[RemediationAction]:
             kind="requarantine",
             machine=machine,
             reason=f"CUSUM alert, verified {factor:.2f}x declared",
-            incident_kind="slowdown",
             round_index=incident.round_index,
         )
     ]
@@ -202,7 +195,6 @@ def _for_slowdown(incident: Incident) -> list[RemediationAction]:
                 machine=machine,
                 factor=factor,
                 reason=f"re-estimate declared value at {factor:.2f}x bid",
-                incident_kind="slowdown",
                 round_index=incident.round_index,
             )
         )
@@ -212,7 +204,6 @@ def _for_slowdown(incident: Incident) -> list[RemediationAction]:
                 kind="sharpen_detector",
                 factor=_SHARPEN_RATIO,
                 reason=f"severe slowdown ({factor:.2f}x) evaded early detection",
-                incident_kind="slowdown",
                 round_index=incident.round_index,
             )
         )
@@ -238,7 +229,6 @@ def _readmits(
                     f"reputation {health.reputation:.2f} clears the bar with "
                     f"{health.cooldown_remaining} cooldown rounds left"
                 ),
-                incident_kind="circuit_trip",
                 round_index=round_index,
             )
         )

@@ -98,11 +98,6 @@ class ScenarioRun:
 
     scenario: str
     remediation: bool
-    baseline_latency: float
-    #: Per-round verification gap (realised / promised latency), or
-    #: ``None`` for voided rounds.
-    gaps: list[float | None] = field(default_factory=list)
-    degraded_rounds: int = 0
     recovery_round: int | None = None
     mttr_rounds: float = float("inf")
     violations: int = 0
@@ -217,8 +212,9 @@ def run_scenario(
     harness = ChaosHarness(supervisor, plan, stop_on_violation=False)
     report = harness.run()
 
+    # Per-round verification gap (realised / promised latency), or
+    # ``None`` for voided rounds.
     gaps: list[float | None] = []
-    realised: list[float] = []
     for r in report.rounds:
         if r.voided or r.outcome is None:
             gaps.append(None)
@@ -229,12 +225,6 @@ def run_scenario(
             if promised > 0.0
             else None
         )
-        realised.append(float(r.outcome.realised_latency))
-    baseline = (
-        float(np.mean(realised[: scenario.onset]))
-        if realised
-        else float("inf")
-    )
     budget = 1.0 + scenario.tolerance
 
     recovery_round: int | None = None
@@ -249,9 +239,6 @@ def run_scenario(
     run = ScenarioRun(
         scenario=scenario.name,
         remediation=remediation,
-        baseline_latency=baseline,
-        gaps=gaps,
-        degraded_rounds=degraded,
         recovery_round=recovery_round,
         mttr_rounds=float(degraded) if recovery_round is not None else float("inf"),
         violations=len(report.violations),

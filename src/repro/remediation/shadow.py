@@ -93,7 +93,6 @@ class ShadowVerdict:
     reason: str
     predicted_excess: float
     baseline_excess: float
-    violations: tuple[InvariantViolation, ...] = ()
 
     def __str__(self) -> str:
         word = "accept" if self.accepted else "reject"
@@ -157,7 +156,6 @@ class ShadowVerifier:
                     reason=reason,
                     predicted_excess=predicted,
                     baseline_excess=baseline,
-                    violations=fresh,
                 )
             )
         return verdicts

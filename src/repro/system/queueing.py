@@ -33,17 +33,6 @@ class QueueStats:
     std_sojourn: float
     utilisation: float
 
-    def sojourn_stderr(self) -> float:
-        """Naive standard error of the mean sojourn time.
-
-        Sojourn times are autocorrelated, so this underestimates the
-        true error; tests use generous tolerances instead of relying on
-        it for tight confidence intervals.
-        """
-        if self.n_jobs == 0:
-            return float("nan")
-        return self.std_sojourn / np.sqrt(self.n_jobs)
-
 
 def lindley_waits(interarrival: np.ndarray, service: np.ndarray) -> np.ndarray:
     """Waiting times of a FIFO G/G/1 queue, fully vectorised.

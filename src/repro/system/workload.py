@@ -20,7 +20,6 @@ their RNG streams match draw for draw.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -77,10 +76,6 @@ class PoissonWorkload:
         """All jobs arriving in ``[0, duration)`` as :class:`Job` objects."""
         times = self.generate_times(duration)
         return [Job(job_id=i, arrival_time=float(t)) for i, t in enumerate(times)]
-
-    def arrival_iter(self, duration: float) -> Iterator[Job]:
-        """Iterator form of :meth:`generate` (jobs in arrival order)."""
-        return iter(self.generate(duration))
 
 
 class ArrivalSchedule:

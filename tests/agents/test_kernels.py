@@ -3,7 +3,9 @@
 The contract under test (DESIGN.md §10): the kernel path is an exact
 reformulation, not an approximation — same utilities to 1e-9 relative,
 bit-identical grid selections with refinement off, same truthfulness
-verdicts, and the same fixed points under iterated dynamics.
+verdicts, and the same fixed points under iterated dynamics.  The
+evaluator is chosen by the mechanism's exact type, so the brute-force
+side of every comparison is the same rule under a subclass.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 from repro.agents import (
     BestResponseDynamics,
     best_response,
-    best_response_fast,
+    simulate_learning,
     sufficient_statistics,
     utility_kernel,
 )
@@ -28,7 +30,9 @@ from repro.mechanism import (
     MM1TruthfulMechanism,
     VCGMechanism,
     VerificationMechanism,
+    truthfulness_audit,
 )
+from repro.dynamic.drift import drift_sweep
 from repro.system import paper_cluster
 from repro.system.cluster import PAPER_ARRIVAL_RATE
 
@@ -38,33 +42,26 @@ KERNEL_MODES = ("observed", "declared", "vcg", "archer_tardos")
 TRUTHFUL_MODES = ("observed", "vcg", "archer_tardos")
 
 
-def _mechanism_for_mode(mode: str):
+class _Verification(VerificationMechanism):
+    """The same rule under a type without a closed-form kernel."""
+
+
+class _VCG(VCGMechanism):
+    """The same rule under a type without a closed-form kernel."""
+
+
+class _ArcherTardos(ArcherTardosMechanism):
+    """The same rule under a type without a closed-form kernel."""
+
+
+def _mechanism_for_mode(mode: str, *, brute: bool = False):
+    """The mechanism of a kernel mode; ``brute`` gives its subclass,
+    which every strategic computation evaluates by ``Mechanism.run``."""
     if mode in ("observed", "declared"):
-        return VerificationMechanism(mode)
+        return (_Verification if brute else VerificationMechanism)(mode)
     if mode == "vcg":
-        return VCGMechanism()
-    return ArcherTardosMechanism()
-
-
-class _WithoutKernel(Mechanism):
-    """``inner``'s payment rule under a type the kernel does not support.
-
-    Best-response dynamics over it take the brute-force step: one
-    mechanism run per grid candidate.
-    """
-
-    def __init__(self, inner: Mechanism) -> None:
-        self.inner = inner
-        self.uses_verification = inner.uses_verification
-
-    def allocate(self, bids, arrival_rate):
-        return self.inner.allocate(bids, arrival_rate)
-
-    def payments(self, allocation, execution_values):
-        return self.inner.payments(allocation, execution_values)
-
-    def run(self, *args, **kwargs):
-        return self.inner.run(*args, **kwargs)
+        return (_VCG if brute else VCGMechanism)()
+    return (_ArcherTardos if brute else ArcherTardosMechanism)()
 
 
 def _run_utility(mechanism, bids, arrival_rate, executions, agent):
@@ -85,9 +82,7 @@ class TestUtilityKernel:
             executions = bids * rng.uniform(1.0, 3.0, n)
             arrival_rate = float(rng.uniform(0.5, 30.0))
             agent = int(rng.integers(n))
-            s_minus, q_minus = sufficient_statistics(
-                bids, executions, agent=agent
-            )
+            s_minus, q_minus = sufficient_statistics(bids, executions)
             expected = _run_utility(
                 mechanism, bids, arrival_rate, executions, agent
             )
@@ -95,8 +90,8 @@ class TestUtilityKernel:
                 utility_kernel(
                     bids[agent],
                     executions[agent],
-                    s_minus,
-                    q_minus,
+                    s_minus[agent],
+                    q_minus[agent],
                     arrival_rate,
                     mode=mode,
                 )
@@ -117,11 +112,10 @@ class TestUtilityKernel:
             utility_kernel(1.0, 1.0, 0.5, 0.5, 3.0, mode="bogus")
 
     def test_supports_the_three_closed_form_mechanisms(self):
-        assert kernels.supports(VerificationMechanism())
-        assert kernels.supports(VerificationMechanism("declared"))
-        assert kernels.supports(VCGMechanism())
-        assert kernels.supports(ArcherTardosMechanism())
-        assert not kernels.supports(MM1TruthfulMechanism())
+        for mode in KERNEL_MODES:
+            assert kernels.kernel_mode_of(_mechanism_for_mode(mode)) is not None
+            assert kernels.kernel_mode_of(_mechanism_for_mode(mode, brute=True)) is None
+        assert kernels.kernel_mode_of(MM1TruthfulMechanism()) is None
 
     def test_kernel_mode_of_maps_each_mechanism(self):
         assert kernels.kernel_mode_of(VerificationMechanism()) == "observed"
@@ -130,8 +124,6 @@ class TestUtilityKernel:
         )
         assert kernels.kernel_mode_of(VCGMechanism()) == "vcg"
         assert kernels.kernel_mode_of(ArcherTardosMechanism()) == "archer_tardos"
-        with pytest.raises(TypeError, match="closed-form utility kernel"):
-            kernels.kernel_mode_of(MM1TruthfulMechanism())
 
 
 class TestSufficientStatistics:
@@ -139,18 +131,21 @@ class TestSufficientStatistics:
         bids = rng.uniform(0.5, 5.0, 6)
         executions = bids * rng.uniform(1.0, 2.0, 6)
         state = IncrementalStrategicState(bids, executions)
+        s_minus, q_minus = sufficient_statistics(bids, executions)
         for agent in range(6):
-            expected = sufficient_statistics(bids, executions, agent=agent)
-            assert state.statistics_excluding(agent) == pytest.approx(expected)
+            assert state.statistics_excluding(agent) == pytest.approx(
+                (s_minus[agent], q_minus[agent])
+            )
 
     def test_rank_one_updates_track_refreshed_sums(self, rng):
         state = IncrementalStrategicState(rng.uniform(0.5, 5.0, 5))
         for _ in range(200):
             state.update(int(rng.integers(5)), float(rng.uniform(0.3, 6.0)))
-        s, q = state.total_inverse, state.total_weighted
-        state.refresh()
-        assert s == pytest.approx(state.total_inverse, rel=1e-12)
-        assert q == pytest.approx(state.total_weighted, rel=1e-12)
+        s_minus, q_minus = sufficient_statistics(state.bids, state.executions)
+        for agent in range(5):
+            assert state.statistics_excluding(agent) == pytest.approx(
+                (s_minus[agent], q_minus[agent]), rel=1e-12
+            )
 
 
 # ------------------------------------------- fast vs brute-force property
@@ -180,18 +175,18 @@ class TestFastMatchesBruteForce:
     @given(case=_search_cases())
     @settings(max_examples=40, deadline=None)
     def test_identical_grid_selection_and_utilities(self, case):
-        mechanism = _mechanism_for_mode(case.pop("mode"))
         common = dict(case, refine=False)
+        mode = common.pop("mode")
         true_values = np.array(common.pop("true_values"))
         arrival_rate = common.pop("arrival_rate")
         agent = common.pop("agent")
         brute = best_response(
-            mechanism, true_values, arrival_rate, agent,
-            method="bruteforce", **common,
+            _mechanism_for_mode(mode, brute=True),
+            true_values, arrival_rate, agent, **common,
         )
         fast = best_response(
-            mechanism, true_values, arrival_rate, agent,
-            method="vectorized", **common,
+            _mechanism_for_mode(mode), true_values, arrival_rate, agent,
+            **common,
         )
         assert fast.bid == brute.bid
         assert fast.execution_value == brute.execution_value
@@ -204,24 +199,24 @@ class TestFastMatchesBruteForce:
         assert fast.is_truthful == brute.is_truthful
 
     def test_auto_selects_the_kernel_for_verification(self, mechanism):
+        # On the exact type, best_response is the search run through the
+        # closed form on the others' leave-one-out statistics.
         t = np.array([1.0, 2.0, 5.0, 10.0])
         auto = best_response(mechanism, t, 4.0, 1, refine=False)
-        fast = best_response_fast(mechanism, t, 4.0, 1, refine=False)
-        assert (auto.bid, auto.execution_value) == (fast.bid, fast.execution_value)
-
-    def test_fast_rejects_unsupported_mechanisms(self):
-        with pytest.raises(TypeError, match="closed-form utility kernel"):
-            best_response_fast(MM1TruthfulMechanism(), [1.0, 2.0], 3.0, 0)
+        s_minus, q_minus = sufficient_statistics(t)
+        fast = kernels.best_response_given_stats(
+            s_minus[1], q_minus[1], t[1], 4.0, refine=False
+        )
+        assert (auto.bid, auto.execution_value, auto.utility) == fast[:3]
 
     @pytest.mark.parametrize("mode", ["vcg", "archer_tardos"])
     def test_auto_selects_the_kernel_for_the_baselines(self, mode):
-        # The baselines are kernel-supported since 1.8: method="auto"
-        # must pick the identical selection the brute path computes.
-        mechanism = _mechanism_for_mode(mode)
+        # The baselines have kernel modes since 1.8: the exact type must
+        # pick the identical selection its subclass computes by runs.
         t = np.array([1.0, 2.0, 5.0, 10.0])
-        auto = best_response(mechanism, t, 4.0, 1, refine=False)
+        auto = best_response(_mechanism_for_mode(mode), t, 4.0, 1, refine=False)
         brute = best_response(
-            mechanism, t, 4.0, 1, method="bruteforce", refine=False
+            _mechanism_for_mode(mode, brute=True), t, 4.0, 1, refine=False
         )
         assert (auto.bid, auto.execution_value) == (brute.bid, brute.execution_value)
         assert auto.is_truthful and brute.is_truthful
@@ -229,12 +224,12 @@ class TestFastMatchesBruteForce:
     def test_respects_other_bids(self, declared_mechanism, small_true_values):
         others = np.array([2.0, 2.0, 5.0, 12.0])
         brute = best_response(
-            declared_mechanism, small_true_values, 4.0, 0,
-            other_bids=others, method="bruteforce", refine=False,
+            _Verification("declared"), small_true_values, 4.0, 0,
+            other_bids=others, refine=False,
         )
         fast = best_response(
             declared_mechanism, small_true_values, 4.0, 0,
-            other_bids=others, method="vectorized", refine=False,
+            other_bids=others, refine=False,
         )
         assert (brute.bid, brute.execution_value) == (fast.bid, fast.execution_value)
 
@@ -245,14 +240,12 @@ class TestFastMatchesBruteForce:
 class TestBestResponseDynamics:
     @pytest.mark.parametrize("mode", KERNEL_MODES)
     def test_kernel_matches_bruteforce(self, mode):
-        mechanism = _mechanism_for_mode(mode)
-        assert not kernels.supports(_WithoutKernel(mechanism))
         t = np.array([1.0, 2.0, 5.0, 10.0])
         start = np.array([3.0, 2.0, 4.0, 15.0])
-        slow = BestResponseDynamics(_WithoutKernel(mechanism), t, 4.0).run(
-            start_bids=start, max_rounds=6
-        )
-        fast = BestResponseDynamics(mechanism, t, 4.0).run(
+        slow = BestResponseDynamics(
+            _mechanism_for_mode(mode, brute=True), t, 4.0
+        ).run(start_bids=start, max_rounds=6)
+        fast = BestResponseDynamics(_mechanism_for_mode(mode), t, 4.0).run(
             start_bids=start, max_rounds=6
         )
         assert fast.rounds == slow.rounds
@@ -264,10 +257,9 @@ class TestBestResponseDynamics:
     def test_truth_is_a_fixed_point_without_a_kernel(self, mechanism):
         # Mechanisms without a closed form are played through the
         # brute-force step instead of being rejected.
-        assert not kernels.supports(MM1TruthfulMechanism())
         BestResponseDynamics(MM1TruthfulMechanism(), [0.2, 0.4, 0.5], 2.0)
         t = np.array([1.0, 2.0, 5.0, 10.0])
-        dynamics = BestResponseDynamics(_WithoutKernel(mechanism), t, 4.0)
+        dynamics = BestResponseDynamics(_Verification(), t, 4.0)
         assert dynamics.truthful_is_equilibrium()
         trace = dynamics.run()
         assert trace.converged and trace.rounds == 1
@@ -336,16 +328,16 @@ class TestPaperSystemRegression:
 
     @pytest.mark.parametrize("method", ["bruteforce", "vectorized"])
     def test_observed_truthful_declared_not(self, method):
-        # "vectorized" is the kernel step; "bruteforce" forces the
-        # brute-force step through a type the kernel does not support.
-        wrap = _WithoutKernel if method == "bruteforce" else (lambda m: m)
+        # "vectorized" is the kernel step; "bruteforce" takes the
+        # brute-force step through a subclass, which has no kernel mode.
+        brute = method == "bruteforce"
         cluster = paper_cluster()
         observed = BestResponseDynamics(
-            wrap(VerificationMechanism("observed")),
+            _mechanism_for_mode("observed", brute=brute),
             cluster.true_values, PAPER_ARRIVAL_RATE,
         )
         declared = BestResponseDynamics(
-            wrap(VerificationMechanism("declared")),
+            _mechanism_for_mode("declared", brute=brute),
             cluster.true_values, PAPER_ARRIVAL_RATE,
         )
         assert observed.truthful_is_equilibrium()
@@ -369,23 +361,24 @@ class TestPaperSystemRegression:
 
 
 class TestSufficientStatisticsAll:
-    """The vectorised aggregates behind the batched learning round."""
+    """The aggregates of one profile, every agent at once."""
 
     def test_bit_identical_to_the_scalar_version(self):
         cluster = paper_cluster()
         bids = cluster.true_values * 1.3
         executions = cluster.true_values
-        s_all, q_all = kernels.sufficient_statistics_all(bids, executions)
+        s_all, q_all = sufficient_statistics(bids, executions)
+        inv = 1.0 / bids
+        weighted = executions * inv * inv
         for i in range(bids.size):
-            s_i, q_i = sufficient_statistics(bids, executions, agent=i)
-            assert s_all[i] == s_i
-            assert q_all[i] == q_i
+            assert s_all[i] == float(inv.sum() - inv[i])
+            assert q_all[i] == float(weighted.sum() - weighted[i])
 
     def test_executions_default_to_bids_like_the_scalar_version(self):
         bids = np.array([1.0, 2.0, 4.0])
         assert np.array_equal(
-            kernels.sufficient_statistics_all(bids)[1],
-            kernels.sufficient_statistics_all(bids, bids)[1],
+            sufficient_statistics(bids)[1],
+            sufficient_statistics(bids, bids)[1],
         )
 
     @given(seed=st.integers(min_value=0, max_value=2**16))
@@ -395,11 +388,12 @@ class TestSufficientStatisticsAll:
         n = int(rng.integers(2, 12))
         bids = rng.uniform(0.5, 10.0, n)
         executions = rng.uniform(0.5, 10.0, n)
-        s_all, q_all = kernels.sufficient_statistics_all(bids, executions)
+        s_all, q_all = sufficient_statistics(bids, executions)
+        inv = 1.0 / bids
+        weighted = executions * inv * inv
         for i in range(n):
-            s_i, q_i = sufficient_statistics(bids, executions, agent=i)
-            assert s_all[i] == s_i
-            assert q_all[i] == q_i
+            assert s_all[i] == float(inv.sum() - inv[i])
+            assert q_all[i] == float(weighted.sum() - weighted[i])
 
     def test_broadcast_rows_match_per_agent_kernel_calls(self):
         # The (n, K) learning broadcast must reproduce each agent's
@@ -407,7 +401,7 @@ class TestSufficientStatisticsAll:
         cluster = paper_cluster()
         t = cluster.true_values
         grid = np.array([0.5, 1.0, 2.0])
-        s_all, q_all = kernels.sufficient_statistics_all(t, t)
+        s_all, q_all = sufficient_statistics(t, t)
         broadcast = utility_kernel(
             grid[None, :] * t[:, None], t[:, None],
             s_all[:, None], q_all[:, None], PAPER_ARRIVAL_RATE,
@@ -423,11 +417,11 @@ class TestSufficientStatisticsAll:
 
 
 class TestBatchedUnitAxis:
-    """The (U, n) unit axis behind the fused campaign backend.
+    """Stacks of profiles and grids: one function, any leading shape.
 
-    Contract: stacking units never changes a float — every row of the
-    batched aggregates, kernel surfaces, and argmax selections is
-    bit-identical to the corresponding single-unit call.
+    Contract: stacking never changes a float — every row of the stacked
+    aggregates, kernel surfaces, and argmax selections is bit-identical
+    to the same call on that row alone.
     """
 
     @given(seed=st.integers(min_value=0, max_value=2**16))
@@ -437,29 +431,27 @@ class TestBatchedUnitAxis:
         shape = (int(rng.integers(1, 12)), int(rng.integers(2, 10)))
         bids = rng.uniform(0.3, 9.0, shape)
         executions = bids * rng.uniform(1.0, 3.0, shape)
-        s_units, q_units = kernels.sufficient_statistics_units(bids, executions)
+        s_units, q_units = sufficient_statistics(bids, executions)
         assert s_units.shape == q_units.shape == shape
         for k in range(shape[0]):
-            s_row, q_row = kernels.sufficient_statistics_all(
-                bids[k], executions[k]
-            )
+            s_row, q_row = sufficient_statistics(bids[k], executions[k])
             assert np.array_equal(s_units[k], s_row)
             assert np.array_equal(q_units[k], q_row)
 
     def test_executions_default_to_bids(self):
         bids = np.array([[1.0, 2.0, 4.0], [0.5, 0.5, 3.0]])
         assert np.array_equal(
-            kernels.sufficient_statistics_units(bids)[1],
-            kernels.sufficient_statistics_units(bids, bids)[1],
+            sufficient_statistics(bids)[1],
+            sufficient_statistics(bids, bids)[1],
         )
 
-    def test_rejects_non_matrix_and_shape_mismatch(self):
-        with pytest.raises(ValueError, match="matrix"):
-            kernels.sufficient_statistics_units(np.array([1.0, 2.0]))
+    def test_rejects_scalars_and_shape_mismatch(self):
+        with pytest.raises(ValueError, match="agent axis"):
+            sufficient_statistics(2.0)
+        with pytest.raises(ValueError, match="agent axis"):
+            sufficient_statistics(np.ones((3, 0)))
         with pytest.raises(ValueError, match="shape"):
-            kernels.sufficient_statistics_units(
-                np.ones((2, 3)), np.ones((2, 4))
-            )
+            sufficient_statistics(np.ones((2, 3)), np.ones((2, 4)))
 
     @pytest.mark.parametrize("mode", KERNEL_MODES)
     def test_per_unit_arrival_rates_broadcast_bit_identically(self, mode):
@@ -467,9 +459,7 @@ class TestBatchedUnitAxis:
         bids = rng.uniform(0.3, 9.0, (9, 6))
         executions = bids * rng.uniform(1.0, 2.0, bids.shape)
         rates = rng.uniform(1.0, 25.0, (9, 1))
-        s_units, q_units = kernels.sufficient_statistics_units(
-            bids, executions
-        )
+        s_units, q_units = sufficient_statistics(bids, executions)
         stacked = utility_kernel(
             bids, executions, s_units, q_units, rates, mode=mode
         )
@@ -482,13 +472,68 @@ class TestBatchedUnitAxis:
 
     def test_grid_argmax_units_shares_the_tie_break_contract(self):
         rng = np.random.default_rng(11)
-        grids = rng.normal(size=(20, 5, 7))
-        grids[4] = 0.0                      # all-tied grid: first entry wins
-        grids[9, 2, :] = grids[9].max() + 1  # row of joint maxima
-        rows, cols = kernels.grid_argmax_units(grids)
-        for k in range(grids.shape[0]):
-            assert (int(rows[k]), int(cols[k])) == kernels.grid_argmax(grids[k])
+        grids = rng.normal(size=(4, 5, 5, 7))
+        grids[1, 3] = 0.0                         # all-tied grid: first entry wins
+        grids[2, 4, 2, :] = grids[2, 4].max() + 1  # row of joint maxima
+        rows, cols = kernels.grid_argmax(grids)
+        assert rows.shape == cols.shape == (4, 5)
+        for index in np.ndindex(4, 5):
+            expected = kernels.grid_argmax(grids[index])
+            assert (int(rows[index]), int(cols[index])) == expected
+        assert kernels.grid_argmax(grids[1, 3]) == (0, 0)
+        assert kernels.grid_argmax(grids[2, 4]) == (2, 0)
 
-    def test_grid_argmax_units_rejects_non_stacked_input(self):
-        with pytest.raises(ValueError, match="units, executions, bids"):
-            kernels.grid_argmax_units(np.zeros((3, 4)))
+    def test_grid_argmax_rejects_input_without_grid_axes(self):
+        with pytest.raises(ValueError, match="executions, bids"):
+            kernels.grid_argmax(np.zeros(4))
+
+
+class TestSelectionRule:
+    """The evaluator is chosen by the mechanism's exact type alone."""
+
+    def test_exact_types_never_run_and_others_never_use_the_kernel(
+        self, monkeypatch
+    ):
+        calls = []
+        real_run, real_kernel = Mechanism.run, kernels.utility_kernel
+
+        class _Evaluated(Exception):
+            pass
+
+        def run(mechanism, *args, **kwargs):
+            calls.append("run")
+            if type(mechanism) is MM1TruthfulMechanism:
+                raise _Evaluated  # one run integrates for ~0.4 s
+            return real_run(mechanism, *args, **kwargs)
+
+        def kernel(*args, **kwargs):
+            calls.append("kernel")
+            return real_kernel(*args, **kwargs)
+
+        monkeypatch.setattr(Mechanism, "run", run)
+        monkeypatch.setattr(kernels, "utility_kernel", kernel)
+        t = np.array([1.0, 2.0, 5.0])
+
+        def evaluators(mechanism):
+            calls.clear()
+            best_response(mechanism, t, 4.0, 0)
+            BestResponseDynamics(
+                mechanism, t, 4.0, honest_execution=False
+            ).run(max_rounds=1)
+            truthfulness_audit(mechanism, t, 4.0)
+            # One realised run per round, whatever scores the factors.
+            simulate_learning(
+                mechanism, t, 4.0, np.random.default_rng(0), rounds=2
+            )
+            calls.remove("run")
+            calls.remove("run")
+            return set(calls)
+
+        for mode in KERNEL_MODES:
+            assert evaluators(_mechanism_for_mode(mode)) == {"kernel"}
+            assert evaluators(_mechanism_for_mode(mode, brute=True)) == {"run"}
+            with pytest.raises(TypeError, match="closed-form utility kernel"):
+                drift_sweep(t, 4.0, mechanism=_mechanism_for_mode(mode, brute=True))
+        with pytest.raises(_Evaluated):
+            evaluators(MM1TruthfulMechanism())
+        assert calls == ["run"]

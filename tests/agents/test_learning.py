@@ -13,6 +13,10 @@ from repro.allocation import optimal_total_latency
 from repro.mechanism import VerificationMechanism
 
 
+class _Verification(VerificationMechanism):
+    """The same rule under a type without a closed-form kernel."""
+
+
 class TestBidderMechanics:
     def test_weights_start_uniform(self, rng):
         bidder = MultiplicativeWeightsBidder(2.0, rng)
@@ -111,9 +115,11 @@ class TestBatchedKernelRound:
             VerificationMechanism(), t, 6.0,
             np.random.default_rng(3), rounds=40,
         )
+        # A subclass has no kernel mode, so it re-runs the mechanism
+        # once per counterfactual factor.
         slow = simulate_learning(
-            VerificationMechanism(), t, 6.0,
-            np.random.default_rng(3), rounds=40, method="bruteforce",
+            _Verification(), t, 6.0,
+            np.random.default_rng(3), rounds=40,
         )
         # Same rng stream, same utilities (to kernel tolerance), so the
         # Hedge weights — and everything derived — track each other.
@@ -122,10 +128,3 @@ class TestBatchedKernelRound:
             fast.realised_latency, slow.realised_latency, rtol=1e-9
         )
         assert np.array_equal(fast.modal_factors, slow.modal_factors)
-
-    def test_unknown_method_rejected(self, rng):
-        with pytest.raises(ValueError, match="method"):
-            simulate_learning(
-                VerificationMechanism(), np.array([1.0, 2.0]), 5.0, rng,
-                rounds=1, method="gpu",
-            )

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.allocation import optimal_total_latency, optimal_latency_without, pr_loads
+from repro.allocation import optimal_total_latency, pr_loads
 from repro.allocation.incremental import IncrementalPRState
 
 
@@ -19,11 +19,6 @@ class TestQueries:
             optimal_total_latency(bids, 9.0)
         )
         np.testing.assert_allclose(state.loads(), pr_loads(bids, 9.0))
-        for i in range(3):
-            assert state.load_of(i) == pytest.approx(pr_loads(bids, 9.0)[i])
-            assert state.latency_without(i) == pytest.approx(
-                optimal_latency_without(bids, i, 9.0)
-            )
 
     def test_bids_returns_a_copy(self):
         state = IncrementalPRState(np.array([1.0, 2.0]), 5.0)
@@ -62,11 +57,6 @@ class TestUpdates:
         state = IncrementalPRState(np.array([1.0]), 6.0)
         with pytest.raises(ValueError, match="last machine"):
             state.remove_machine(0)
-
-    def test_leave_one_out_needs_two(self):
-        state = IncrementalPRState(np.array([1.0]), 6.0)
-        with pytest.raises(ValueError, match="two machines"):
-            state.latency_without(0)
 
 
 class TestNumericalDrift:
@@ -109,10 +99,6 @@ class TestPropertyEquivalence:
             bids[i] = b
         assert state.optimal_latency() == pytest.approx(
             optimal_total_latency(bids, 7.0), rel=1e-9
-        )
-        i = int(rng.integers(0, bids.size))
-        assert state.latency_without(i) == pytest.approx(
-            optimal_latency_without(bids, i, 7.0), rel=1e-9
         )
 
 

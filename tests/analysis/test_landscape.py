@@ -11,7 +11,7 @@ from repro.analysis.landscape import utility_landscape
 class TestTruthfulLandscape:
     def test_truth_is_the_global_maximum(self, mechanism, small_true_values):
         landscape = utility_landscape(mechanism, small_true_values, 10.0, 0)
-        assert landscape.truth_is_global_max()
+        assert landscape.max_utility <= landscape.utility_at_truth() + 1e-9
         bid_at_max, exec_at_max = landscape.argmax
         assert bid_at_max == pytest.approx(1.0, rel=0.15)
         assert exec_at_max == 1.0
@@ -42,7 +42,7 @@ class TestDeclaredLandscape:
         landscape = utility_landscape(
             declared_mechanism, small_true_values, 10.0, 0
         )
-        assert not landscape.truth_is_global_max()
+        assert landscape.max_utility > landscape.utility_at_truth() + 1e-9
         bid_at_max, _ = landscape.argmax
         assert bid_at_max > 1.0  # overbidding region
 

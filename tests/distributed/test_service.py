@@ -339,7 +339,6 @@ class TestResultViews:
         assert dict(result.loads) == loads
         assert dict(result.payments) == payments
         assert repr(dict(result.payments)) == repr(payments)
-        assert result.payment_totals == {n: p[0] for n, p in payments.items()}
 
     def test_views_iterate_in_names_order(self):
         names = [f"M{k}" for k in (3, 1, 2, 0, 5, 4, 7, 6)]

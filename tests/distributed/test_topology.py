@@ -40,7 +40,7 @@ class TestTreeOverlay:
 
     def test_every_node_has_at_most_arity_children(self):
         overlay = tree_overlay(50, arity=3)
-        for node in overlay.top_down_order():
+        for node in overlay.bottom_up_order():
             assert len(overlay.children(node)) <= 3
 
     def test_invalid_arity(self):
@@ -73,14 +73,6 @@ class TestOverlayOperations:
         for child, parent in overlay.parent.items():
             assert position[child] < position[parent]
         assert order[-1] == ROOT
-
-    def test_top_down_order_parents_first(self):
-        overlay = tree_overlay(10, arity=2)
-        order = overlay.top_down_order()
-        position = {node: k for k, node in enumerate(order)}
-        for child, parent in overlay.parent.items():
-            assert position[parent] < position[child]
-        assert order[0] == ROOT
 
     def test_non_tree_rejected(self):
         # Machines 1-3 form a cycle that never reaches the root.
@@ -131,9 +123,8 @@ class TestPinnedShapes:
     def test_children_and_orders(self, overlay, children, bottom_up, depth):
         assert {
             node: overlay.children(node)
-            for node in overlay.top_down_order()
+            for node in overlay.bottom_up_order()[::-1]
             if overlay.children(node)
         } == children
         assert overlay.bottom_up_order() == bottom_up
-        assert overlay.top_down_order() == bottom_up[::-1]
         assert overlay.depth() == depth

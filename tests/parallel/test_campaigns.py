@@ -82,7 +82,12 @@ class TestRunFiguresCampaign:
         campaign = run_figures_campaign(
             seeds=(0,), duration=20.0,
         )
-        payloads = campaign.protocol_payloads()
+        result = campaign.result
+        payloads = {
+            (unit.scenario, unit.seed): payload
+            for unit, payload in zip(result.units, result.payloads)
+            if unit.kind == "protocol"
+        }
         assert set(payloads) == {(s.name, 0) for s in PAPER_SCENARIOS}
         assert all(p["jobs_routed"] > 0 for p in payloads.values())
 

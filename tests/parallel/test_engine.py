@@ -49,10 +49,6 @@ class TestSerialRun:
         assert result.stats.cache_misses == 8
         assert result.stats.cache_hits == 0
 
-    def test_payload_for_looks_up_by_value(self, units):
-        result = CampaignEngine(workers=0).run(units)
-        assert result.payload_for(units[3]) is result.payloads[3]
-
     def test_empty_campaign(self):
         result = CampaignEngine(workers=0).run([])
         assert result.stats.n_units == 0

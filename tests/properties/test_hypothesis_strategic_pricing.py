@@ -33,15 +33,15 @@ rates = st.floats(min_value=0.1, max_value=100.0)
 
 
 class _Verification(VerificationMechanism):
-    """The same rule; :func:`kernels.supports` rejects subclasses."""
+    """The same rule; :func:`kernels.kernel_mode_of` gives subclasses none."""
 
 
 class _VCG(VCGMechanism):
-    """The same rule; :func:`kernels.supports` rejects subclasses."""
+    """The same rule; :func:`kernels.kernel_mode_of` gives subclasses none."""
 
 
 class _ArcherTardos(ArcherTardosMechanism):
-    """The same rule; :func:`kernels.supports` rejects subclasses."""
+    """The same rule; :func:`kernels.kernel_mode_of` gives subclasses none."""
 
 
 #: (kernel mode, mechanism, the same rule on the per-deviation fallback)
@@ -60,7 +60,8 @@ class TestStackedAuditParity:
     @given(t=true_values, rate=rates, rule=rules)
     def test_stacked_report_equals_fallback(self, t, rate, rule):
         _, mechanism, fallback = rule
-        assert kernels.supports(mechanism) and not kernels.supports(fallback)
+        assert kernels.kernel_mode_of(mechanism) is not None
+        assert kernels.kernel_mode_of(fallback) is None
         stacked = truthfulness_audit(mechanism, t, rate)
         reference = truthfulness_audit(fallback, t, rate)
         assert repr(stacked) == repr(reference)
@@ -111,8 +112,10 @@ class TestKernelAgreesWithRun:
         executions = bids * exec_factors[: bids.size]
         bid_grid = bids[0] * np.geomspace(0.2, 5.0, 7)
         exec_grid = bids[0] * np.linspace(1.0, 3.0, 4)
-        s_minus, q_minus = sufficient_statistics(bids, executions, agent=0)
-        surface = utility_grid(bid_grid, exec_grid, s_minus, q_minus, rate, mode=mode)
+        s_minus, q_minus = sufficient_statistics(bids, executions)
+        surface = utility_grid(
+            bid_grid, exec_grid, s_minus[0], q_minus[0], rate, mode=mode
+        )
         reference = np.empty_like(surface)
         for r, e in enumerate(exec_grid):
             for c, b in enumerate(bid_grid):

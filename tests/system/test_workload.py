@@ -8,7 +8,6 @@ import pytest
 from repro.protocol.execution import per_machine, sort_by_machine
 from repro.system import PoissonWorkload
 from repro.system.workload import split_assignments
-from repro.system.workload import Job
 
 
 class TestPoissonWorkload:
@@ -47,10 +46,6 @@ class TestPoissonWorkload:
             PoissonWorkload(0.0, rng)
         with pytest.raises(ValueError):
             PoissonWorkload(1.0, rng).generate(0.0)
-
-    def test_arrival_iter(self, rng):
-        jobs = list(PoissonWorkload(10.0, rng).arrival_iter(2.0))
-        assert all(isinstance(j, Job) for j in jobs)
 
 
 def split_workload(count, fractions, rng):
