@@ -35,9 +35,9 @@ from repro.experiments import (
     render_figure,
     render_table1,
     render_table2,
+    run_all_scenarios,
     table1_configuration,
 )
-from repro.mechanism import VerificationMechanism
 
 
 def test_table1(benchmark, record_result):
@@ -76,7 +76,7 @@ def test_figure1(benchmark, record_result):
 
 def test_figure2(benchmark, record_result):
     observed = benchmark(figure2_data)
-    declared = figure2_data(mechanism=VerificationMechanism("declared"))
+    declared = figure2_data(records=run_all_scenarios(variant="declared"))
 
     true1_utility = observed["True1"][1]
     for name, (_payment, utility) in observed.items():

@@ -90,7 +90,7 @@ from repro.experiments import (
     figure6_truthful_structure,
 )
 
-__version__ = "1.27.0"
+__version__ = "1.28.0"
 
 __all__ = [
     "AllocationResult",

@@ -2,7 +2,8 @@
 
 * :mod:`repro.experiments.table1` — the 16-computer system configuration;
 * :mod:`repro.experiments.table2` — the eight bid/execution scenarios;
-* :mod:`repro.experiments.figures` — data generators for Figures 1–6;
+* :mod:`repro.experiments.figures` — data generators for Figures 1–6,
+  all reading records of one scenario campaign;
 * :mod:`repro.experiments.report` — plain-text rendering: one function
   per paper table, figure and the claim report, shared by the CLI and
   :func:`~repro.experiments.reproduce_all`;
@@ -19,7 +20,6 @@ from repro.experiments.table2 import (
 )
 from repro.experiments.figures import (
     ExperimentRecord,
-    run_scenario,
     run_all_scenarios,
     figure1_data,
     figure2_data,
@@ -68,7 +68,6 @@ __all__ = [
     "scenario_by_name",
     "build_bid_and_execution_vectors",
     "ExperimentRecord",
-    "run_scenario",
     "run_all_scenarios",
     "figure1_data",
     "figure2_data",

@@ -3,6 +3,10 @@
 Each ``figureN_data`` function returns the series the corresponding
 figure plots; the benchmark harness prints them as rows so the
 reproduction can be compared against the paper's bars at a glance.
+
+Every figure reads :class:`ExperimentRecord` objects rebuilt from a
+scenario campaign (:func:`run_all_scenarios`): the campaign engine is
+the one place a Table 2 scenario is evaluated.
 """
 
 from __future__ import annotations
@@ -11,19 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.experiments.table1 import Table1Configuration, table1_configuration
-from repro.experiments.table2 import (
-    PAPER_SCENARIOS,
-    Scenario,
-    build_bid_and_execution_vectors,
-)
-from repro.mechanism.base import Mechanism
-from repro.mechanism.compensation_bonus import VerificationMechanism
+from repro.experiments.table1 import Table1Configuration
+from repro.experiments.table2 import PAPER_SCENARIOS, Scenario, scenario_by_name
 from repro.types import MechanismOutcome
 
 __all__ = [
     "ExperimentRecord",
-    "run_scenario",
     "run_all_scenarios",
     "figure1_data",
     "figure2_data",
@@ -59,50 +56,31 @@ class ExperimentRecord:
         return 100.0 * (self.total_latency / optimum - 1.0)
 
 
-def run_scenario(
-    scenario: Scenario,
-    config: Table1Configuration | None = None,
-    mechanism: Mechanism | None = None,
-) -> ExperimentRecord:
-    """Evaluate one scenario with the closed-form mechanism."""
-    if config is None:
-        config = table1_configuration()
-    if mechanism is None:
-        mechanism = VerificationMechanism()
-    true_values = config.cluster.true_values
-    bids, executions = build_bid_and_execution_vectors(true_values, scenario)
-    outcome = mechanism.run(
-        bids, config.arrival_rate, executions, true_values=true_values
-    )
-    return ExperimentRecord(scenario=scenario, outcome=outcome)
-
-
 def run_all_scenarios(
     config: Table1Configuration | None = None,
-    mechanism: Mechanism | None = None,
     *,
     engine=None,
+    variant: str = "observed",
 ) -> list[ExperimentRecord]:
     """All eight Table 2 scenarios, in the paper's order.
 
-    Pass a :class:`~repro.parallel.CampaignEngine` to submit the eight
-    evaluations through the campaign layer instead (worker pool and
-    result cache apply); the records come back bit-identical to the
-    inline path.  The engine path covers the default mechanism only —
-    a custom ``mechanism`` instance cannot be content-addressed.
+    The eight evaluations run as scenario units through ``engine`` (a
+    :class:`~repro.parallel.CampaignEngine`; serial and uncached by
+    default), so a worker pool and a result cache apply.  ``variant``
+    is the payment rule the units are scored under: ``"declared"``
+    reproduces the paper's prose variant where Low2's *payment* (not
+    just utility) is negative; the default ``"observed"`` follows the
+    paper's formal Definition 3.3.
     """
-    if config is None:
-        config = table1_configuration()
-    if engine is not None:
-        if mechanism is not None:
-            raise ValueError(
-                "engine-backed runs support the default mechanism only; "
-                "pass mechanism=None"
-            )
-        from repro.parallel.campaigns import records_from_campaign, scenario_units
+    # Imported here: the campaign layer rebuilds this module's records.
+    from repro.parallel import CampaignEngine
+    from repro.parallel.campaigns import records_from_campaign, scenario_units
 
-        return records_from_campaign(engine.run(scenario_units(config)))
-    return [run_scenario(s, config, mechanism) for s in PAPER_SCENARIOS]
+    if engine is None:
+        engine = CampaignEngine()
+    return records_from_campaign(
+        engine.run(scenario_units(config, variant=variant))
+    )
 
 
 def figure1_data(
@@ -114,7 +92,8 @@ def figure1_data(
 
     ``records`` lets a caller that already ran the scenario campaign
     (e.g. :func:`~repro.experiments.runner.reproduce_all`) build the
-    figure without recomputing the eight evaluations.
+    figure without recomputing the eight evaluations; every figure
+    function takes it.
     """
     if records is None:
         records = run_all_scenarios(config)
@@ -123,18 +102,17 @@ def figure1_data(
 
 def figure2_data(
     config: Table1Configuration | None = None,
-    mechanism: Mechanism | None = None,
     *,
     records: list[ExperimentRecord] | None = None,
 ) -> dict[str, tuple[float, float]]:
     """Figure 2 — (payment, utility) of computer C1 per experiment.
 
-    Pass ``VerificationMechanism("declared")`` to reproduce the paper's
-    prose variant where Low2's *payment* (not just utility) is negative;
-    the default follows the paper's formal Definition 3.3.
+    Pass ``records=run_all_scenarios(variant="declared")`` to reproduce
+    the paper's prose variant where Low2's *payment* (not just utility)
+    is negative; the default follows the paper's formal Definition 3.3.
     """
     if records is None:
-        records = run_all_scenarios(config, mechanism)
+        records = run_all_scenarios(config)
     return {r.scenario.name: (r.c1_payment, r.c1_utility) for r in records}
 
 
@@ -144,15 +122,13 @@ def _record_for(
     records: list[ExperimentRecord] | None,
 ) -> ExperimentRecord:
     """One scenario's record, from a precomputed campaign if given."""
-    from repro.experiments.table2 import scenario_by_name
-
     scenario = scenario_by_name(scenario_name)
-    if records is not None:
-        for record in records:
-            if record.scenario.name == scenario.name:
-                return record
-        raise KeyError(f"no precomputed record for scenario {scenario.name!r}")
-    return run_scenario(scenario, config)
+    if records is None:
+        records = run_all_scenarios(config)
+    for record in records:
+        if record.scenario.name == scenario.name:
+            return record
+    raise KeyError(f"no precomputed record for scenario {scenario.name!r}")
 
 
 def figure345_data(

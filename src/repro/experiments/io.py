@@ -13,8 +13,6 @@ import json
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from repro.experiments.figures import ExperimentRecord
 from repro.types import MechanismOutcome
 
@@ -112,14 +110,3 @@ def records_to_csv(records: Sequence[ExperimentRecord], path: Path | str) -> Non
                     f"{record.outcome.frugality_ratio:.6f}",
                 ]
             )
-
-
-def reconstruct_payment_vectors(entry: dict) -> dict[str, np.ndarray]:
-    """Rebuild numpy arrays from one loaded experiment entry."""
-    outcome = entry["outcome"]
-    arrays = {}
-    for key in ("loads", "bids", "execution_values", "compensation", "bonus", "valuation"):
-        arrays[key] = np.asarray(outcome[key], dtype=np.float64)
-    arrays["payment"] = arrays["compensation"] + arrays["bonus"]
-    arrays["utility"] = arrays["payment"] + arrays["valuation"]
-    return arrays

@@ -3,7 +3,9 @@
 ``verify_reproduction()`` evaluates the full Section 4 suite and the
 theorem audits, returning a structured pass/fail report — the same
 checks the test suite pins, packaged for interactive use and for the
-``repro verify`` CLI command.
+``repro verify`` CLI command.  Every figure claim reads campaign
+records (:func:`~repro.experiments.figures.run_all_scenarios`); only
+the two theorem audits reach the mechanism itself.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.experiments.figures import (
+    ExperimentRecord,
     figure1_data,
     figure2_data,
     figure6_data,
@@ -61,12 +64,22 @@ def _close(measured: float, expected: float, tolerance: float) -> bool:
     return abs(measured - expected) <= tolerance
 
 
-def verify_reproduction() -> ReproductionReport:
-    """Evaluate every recoverable Section 4 claim plus the theorems."""
+def verify_reproduction(
+    records: list[ExperimentRecord] | None = None,
+) -> ReproductionReport:
+    """Evaluate every recoverable Section 4 claim plus the theorems.
+
+    ``records`` are the eight observed-variant scenario records on the
+    Table 1 system, for a caller that already ran that campaign (as
+    :func:`~repro.experiments.runner.reproduce_all` does); by default
+    they are computed here.
+    """
     checks: list[ClaimCheck] = []
     config = table1_configuration()
+    if records is None:
+        records = run_all_scenarios(config)
 
-    fig1 = figure1_data(config)
+    fig1 = figure1_data(records=records)
     optimum = fig1["True1"]
     checks.append(
         ClaimCheck(
@@ -104,7 +117,7 @@ def verify_reproduction() -> ReproductionReport:
         )
     )
 
-    fig2 = figure2_data(config)
+    fig2 = figure2_data(records=records)
     utilities = {name: u for name, (_p, u) in fig2.items()}
     checks.append(
         ClaimCheck(
@@ -122,7 +135,9 @@ def verify_reproduction() -> ReproductionReport:
             utilities["Low2"] < 0,
         )
     )
-    declared = figure2_data(config, VerificationMechanism("declared"))
+    declared = figure2_data(
+        records=run_all_scenarios(config, variant="declared")
+    )
     checks.append(
         ClaimCheck(
             "Low2 payment negative (Fig 2 prose; declared variant)",
@@ -132,8 +147,8 @@ def verify_reproduction() -> ReproductionReport:
         )
     )
 
-    records = {r.scenario.name: r for r in run_all_scenarios(config)}
-    low1_drop = 100 * (1 - records["Low1"].c1_utility / records["True1"].c1_utility)
+    by_name = {r.scenario.name: r for r in records}
+    low1_drop = 100 * (1 - by_name["Low1"].c1_utility / by_name["True1"].c1_utility)
     checks.append(
         ClaimCheck(
             "Low1 C1 utility drop (Fig 5)",
@@ -142,7 +157,7 @@ def verify_reproduction() -> ReproductionReport:
             _close(low1_drop, 45.0, 2.5),
         )
     )
-    high1_drop = 100 * (1 - records["High1"].c1_utility / records["True1"].c1_utility)
+    high1_drop = 100 * (1 - by_name["High1"].c1_utility / by_name["True1"].c1_utility)
     checks.append(
         ClaimCheck(
             "High1 C1 utility drop (Fig 4)",
@@ -153,8 +168,8 @@ def verify_reproduction() -> ReproductionReport:
     )
     others_up = bool(
         np.all(
-            records["High1"].outcome.payments.utility[1:]
-            > records["True1"].outcome.payments.utility[1:]
+            by_name["High1"].outcome.payments.utility[1:]
+            > by_name["True1"].outcome.payments.utility[1:]
         )
     )
     checks.append(
@@ -166,7 +181,7 @@ def verify_reproduction() -> ReproductionReport:
         )
     )
 
-    fig6 = figure6_data(config)["True1"]
+    fig6 = figure6_data(records=records)["True1"]
     checks.append(
         ClaimCheck(
             "Frugality: total payment <= 2.5x valuation (Fig 6)",
@@ -175,7 +190,7 @@ def verify_reproduction() -> ReproductionReport:
             1.0 <= fig6["ratio"] <= 2.5,
         )
     )
-    ratios = figure6_truthful_structure(config)["ratio"]
+    ratios = figure6_truthful_structure(records=records)["ratio"]
     checks.append(
         ClaimCheck(
             "Frugality floor = valuation (VP, Fig 6)",

@@ -19,6 +19,7 @@ from repro.experiments.figures import (
     figure345_data,
     figure6_data,
     figure6_truthful_structure,
+    run_all_scenarios,
 )
 from repro.experiments.paper_check import ReproductionReport
 from repro.experiments.table1 import Table1Configuration, table1_configuration
@@ -142,9 +143,11 @@ def render_figure(
 ) -> str:
     """Figure ``number`` (1..6) as rows.
 
-    ``records`` are the eight scenario outcomes if a caller already ran
-    them; otherwise the figure's data functions evaluate what they need.
+    ``records`` are the eight scenario records if a caller already ran
+    the campaign; otherwise it runs here, once per figure.
     """
+    if records is None:
+        records = run_all_scenarios(config)
     if number == 1:
         data = figure1_data(config, records=records)
         optimum = data["True1"]

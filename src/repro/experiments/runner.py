@@ -13,10 +13,10 @@ and writes everything a reviewer needs into one directory:
 
 The eight scenario evaluations behind the figures are submitted as one
 campaign through :class:`~repro.parallel.CampaignEngine` — every
-figure and the data dumps are derived from that single result set
-(previously each figure recomputed the sweep).  Pass an engine with a
-cache and/or workers to reuse results across invocations; the bundle
-is bit-identical either way.
+figure, the data dumps and the claim report's figure claims are
+derived from that single result set.  Pass an engine with a cache
+and/or workers to reuse results across invocations; the bundle is
+bit-identical either way.
 
 Exposed on the CLI as ``repro reproduce --output DIR``.
 """
@@ -70,7 +70,7 @@ def reproduce_all(
     near-free; passing one with workers parallelises the sweep.
     """
     from repro.parallel import CampaignEngine
-    from repro.parallel.campaigns import run_figures_campaign
+    from repro.parallel.campaigns import records_from_campaign, scenario_units
 
     root = Path(output_dir)
     root.mkdir(parents=True, exist_ok=True)
@@ -79,8 +79,8 @@ def reproduce_all(
     config = table1_configuration()
     if engine is None:
         engine = CampaignEngine(workers=0, cache=None)
-    campaign = run_figures_campaign(engine, config)
-    records = list(campaign.records)
+    campaign = engine.run(scenario_units(config))
+    records = records_from_campaign(campaign)
 
     # --- tables and figures -------------------------------------------------
     _write(root / "tables" / "table1.txt", render_table1(config), written, root)
@@ -100,7 +100,7 @@ def reproduce_all(
     written.append("data/scenarios.csv")
 
     # --- claim report ---------------------------------------------------------
-    report = verify_reproduction()
+    report = verify_reproduction(records)
     _write(root / "report.txt", render_claims(report), written, root)
 
     # --- manifest -------------------------------------------------------------

@@ -13,6 +13,7 @@ describes), which preserves the figure's shape (paper +17%, ours +19.6%).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -53,16 +54,6 @@ class Scenario:
         if self.execution_factor < 1.0:
             raise ValueError("execution_factor must be >= 1")
 
-    @property
-    def is_truthful_bid(self) -> bool:
-        """Whether C1 declares its true value in this scenario."""
-        return self.bid_factor == 1.0
-
-    @property
-    def is_full_capacity(self) -> bool:
-        """Whether C1 executes at its true processing rate."""
-        return self.execution_factor == 1.0
-
     def as_config(self) -> dict:
         """JSON-safe dict of the result-affecting fields.
 
@@ -102,17 +93,24 @@ def scenario_by_name(name: str) -> Scenario:
 def build_bid_and_execution_vectors(
     true_values: np.ndarray,
     scenario: Scenario,
-    manipulator: int = 0,
+    manipulator: int | Sequence[int] = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Bid and execution vectors for a scenario applied to one machine.
+    """Bid and execution vectors for a scenario applied to one machine or a coalition.
 
-    Every machine except ``manipulator`` (C1 by default) bids its true
-    value and executes at capacity.
+    ``manipulator`` is one machine index (C1 by default) or a coalition
+    of indices that all apply the scenario's factors; every other
+    machine bids its true value and executes at capacity.  Anything
+    with ``bid_factor`` and ``execution_factor`` serves as the
+    scenario, such as a campaign's
+    :class:`~repro.parallel.units.ExperimentUnit`.
     """
     true_values = np.asarray(true_values, dtype=np.float64)
-    manipulator = check_index(manipulator, true_values.size, "manipulator")
+    liars = [
+        check_index(index, true_values.size, "manipulator")
+        for index in np.atleast_1d(manipulator).tolist()
+    ]
     bids = true_values.copy()
     executions = true_values.copy()
-    bids[manipulator] *= scenario.bid_factor
-    executions[manipulator] *= scenario.execution_factor
+    bids[liars] *= scenario.bid_factor
+    executions[liars] *= scenario.execution_factor
     return bids, executions

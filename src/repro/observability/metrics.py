@@ -30,12 +30,26 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Iterator
+from typing import Iterator, Sequence
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
+__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "sorted_quantile"]
 
 # A metric series key: (name, ((label, value), ...)) with labels sorted.
 SeriesKey = tuple[str, tuple[tuple[str, str], ...]]
+
+
+def sorted_quantile(ordered: Sequence[float], q: float) -> float:
+    """Linear-interpolation ``q``-quantile of an already-sorted sequence.
+
+    ``nan`` when the sequence is empty.
+    """
+    if not ordered:
+        return math.nan
+    position = q * (len(ordered) - 1)
+    low = int(position)
+    high = min(low + 1, len(ordered) - 1)
+    fraction = position - low
+    return ordered[low] * (1.0 - fraction) + ordered[high] * fraction
 
 
 def _series_key(name: str, labels: dict[str, object]) -> SeriesKey:
@@ -157,14 +171,7 @@ class Histogram:
         """Estimated ``q``-quantile (linear interpolation over the sample)."""
         if not 0.0 <= q <= 1.0:
             raise ValueError("q must be in [0, 1]")
-        if not self._sample:
-            return math.nan
-        ordered = sorted(self._sample)
-        position = q * (len(ordered) - 1)
-        low = int(position)
-        high = min(low + 1, len(ordered) - 1)
-        fraction = position - low
-        return ordered[low] * (1.0 - fraction) + ordered[high] * fraction
+        return sorted_quantile(sorted(self._sample), q)
 
     def summary(self) -> dict[str, float]:
         """JSON-ready aggregate view (count/total/mean/min/max/p50/p95/p99)."""

@@ -32,6 +32,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, IO
 
+from repro.observability.metrics import sorted_quantile
+
 __all__ = ["SpanRecord", "Tracer"]
 
 
@@ -195,9 +197,9 @@ class Tracer:
                 "count": len(ordered),
                 "total": sum(ordered),
                 "mean": sum(ordered) / len(ordered),
-                "p50": _quantile(ordered, 0.50),
-                "p95": _quantile(ordered, 0.95),
-                "p99": _quantile(ordered, 0.99),
+                "p50": sorted_quantile(ordered, 0.50),
+                "p95": sorted_quantile(ordered, 0.95),
+                "p99": sorted_quantile(ordered, 0.99),
                 "max": ordered[-1],
             }
         return result
@@ -219,12 +221,3 @@ class Tracer:
             with open(destination, "w", encoding="utf-8") as handle:
                 handle.write(payload)
         return len(self.finished)
-
-
-def _quantile(ordered: list[float], q: float) -> float:
-    """Linear-interpolation quantile of an already-sorted list."""
-    position = q * (len(ordered) - 1)
-    low = int(position)
-    high = min(low + 1, len(ordered) - 1)
-    fraction = position - low
-    return ordered[low] * (1.0 - fraction) + ordered[high] * fraction

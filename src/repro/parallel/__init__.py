@@ -59,12 +59,10 @@ from repro.parallel.units import (
     unit_cache_key,
 )
 from repro.parallel.campaigns import (
-    FiguresCampaign,
     figures_campaign_units,
     protocol_units,
     record_from_payload,
     records_from_campaign,
-    run_figures_campaign,
     scenario_units,
 )
 
@@ -74,7 +72,6 @@ __all__ = [
     "CampaignStats",
     "ExperimentUnit",
     "FUSE_MODES",
-    "FiguresCampaign",
     "NullCache",
     "ResultCache",
     "canonical_config",
@@ -90,7 +87,6 @@ __all__ = [
     "protocol_units",
     "record_from_payload",
     "records_from_campaign",
-    "run_figures_campaign",
     "scenario_units",
     "unit_cache_key",
 ]

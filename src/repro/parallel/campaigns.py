@@ -7,29 +7,25 @@ builds those unit lists, and converts engine payloads back into the
 :class:`~repro.experiments.figures.ExperimentRecord` objects the
 figure generators consume — the reconstruction is exact, so a figure
 built from a (possibly cached, possibly parallel) campaign is
-bit-identical to one computed inline.
+bit-identical to one read from ``Mechanism.run`` on the same profile.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.experiments.figures import ExperimentRecord
 from repro.experiments.table1 import Table1Configuration, table1_configuration
 from repro.experiments.table2 import PAPER_SCENARIOS, scenario_by_name
-from repro.parallel.engine import CampaignEngine, CampaignResult
+from repro.parallel.engine import CampaignResult
 from repro.parallel.units import ExperimentUnit
 from repro.types import AllocationResult, MechanismOutcome, PaymentResult
 
 __all__ = [
-    "FiguresCampaign",
     "figures_campaign_units",
     "protocol_units",
     "record_from_payload",
     "records_from_campaign",
-    "run_figures_campaign",
     "scenario_units",
 ]
 
@@ -124,8 +120,9 @@ def record_from_payload(unit: ExperimentUnit, payload: dict) -> ExperimentRecord
 
     Payload floats round-trip bit-exactly through JSON, and every
     derived quantity (payment, utility, realised latency) is recomputed
-    by the same dataclass properties the inline path uses — so
-    downstream figures cannot tell a cached campaign from a fresh run.
+    by the same dataclass properties ``Mechanism.run``'s outcome uses —
+    so downstream figures cannot tell a cached campaign from a fresh
+    run.
     """
     allocation = AllocationResult(
         loads=np.asarray(payload["loads"]),
@@ -160,35 +157,3 @@ def records_from_campaign(result: CampaignResult) -> list[ExperimentRecord]:
         for unit, payload in zip(result.units, result.payloads)
         if unit.kind in ("scenario", "dynamics")
     ]
-
-
-@dataclass(frozen=True)
-class FiguresCampaign:
-    """A completed Table 1 + Figures campaign, ready for the figure code."""
-
-    result: CampaignResult
-    records: tuple[ExperimentRecord, ...]
-
-    @property
-    def stats(self):
-        """Shorthand for the engine's cost accounting."""
-        return self.result.stats
-
-
-def run_figures_campaign(
-    engine: CampaignEngine | None = None,
-    config: Table1Configuration | None = None,
-    *,
-    seeds: tuple[int, ...] = (),
-    duration: float = 200.0,
-    variant: str = "observed",
-) -> FiguresCampaign:
-    """Run the combined campaign through an engine (serial by default)."""
-    engine = engine or CampaignEngine(workers=0, cache=None)
-    units = figures_campaign_units(
-        config, seeds=seeds, duration=duration, variant=variant
-    )
-    result = engine.run(units)
-    return FiguresCampaign(
-        result=result, records=tuple(records_from_campaign(result))
-    )

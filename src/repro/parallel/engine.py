@@ -58,6 +58,7 @@ from repro.observability.instrumentation import (
     record_counter,
     trace_span,
 )
+from repro.observability.metrics import sorted_quantile
 from repro.parallel.cache import NullCache, ResultCache
 from repro.parallel.fusion import FUSE_MODES, execute_cohort, partition_pending
 from repro.parallel.units import ExperimentUnit, execute_unit, unit_cache_key
@@ -137,16 +138,6 @@ def _run_chunk(batch: list[tuple[int, dict]]) -> list[dict]:
     return out
 
 
-def _quantile(ordered: Sequence[float], q: float) -> float:
-    if not ordered:
-        return float("nan")
-    position = q * (len(ordered) - 1)
-    low = int(position)
-    high = min(low + 1, len(ordered) - 1)
-    fraction = position - low
-    return ordered[low] * (1.0 - fraction) + ordered[high] * fraction
-
-
 @dataclass(frozen=True)
 class CampaignStats:
     """What one :meth:`CampaignEngine.run` cost."""
@@ -177,12 +168,12 @@ class CampaignStats:
     @property
     def unit_p50(self) -> float:
         """Median per-unit compute latency (seconds; nan if all cached)."""
-        return _quantile(sorted(self.unit_seconds), 0.50)
+        return sorted_quantile(sorted(self.unit_seconds), 0.50)
 
     @property
     def unit_p95(self) -> float:
         """95th-percentile per-unit compute latency (seconds)."""
-        return _quantile(sorted(self.unit_seconds), 0.95)
+        return sorted_quantile(sorted(self.unit_seconds), 0.95)
 
 
 @dataclass(frozen=True)
@@ -225,10 +216,6 @@ class CampaignEngine:
     reuse_cache:
         When ``False`` the engine still *writes* results but never
         reads them — every unit recomputes (the CLI's ``--no-resume``).
-    chunk_size:
-        Override the ``ceil(pending / (workers * 4))`` default.  Sizing
-        is always over the *post-fusion fallback* misses — the units
-        that actually go to the pool — never the submitted total.
     fuse:
         ``"auto"`` (default) evaluates cohorts of two or more
         homogeneous closed-form misses as single stacked broadcasts,
@@ -245,13 +232,10 @@ class CampaignEngine:
         workers: int = 0,
         cache: ResultCache | NullCache | str | os.PathLike | None = None,
         reuse_cache: bool = True,
-        chunk_size: int | None = None,
         fuse: str = "auto",
     ) -> None:
         if workers < 0:
             raise ValueError("workers must be >= 0")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
         if fuse not in FUSE_MODES:
             raise ValueError(f"fuse must be one of {FUSE_MODES}, got {fuse!r}")
         self.workers = int(workers)
@@ -261,7 +245,6 @@ class CampaignEngine:
             cache = ResultCache(cache)
         self.cache = cache
         self.reuse_cache = bool(reuse_cache)
-        self.chunk_size = chunk_size
         self.fuse = fuse
 
     def run(self, units: Sequence[ExperimentUnit]) -> CampaignResult:
@@ -372,8 +355,7 @@ class CampaignEngine:
         # post-fusion fallback misses, never the submitted total — a
         # warm or mostly-fused campaign must not fan near-empty chunks.
         workers = min(self.workers, len(pending))
-        chunk_size = self.chunk_size or default_chunk_size(len(pending), workers)
-        chunks = _chunked(pending, chunk_size)
+        chunks = _chunked(pending, default_chunk_size(len(pending), workers))
 
         if workers <= 1:
             # In-process: same chunk walk, ambient tracer, no pool.

@@ -53,8 +53,9 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.experiments.table2 import build_bid_and_execution_vectors
 from repro.mechanism import pricing
-from repro.parallel.units import ExperimentUnit
+from repro.parallel.units import ExperimentUnit, profile_payload
 
 __all__ = [
     "FUSE_MODES",
@@ -132,31 +133,6 @@ def partition_pending(
 # ------------------------------------------------------------ evaluation
 
 
-def _stack_profiles(
-    units: Sequence[ExperimentUnit],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(true_values, bids, executions, rates)`` for one cohort.
-
-    Row ``k`` applies unit ``k``'s ``(bid_factor, execution_factor)``
-    to its coalition exactly as the per-unit ``_profile`` does — the
-    same in-place fancy-index multiply on a row view, so every entry
-    is bit-identical to the per-unit arrays.
-    """
-    true_values = np.array([unit.true_values for unit in units], dtype=np.float64)
-    bids = true_values.copy()
-    executions = true_values.copy()
-    for row, unit in enumerate(units):
-        liars = (
-            list(unit.manipulators)
-            if unit.manipulators is not None
-            else [unit.manipulator]
-        )
-        bids[row, liars] *= unit.bid_factor
-        executions[row, liars] *= unit.execution_factor
-    rates = np.array([unit.arrival_rate for unit in units], dtype=np.float64)
-    return true_values, bids, executions, rates
-
-
 def execute_cohort(units: Sequence[ExperimentUnit]) -> list[dict]:
     """Evaluate one homogeneous cohort in a single stacked computation.
 
@@ -175,35 +151,19 @@ def execute_cohort(units: Sequence[ExperimentUnit]) -> list[dict]:
             raise ValueError(f"{unit.kind} units have no fused evaluation")
     variant = units[0].variant
 
-    _, bids, executions, rates = _stack_profiles(units)
+    # Row k is unit k's profile, built by the same function the
+    # per-unit path uses, so every entry is bit-identical to it.
+    profiles = [
+        build_bid_and_execution_vectors(unit.true_values, unit, unit.coalition)
+        for unit in units
+    ]
+    bids, executions = (np.array(rows) for rows in zip(*profiles))
+    rates = np.array([unit.arrival_rate for unit in units], dtype=np.float64)
     # Variant names spell the kernel rule ``archer_tardos`` with a dash.
     priced = pricing.price(
         variant.replace("-", "_"), bids, executions, rates[:, None]
     )
-    payment = priced.compensation + priced.bonus
-    utility = payment + priced.valuation
-    total_payment = payment.sum(axis=1)
-    total_valuation = np.abs(priced.valuation).sum(axis=1)
-
-    payloads = []
-    for k in range(len(units)):
-        denom = float(total_valuation[k])
-        payloads.append(
-            {
-                "bids": bids[k].tolist(),
-                "execution_values": executions[k].tolist(),
-                "loads": priced.loads[k].tolist(),
-                "declared_latency": float(priced.declared_latency[k]),
-                "realised_latency": float(priced.realised_latency[k]),
-                "compensation": priced.compensation[k].tolist(),
-                "bonus": priced.bonus[k].tolist(),
-                "valuation": priced.valuation[k].tolist(),
-                "payment": payment[k].tolist(),
-                "utility": utility[k].tolist(),
-                "frugality_ratio": (
-                    float("nan") if denom == 0.0
-                    else float(total_payment[k]) / denom
-                ),
-            }
-        )
-    return payloads
+    return [
+        profile_payload(bids[k], executions[k], *(field[k] for field in priced))
+        for k in range(len(units))
+    ]

@@ -30,12 +30,15 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from repro.experiments.table2 import build_bid_and_execution_vectors
+
 __all__ = [
     "ExperimentUnit",
     "canonical_config",
     "canonical_json",
     "canonicalise",
     "execute_unit",
+    "profile_payload",
     "unit_cache_key",
 ]
 
@@ -161,6 +164,14 @@ class ExperimentUnit:
         # compare equal, share one cache entry, and survive the
         # as_config round trip.
         object.__setattr__(self, "execution", resolve_execution(self.execution))
+
+    @property
+    def coalition(self) -> tuple[int, ...]:
+        """The machines the factors apply to: ``manipulators``, or the
+        single ``manipulator``."""
+        if self.manipulators is not None:
+            return self.manipulators
+        return (self.manipulator,)
 
     def as_config(self) -> dict:
         """The result-affecting fields, as a canonicalisable dict.
@@ -302,39 +313,65 @@ def _mechanism_for(variant: str):
 
 def _profile(unit: ExperimentUnit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     true_values = np.asarray(unit.true_values, dtype=np.float64)
-    bids = true_values.copy()
-    executions = true_values.copy()
-    liars = (
-        list(unit.manipulators)
-        if unit.manipulators is not None
-        else [unit.manipulator]
+    bids, executions = build_bid_and_execution_vectors(
+        true_values, unit, unit.coalition
     )
-    bids[liars] *= unit.bid_factor
-    executions[liars] *= unit.execution_factor
     return true_values, bids, executions
 
 
-def _payload_from_outcome(outcome) -> dict:
-    """JSON-safe per-unit result.
+def profile_payload(
+    bids: np.ndarray,
+    executions: np.ndarray,
+    loads: np.ndarray,
+    declared_latency: float,
+    realised_latency: float,
+    compensation: np.ndarray,
+    bonus: np.ndarray,
+    valuation: np.ndarray,
+) -> dict:
+    """The JSON-safe payload of one priced profile.
 
-    Every float passes through ``repr`` on the way into JSON and back,
-    which round-trips IEEE doubles exactly — a cached payload is
+    The arguments follow :class:`~repro.mechanism.pricing.Priced` after
+    the profile itself, so a row of a stacked pricing unpacks straight
+    in.  ``payment``, ``utility`` and ``frugality_ratio`` are derived
+    exactly as :class:`~repro.types.PaymentResult` and
+    :class:`~repro.types.MechanismOutcome` derive them.  Every float
+    passes through ``repr`` on the way into JSON and back, which
+    round-trips IEEE doubles exactly — a cached payload is
     bit-identical to a freshly computed one.
     """
-    payments = outcome.payments
+    payment = compensation + bonus
+    utility = payment + valuation
+    denom = float(np.sum(np.abs(valuation)))
     return {
-        "bids": outcome.allocation.bids.tolist(),
-        "execution_values": outcome.execution_values.tolist(),
-        "loads": outcome.loads.tolist(),
-        "declared_latency": float(outcome.allocation.total_latency),
-        "realised_latency": float(outcome.realised_latency),
-        "compensation": payments.compensation.tolist(),
-        "bonus": payments.bonus.tolist(),
-        "valuation": payments.valuation.tolist(),
-        "payment": payments.payment.tolist(),
-        "utility": payments.utility.tolist(),
-        "frugality_ratio": float(outcome.frugality_ratio),
+        "bids": bids.tolist(),
+        "execution_values": executions.tolist(),
+        "loads": loads.tolist(),
+        "declared_latency": float(declared_latency),
+        "realised_latency": float(realised_latency),
+        "compensation": compensation.tolist(),
+        "bonus": bonus.tolist(),
+        "valuation": valuation.tolist(),
+        "payment": payment.tolist(),
+        "utility": utility.tolist(),
+        "frugality_ratio": (
+            float("nan") if denom == 0.0 else float(np.sum(payment)) / denom
+        ),
     }
+
+
+def _outcome_payload(outcome) -> dict:
+    payments = outcome.payments
+    return profile_payload(
+        outcome.allocation.bids,
+        outcome.execution_values,
+        outcome.loads,
+        outcome.allocation.total_latency,
+        outcome.realised_latency,
+        payments.compensation,
+        payments.bonus,
+        payments.valuation,
+    )
 
 
 def _execute_scenario(unit: ExperimentUnit) -> dict:
@@ -342,7 +379,7 @@ def _execute_scenario(unit: ExperimentUnit) -> dict:
     outcome = _mechanism_for(unit.variant).run(
         bids, unit.arrival_rate, executions, true_values=true_values
     )
-    return _payload_from_outcome(outcome)
+    return _outcome_payload(outcome)
 
 
 def _execute_dynamics(unit: ExperimentUnit) -> dict:
@@ -362,7 +399,7 @@ def _execute_dynamics(unit: ExperimentUnit) -> dict:
     outcome = mechanism.run(
         trace.final_bids, unit.arrival_rate, true_values, true_values=true_values
     )
-    payload = _payload_from_outcome(outcome)
+    payload = _outcome_payload(outcome)
     payload.update(
         {
             "start_bids": start_bids.tolist(),
@@ -420,12 +457,7 @@ def _execute_protocol(unit: ExperimentUnit) -> dict:
     truthful = unit.bid_factor == 1.0 and unit.execution_factor == 1.0
     agents = [TruthfulAgent(t) for t in unit.true_values]
     if not truthful:
-        liars = (
-            unit.manipulators
-            if unit.manipulators is not None
-            else (unit.manipulator,)
-        )
-        for liar in liars:
+        for liar in unit.coalition:
             agents[liar] = ManipulativeAgent(
                 unit.true_values[liar],
                 unit.bid_factor,
@@ -441,7 +473,7 @@ def _execute_protocol(unit: ExperimentUnit) -> dict:
         execution=unit.execution,
     )
 
-    payload = _payload_from_outcome(result.outcome)
+    payload = _outcome_payload(result.outcome)
     error = result.estimation_relative_error
     payload.update(
         {

@@ -12,15 +12,18 @@ from repro.experiments import (
     figure6_data,
     figure6_truthful_structure,
     run_all_scenarios,
-    run_scenario,
-    scenario_by_name,
 )
-from repro.mechanism import VerificationMechanism
+
+
+def record_of(name: str):
+    return next(r for r in run_all_scenarios() if r.scenario.name == name)
 
 
 class TestRunScenario:
+    """One scenario's record, as the campaign rebuilds it."""
+
     def test_record_fields_consistent(self):
-        record = run_scenario(scenario_by_name("High1"))
+        record = record_of("High1")
         assert record.total_latency == record.outcome.realised_latency
         assert record.c1_payment == pytest.approx(
             float(record.outcome.payments.payment[0])
@@ -28,7 +31,7 @@ class TestRunScenario:
         assert record.degradation_percent(record.total_latency) == 0.0
 
     def test_true_values_recorded(self):
-        record = run_scenario(scenario_by_name("True1"))
+        record = record_of("True1")
         assert record.outcome.true_values is not None
         assert record.outcome.true_values[0] == 1.0
 
@@ -53,7 +56,7 @@ class TestFigure2:
 
     def test_mechanism_override_changes_low_payments(self):
         observed = figure2_data()
-        declared = figure2_data(mechanism=VerificationMechanism("declared"))
+        declared = figure2_data(records=run_all_scenarios(variant="declared"))
         assert observed["Low1"][0] != declared["Low1"][0]
         # True scenarios coincide: bid == execution there... for True1 only.
         assert observed["True1"] == pytest.approx(declared["True1"])
@@ -105,6 +108,6 @@ class TestFigure6:
 
 class TestRunAllScenarios:
     def test_custom_mechanism_is_used(self):
-        records = run_all_scenarios(mechanism=VerificationMechanism("declared"))
+        records = run_all_scenarios(variant="declared")
         low2 = next(r for r in records if r.scenario.name == "Low2")
         assert low2.c1_payment < 0.0

@@ -11,7 +11,6 @@ from repro.experiments import run_all_scenarios
 from repro.experiments.io import (
     load_records_json,
     outcome_to_dict,
-    reconstruct_payment_vectors,
     records_to_csv,
     records_to_json,
 )
@@ -34,13 +33,10 @@ class TestJsonRoundTrip:
         assert low2["outcome"]["realised_latency"] == pytest.approx(
             original.total_latency
         )
-        arrays = reconstruct_payment_vectors(low2)
-        np.testing.assert_allclose(
-            arrays["payment"], original.outcome.payments.payment
-        )
-        np.testing.assert_allclose(
-            arrays["utility"], original.outcome.payments.utility
-        )
+        for key in ("compensation", "bonus", "valuation"):
+            np.testing.assert_allclose(
+                low2["outcome"][key], getattr(original.outcome.payments, key)
+            )
 
     def test_true_values_serialised(self, records, tmp_path):
         path = tmp_path / "sweep.json"

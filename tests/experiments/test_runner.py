@@ -8,6 +8,8 @@ import pytest
 
 from repro.experiments import reproduce_all
 from repro.experiments.io import load_records_json
+from repro.mechanism.base import Mechanism
+from repro.parallel import CampaignEngine, ResultCache
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +64,29 @@ class TestBundleContents:
     def test_idempotent(self, bundle):
         again = reproduce_all(bundle.output_dir)
         assert set(again.files_written) == set(bundle.files_written)
+
+
+class TestWarmReproduce:
+    def test_warm_bundle_runs_the_mechanism_at_most_once(
+        self, tmp_path, monkeypatch
+    ):
+        # Every figure and figure claim reads the campaign's records, so
+        # a populated cache leaves only the voluntary-participation
+        # margin to run the mechanism (the truthfulness audit and the
+        # declared-variant check take the closed-form kernels).
+        cache = ResultCache(tmp_path / "cache")
+        reproduce_all(tmp_path / "cold", engine=CampaignEngine(cache=cache))
+        calls = []
+        run = Mechanism.run
+
+        def counted(self, *args, **kwargs):
+            calls.append(type(self).__name__)
+            return run(self, *args, **kwargs)
+
+        monkeypatch.setattr(Mechanism, "run", counted)
+        warm = reproduce_all(tmp_path / "warm", engine=CampaignEngine(cache=cache))
+        assert warm.all_claims_pass
+        assert len(calls) <= 1
 
 
 class TestCliReproduce:

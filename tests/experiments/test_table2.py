@@ -32,13 +32,8 @@ class TestScenarioDefinitions:
     def test_execution_factors_at_least_one(self):
         assert all(s.execution_factor >= 1.0 for s in PAPER_SCENARIOS)
 
-    def test_flags(self):
-        true1 = scenario_by_name("True1")
-        assert true1.is_truthful_bid and true1.is_full_capacity
-        low2 = scenario_by_name("low2")  # case-insensitive
-        assert not low2.is_truthful_bid and not low2.is_full_capacity
-
     def test_unknown_scenario_raises_with_known_names(self):
+        assert scenario_by_name("low2").name == "Low2"  # case-insensitive
         with pytest.raises(KeyError, match="True1"):
             scenario_by_name("Mid1")
 
@@ -65,6 +60,14 @@ class TestVectorConstruction:
         )
         np.testing.assert_allclose(bids, [1.0, 2.0, 2.5])
         np.testing.assert_allclose(executions, [1.0, 2.0, 10.0])
+
+    def test_coalition_applies_the_factors_to_every_member(self):
+        t = np.array([1.0, 2.0, 5.0])
+        bids, executions = build_bid_and_execution_vectors(
+            t, scenario_by_name("High3"), manipulator=(0, 2)
+        )
+        np.testing.assert_allclose(bids, [3.0, 2.0, 15.0])
+        np.testing.assert_allclose(executions, [2.0, 2.0, 10.0])
 
     def test_input_not_mutated(self):
         t = np.array([1.0, 2.0])

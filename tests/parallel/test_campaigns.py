@@ -3,19 +3,35 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro.experiments.figures import run_all_scenarios
+from repro.experiments.figures import ExperimentRecord
 from repro.experiments.table1 import table1_configuration
-from repro.experiments.table2 import PAPER_SCENARIOS
+from repro.experiments.table2 import (
+    PAPER_SCENARIOS,
+    build_bid_and_execution_vectors,
+)
+from repro.mechanism import VerificationMechanism
 from repro.parallel import (
     CampaignEngine,
     figures_campaign_units,
     protocol_units,
     records_from_campaign,
-    run_figures_campaign,
     scenario_units,
 )
+
+
+def direct_records(config) -> list[ExperimentRecord]:
+    """Every Table 2 scenario scored by ``Mechanism.run`` on its profile."""
+    mechanism = VerificationMechanism()
+    true_values = config.cluster.true_values
+    records = []
+    for scenario in PAPER_SCENARIOS:
+        bids, executions = build_bid_and_execution_vectors(true_values, scenario)
+        outcome = mechanism.run(
+            bids, config.arrival_rate, executions, true_values=true_values
+        )
+        records.append(ExperimentRecord(scenario=scenario, outcome=outcome))
+    return records
 
 
 class TestUnitBuilders:
@@ -42,7 +58,7 @@ class TestRecordReconstruction:
         config = table1_configuration()
         campaign = CampaignEngine(workers=0).run(scenario_units(config))
         rebuilt = records_from_campaign(campaign)
-        inline = run_all_scenarios(config)
+        inline = direct_records(config)
         assert len(rebuilt) == len(inline)
         for ours, theirs in zip(rebuilt, inline):
             assert ours.scenario == theirs.scenario
@@ -66,23 +82,23 @@ class TestRecordReconstruction:
         )
         assert cached.stats.cache_hits == 8
         rebuilt = records_from_campaign(cached)
-        inline = run_all_scenarios(config)
+        inline = direct_records(config)
         for ours, theirs in zip(rebuilt, inline):
             assert ours.total_latency == theirs.total_latency
 
 
 class TestRunFiguresCampaign:
     def test_default_engine_serial(self):
-        campaign = run_figures_campaign()
-        assert len(campaign.records) == 8
-        assert campaign.stats.n_units == 8
-        assert round(campaign.records[0].total_latency, 2) == 78.43
+        result = CampaignEngine().run(figures_campaign_units())
+        records = records_from_campaign(result)
+        assert len(records) == 8
+        assert result.stats.n_units == 8
+        assert round(records[0].total_latency, 2) == 78.43
 
     def test_protocol_payloads_keyed_by_scenario_seed(self):
-        campaign = run_figures_campaign(
-            seeds=(0,), duration=20.0,
+        result = CampaignEngine().run(
+            figures_campaign_units(seeds=(0,), duration=20.0)
         )
-        result = campaign.result
         payloads = {
             (unit.scenario, unit.seed): payload
             for unit, payload in zip(result.units, result.payloads)
@@ -90,20 +106,3 @@ class TestRunFiguresCampaign:
         }
         assert set(payloads) == {(s.name, 0) for s in PAPER_SCENARIOS}
         assert all(p["jobs_routed"] > 0 for p in payloads.values())
-
-
-class TestEnginePathInRunAllScenarios:
-    def test_engine_path_matches_inline(self):
-        engine = CampaignEngine(workers=0)
-        via_engine = run_all_scenarios(engine=engine)
-        inline = run_all_scenarios()
-        for ours, theirs in zip(via_engine, inline):
-            assert ours.total_latency == theirs.total_latency
-
-    def test_engine_plus_mechanism_rejected(self):
-        from repro.mechanism import VCGMechanism
-
-        with pytest.raises(ValueError):
-            run_all_scenarios(
-                mechanism=VCGMechanism(), engine=CampaignEngine(workers=0)
-            )

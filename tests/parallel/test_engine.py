@@ -32,10 +32,6 @@ class TestEngineValidation:
         with pytest.raises(ValueError):
             CampaignEngine(workers=-1)
 
-    def test_bad_chunk_size_rejected(self):
-        with pytest.raises(ValueError):
-            CampaignEngine(chunk_size=0)
-
     def test_cache_path_coerced(self, tmp_path):
         engine = CampaignEngine(cache=tmp_path / "c")
         assert isinstance(engine.cache, ResultCache)

@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.experiments.figures import run_scenario
 from repro.experiments.table1 import table1_configuration
-from repro.experiments.table2 import scenario_by_name
+from repro.experiments.table2 import build_bid_and_execution_vectors, scenario_by_name
+from repro.mechanism import VerificationMechanism
 from repro.parallel.units import (
     ExperimentUnit,
     canonical_json,
@@ -230,6 +230,7 @@ class TestCacheKey:
 class TestExecuteUnit:
     def test_scenario_payload_matches_inline_run(self):
         config = table1_configuration()
+        true_values = config.cluster.true_values
         for name in ("True1", "High1", "Low2"):
             scenario = scenario_by_name(name)
             unit = paper_unit(
@@ -238,10 +239,13 @@ class TestExecuteUnit:
                 execution_factor=scenario.execution_factor,
             )
             payload = execute_unit(unit)
-            record = run_scenario(scenario, config)
-            assert payload["realised_latency"] == record.outcome.realised_latency
-            assert payload["payment"] == record.outcome.payments.payment.tolist()
-            assert payload["utility"] == record.outcome.payments.utility.tolist()
+            bids, executions = build_bid_and_execution_vectors(true_values, scenario)
+            outcome = VerificationMechanism().run(
+                bids, config.arrival_rate, executions, true_values=true_values
+            )
+            assert payload["realised_latency"] == outcome.realised_latency
+            assert payload["payment"] == outcome.payments.payment.tolist()
+            assert payload["utility"] == outcome.payments.utility.tolist()
 
     def test_execution_is_deterministic(self):
         unit = paper_unit(kind="protocol", seed=3, duration=20.0)

@@ -20,7 +20,6 @@ from repro.experiments import (
     scenario_by_name,
     table1_configuration,
 )
-from repro.mechanism import VerificationMechanism
 
 
 class TestTable1:
@@ -89,7 +88,7 @@ class TestFigure2:
     def test_low2_negative_payment_under_declared_compensation(self):
         # The paper's prose says Low2's *payment* is negative; that holds
         # for the declared-compensation variant (see DESIGN.md §2).
-        data = figure2_data(mechanism=VerificationMechanism("declared"))
+        data = figure2_data(records=run_all_scenarios(variant="declared"))
         payment, utility = data["Low2"]
         assert payment < 0.0
         assert utility < 0.0
